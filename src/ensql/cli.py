@@ -143,13 +143,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_ask(args: argparse.Namespace) -> int:
     config = _load_config(args)
     backend = _resolve_backend(args)
-    runner = PipelineRunner(
-        config,
-        backend,
-        fewshot_store=_load_store(args, config),
-        descriptions=_load_descriptions(args, config),
-        record_timing=not args.replay,
-    )
     item = BenchmarkItem(
         question_id="adhoc",
         db_id=Path(args.db).stem,
@@ -158,7 +151,14 @@ def cmd_ask(args: argparse.Namespace) -> int:
         hint=args.hint or "",
         db_path=args.db,
     )
-    record = runner.run_item(item)
+    with PipelineRunner(
+        config,
+        backend,
+        fewshot_store=_load_store(args, config),
+        descriptions=_load_descriptions(args, config),
+        record_timing=not args.replay,
+    ) as runner:
+        record = runner.run_item(item)
     outcome = record.selection
     assert outcome is not None
     print(outcome.chosen_sql)

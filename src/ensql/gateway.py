@@ -17,6 +17,7 @@ import logging
 import os
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
@@ -448,11 +449,37 @@ def price(ledger: CostLedger, table: PriceTable) -> CostReport:
     return CostReport(by_model=by_model, total=total)
 
 
+class CallThrottle:
+    """The cap on in-flight model calls and the pool that runs them.
+
+    One throttle serves a whole run: every gateway built around it shares
+    its semaphore, so max_in_flight bounds concurrent backend calls across
+    all questions, and its pool, sized the same, runs the model-call tasks
+    those questions submit.  Pool threads start on demand and exit when the
+    throttle is closed or garbage-collected, so closing is optional.
+    """
+
+    def __init__(self, max_in_flight: int = 8):
+        self.semaphore = threading.BoundedSemaphore(max_in_flight)
+        self._pool = ThreadPoolExecutor(max_in_flight, thread_name_prefix="ensql-call")
+
+    def submit(self, fn: Callable, /, *args, **kwargs) -> Future:
+        """Run fn on the pool; tasks must never wait on other pool tasks."""
+        return self._pool.submit(fn, *args, **kwargs)
+
+    def close(self) -> None:
+        """Finish queued tasks and stop the pool threads."""
+        self._pool.shutdown(wait=True)
+
+
 class LlmGateway:
     """Front door for all model traffic: stage-labeled, throttled, metered.
 
     Every complete() records usage to the ledger under the caller's stage
-    label, and a bounded semaphore caps concurrent in-flight requests.
+    label.  Calls hold the throttle's semaphore while in flight, and
+    submit() hands a task to the throttle's pool.  Gateways that share one
+    throttle share its cap and pool but keep their own ledgers; without a
+    throttle, the gateway gets a private one of max_in_flight.
     """
 
     def __init__(
@@ -461,14 +488,18 @@ class LlmGateway:
         embedding_backend: EmbeddingBackend | None = None,
         ledger: CostLedger | None = None,
         max_in_flight: int = 8,
+        throttle: CallThrottle | None = None,
     ):
         self.chat_backend = chat_backend
         self.embedding_backend = embedding_backend or HashEmbeddingBackend()
         self.ledger = ledger or CostLedger()
-        self._semaphore = threading.BoundedSemaphore(max_in_flight)
+        self.throttle = throttle or CallThrottle(max_in_flight)
+
+    def submit(self, fn: Callable, /, *args, **kwargs) -> Future:
+        return self.throttle.submit(fn, *args, **kwargs)
 
     def complete(self, request: ChatRequest, stage: str) -> ChatResponse:
-        with self._semaphore:
+        with self.throttle.semaphore:
             response = self.chat_backend.complete(request)
         self.ledger.record(request.model, stage, response.usage)
         return response
@@ -476,7 +507,7 @@ class LlmGateway:
     def embed(self, texts: Sequence[str], stage: str = STAGE_EMBEDDING) -> list[np.ndarray]:
         if not texts:
             return []
-        with self._semaphore:
+        with self.throttle.semaphore:
             vectors = self.embedding_backend.embed(texts)
         self.ledger.record("embedding", stage, TokenUsage(), calls=len(texts))
         return vectors

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -243,6 +242,71 @@ def _failed_candidate(
     )
 
 
+def slot_request(
+    spec: CandidateSpec,
+    question: str,
+    hint: str,
+    prediction: LinkingPrediction | None,
+    catalog: SchemaCatalog,
+    fewshots: Sequence[FewShotExample] = (),
+    max_tokens: int = 2048,
+    question_id: str = "?",
+) -> ChatRequest:
+    """The generation request of one slot.
+
+    prediction is the output of the slot's linker run, None when that run
+    failed; a filtering slot without one falls back to the unfiltered
+    schema with a warning.
+    """
+    filtered = catalog
+    if spec.filter_level is not FilterLevel.NO_FILTERING:
+        if prediction is None:
+            log.warning(
+                "question %s: spec %d: linker output %r unavailable; using the full schema",
+                question_id, spec.spec_index, spec.linker_run,
+            )
+        else:
+            filtered = apply_filter(catalog, prediction, spec.filter_level)
+    schema_text = render(filtered, spec.format)
+    messages = build_generation_prompt(schema_text, question, hint, fewshots)
+    return ChatRequest(
+        model=spec.model,
+        messages=tuple(messages),
+        temperature=0.0,
+        max_tokens=max_tokens,
+    )
+
+
+def generate_slot(
+    spec: CandidateSpec, request: ChatRequest, gateway: LlmGateway, question_id: str = "?"
+) -> SqlCandidate:
+    """Make one slot's generation call and extract its candidate.
+
+    Backend failures and missing code blocks yield error candidates, never
+    exceptions.
+    """
+    try:
+        response = gateway.complete(request, stage=STAGE_GENERATION)
+    except GatewayError as exc:
+        log.warning(
+            "question %s: spec %d: generation call failed: %s",
+            question_id, spec.spec_index, exc,
+        )
+        return _failed_candidate(spec, "", TokenUsage(), "BackendError", str(exc))
+    try:
+        sql = extract_sql(response.text)
+    except NoCodeBlockError as exc:
+        return _failed_candidate(
+            spec, response.text, response.usage, "NoCodeBlock", str(exc)
+        )
+    return SqlCandidate(
+        spec_index=spec.spec_index,
+        sql=sql,
+        raw_response=response.text,
+        usage=response.usage,
+    )
+
+
 def generate_candidates(
     specs: Sequence[CandidateSpec],
     question: str,
@@ -252,59 +316,25 @@ def generate_candidates(
     gateway: LlmGateway,
     fewshots: Sequence[FewShotExample] = (),
     max_tokens: int = 2048,
-    max_workers: int = 8,
+    question_id: str = "?",
 ) -> list[SqlCandidate]:
-    """Produce one candidate per spec, in spec_index order.
+    """Produce one candidate per spec, in spec_index order, one at a time.
 
     linker_outputs maps linker run id -> prediction (None for a run whose
-    response failed to parse).  A spec whose prediction is unavailable falls
-    back to the unfiltered schema with a warning.  Backend failures and
-    missing code blocks yield error candidates, never exceptions, so the
-    caller always receives len(specs) candidates.
+    response failed to parse).  The caller always receives len(specs)
+    candidates.  PipelineRunner builds each slot from the same two steps,
+    slot_request and generate_slot, but starts every slot on its own as
+    soon as the slot's inputs exist.
     """
-    ordered = sorted(specs, key=lambda s: s.spec_index)
-
-    def run_one(spec: CandidateSpec) -> SqlCandidate:
-        filtered = catalog
-        if spec.filter_level is not FilterLevel.NO_FILTERING:
-            prediction = linker_outputs.get(spec.linker_run or "")
-            if prediction is None:
-                log.warning(
-                    "spec %d: linker output %r unavailable; using the full schema",
-                    spec.spec_index, spec.linker_run,
-                )
-            else:
-                filtered = apply_filter(catalog, prediction, spec.filter_level)
-        schema_text = render(filtered, spec.format)
-        messages = build_generation_prompt(schema_text, question, hint, fewshots)
-        request = ChatRequest(
-            model=spec.model,
-            messages=tuple(messages),
-            temperature=0.0,
-            max_tokens=max_tokens,
+    return [
+        generate_slot(
+            spec,
+            slot_request(
+                spec, question, hint, linker_outputs.get(spec.linker_run or ""),
+                catalog, fewshots, max_tokens, question_id,
+            ),
+            gateway,
+            question_id,
         )
-        try:
-            response = gateway.complete(request, stage=STAGE_GENERATION)
-        except GatewayError as exc:
-            log.warning("spec %d: generation call failed: %s", spec.spec_index, exc)
-            return _failed_candidate(spec, "", TokenUsage(), "BackendError", str(exc))
-        try:
-            sql = extract_sql(response.text)
-        except NoCodeBlockError as exc:
-            return _failed_candidate(
-                spec, response.text, response.usage, "NoCodeBlock", str(exc)
-            )
-        return SqlCandidate(
-            spec_index=spec.spec_index,
-            sql=sql,
-            raw_response=response.text,
-            usage=response.usage,
-        )
-
-    if not ordered:
-        return []
-    workers = max(1, min(max_workers, len(ordered)))
-    if workers == 1:
-        return [run_one(spec) for spec in ordered]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, ordered))
+        for spec in sorted(specs, key=lambda s: s.spec_index)
+    ]

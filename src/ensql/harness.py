@@ -16,7 +16,7 @@ import random
 import statistics
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
@@ -24,10 +24,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import FilterLevel, SchemaCatalog, apply_filter, introspect
+from .catalog import FilterLevel, SchemaCatalog, introspect
 from .config import PipelineConfig
 from .formats import RepresentationFormat, render
 from .gateway import (
+    CallThrottle,
     ChatBackend,
     ChatRequest,
     CostLedger,
@@ -37,20 +38,19 @@ from .gateway import (
     LLM_STAGES,
     LlmGateway,
     PriceTable,
-    STAGE_GENERATION,
     STAGE_LINKING,
     TokenUsage,
     UsageRow,
 )
 from .generation import (
+    CandidateSpec,
     FewShotExample,
     FewShotStore,
     SqlCandidate,
-    build_generation_prompt,
-    extract_sql,
     generate_candidates,
-    NoCodeBlockError,
+    generate_slot,
     retrieve_fewshots,
+    slot_request,
 )
 from .linking import (
     LinkerRun,
@@ -382,10 +382,18 @@ def read_records(path: str | Path) -> list[RunRecord]:
 class PipelineRunner:
     """Executes the full pipeline for single questions.
 
-    Catalogs are introspected once per database and cached.  Each question
-    gets its own gateway and ledger around the shared chat backend, so
-    per-question usage is exact and the run ledger is the merge of item
-    ledgers.
+    Catalogs are introspected once per database and cached.  The runner
+    owns one CallThrottle for the whole run: config.max_in_flight caps the
+    model calls in flight across every question it serves, however many
+    questions run at once (run_benchmark's workers).  Each question gets its
+    own gateway and ledger around that throttle, so per-question usage is
+    exact and the run ledger is the merge of item ledgers.
+
+    A question's model calls follow its dependency graph.  Linker runs,
+    few-shot retrieval and the slots that filter nothing start at once; a
+    filtering slot starts as soon as its own linker run resolves; an
+    escalated tournament submits all its comparisons together.  The pool
+    threads exit when the runner is closed or garbage-collected.
     """
 
     def __init__(
@@ -404,16 +412,26 @@ class PipelineRunner:
         self.descriptions = descriptions or {}
         self.record_timing = record_timing
         self.specs, self.linker_plan = config.to_candidate_specs()
+        self.throttle = CallThrottle(config.max_in_flight)
         self._judge_template = load_judge_template()
         self._catalogs: dict[str, SchemaCatalog] = {}
         self._catalog_lock = threading.Lock()
+
+    def __enter__(self) -> "PipelineRunner":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self.throttle.close()
 
     def _gateway(self) -> LlmGateway:
         return LlmGateway(
             chat_backend=self.chat_backend,
             embedding_backend=self.embedding_backend,
             ledger=CostLedger(),
-            max_in_flight=self.config.max_in_flight,
+            throttle=self.throttle,
         )
 
     def catalog_for(self, db_id: str, db_path: str) -> SchemaCatalog:
@@ -431,47 +449,101 @@ class PipelineRunner:
             self._catalogs.setdefault(db_id, catalog)
         return catalog
 
+    def linker_request(
+        self, run_id: str, catalog: SchemaCatalog, item: BenchmarkItem
+    ) -> ChatRequest:
+        """The request of one linker run: the plan's (format, model) pair."""
+        fmt, model = self.linker_plan[run_id]
+        messages = build_linking_prompt(render(catalog, fmt), item.question, item.hint)
+        return ChatRequest(
+            model=model,
+            messages=tuple(messages),
+            temperature=0.0,
+            max_tokens=self.config.max_tokens,
+        )
+
     def link(
-        self, catalog: SchemaCatalog, question: str, hint: str, gateway: LlmGateway
-    ) -> dict[str, LinkerRun]:
-        """One linker call per distinct (format, model) pair in the slate."""
-        runs: dict[str, LinkerRun] = {}
-        for run_id, (fmt, model) in self.linker_plan.items():
-            schema_text = render(catalog, fmt)
-            messages = build_linking_prompt(schema_text, question, hint)
-            try:
-                response = gateway.complete(
-                    ChatRequest(
-                        model=model,
-                        messages=tuple(messages),
-                        temperature=0.0,
-                        max_tokens=self.config.max_tokens,
-                    ),
-                    stage=STAGE_LINKING,
-                )
-            except GatewayError as exc:
-                log.warning("linker run %s failed: %s", run_id, exc)
-                runs[run_id] = LinkerRun(
-                    run_id=run_id, format=fmt, model=model, prediction=None,
-                    error=f"BackendError: {exc}",
-                )
-                continue
-            try:
-                prediction = parse_linking_response(response.text)
-                error = None
-            except LinkingParseError as exc:
-                log.warning("linker run %s unparseable: %s", run_id, exc)
-                prediction, error = None, f"{type(exc).__name__}: {exc}"
-            runs[run_id] = LinkerRun(
-                run_id=run_id,
-                format=fmt,
-                model=model,
-                prediction=prediction,
-                usage=response.usage,
-                response_text=response.text,
-                error=error,
+        self, run_id: str, request: ChatRequest, item: BenchmarkItem, gateway: LlmGateway
+    ) -> LinkerRun:
+        """Make one linker call and parse its prediction."""
+        fmt, model = self.linker_plan[run_id]
+        try:
+            response = gateway.complete(request, stage=STAGE_LINKING)
+        except GatewayError as exc:
+            log.warning("question %s: linker run %s failed: %s", item.question_id, run_id, exc)
+            return LinkerRun(
+                run_id=run_id, format=fmt, model=model, prediction=None,
+                error=f"BackendError: {exc}",
             )
-        return runs
+        try:
+            prediction = parse_linking_response(response.text)
+            error = None
+        except LinkingParseError as exc:
+            log.warning(
+                "question %s: linker run %s unparseable: %s", item.question_id, run_id, exc
+            )
+            prediction, error = None, f"{type(exc).__name__}: {exc}"
+        return LinkerRun(
+            run_id=run_id,
+            format=fmt,
+            model=model,
+            prediction=prediction,
+            usage=response.usage,
+            response_text=response.text,
+            error=error,
+        )
+
+    def generate(
+        self, catalog: SchemaCatalog, item: BenchmarkItem, gateway: LlmGateway
+    ) -> list[SqlCandidate]:
+        """One candidate per slot, each started as soon as its inputs exist.
+
+        This thread builds every prompt and hands only the calls to the
+        pool; it alone waits on futures, so no pool thread ever blocks on
+        another task.
+        """
+        config = self.config
+        inputs: dict[Future, str | None] = {  # linker run id; None for few-shots
+            gateway.submit(
+                self.link, run_id, self.linker_request(run_id, catalog, item), item, gateway
+            ): run_id
+            for run_id in self.linker_plan
+        }
+        fewshots: Sequence[FewShotExample] | None = ()
+        if self.fewshot_store is not None and config.fewshot_k > 0:
+            fewshots = None
+            retrieval = gateway.submit(
+                retrieve_fewshots, item.question, self.fewshot_store, gateway,
+                config.fewshot_k,
+            )
+            inputs[retrieval] = None
+        predictions: dict[str, LinkingPrediction | None] = {}
+        slots: dict[int, Future] = {}
+
+        def start_ready_slots() -> None:
+            if fewshots is None:
+                return
+            for spec in self.specs:
+                waiting = spec.linker_run is not None and spec.linker_run not in predictions
+                if waiting or spec.spec_index in slots:
+                    continue
+                request = slot_request(
+                    spec, item.question, item.hint, predictions.get(spec.linker_run or ""),
+                    catalog, fewshots, config.max_tokens, item.question_id,
+                )
+                slots[spec.spec_index] = gateway.submit(
+                    generate_slot, spec, request, gateway, item.question_id
+                )
+
+        start_ready_slots()
+        for future in as_completed(inputs):
+            run_id = inputs[future]
+            if run_id is None:
+                fewshots = future.result()
+            else:
+                predictions[run_id] = future.result().prediction
+            start_ready_slots()
+        return [slots[spec.spec_index].result() for spec in self.specs]
 
     def run_item(self, item: BenchmarkItem) -> RunRecord:
         started = time.monotonic()
@@ -479,26 +551,7 @@ class PipelineRunner:
         config = self.config
         catalog = self.catalog_for(item.db_id, item.db_path)
 
-        linker_runs = self.link(catalog, item.question, item.hint, gateway)
-        linker_outputs = {run_id: run.prediction for run_id, run in linker_runs.items()}
-
-        fewshots: Sequence[FewShotExample] = ()
-        if self.fewshot_store is not None and config.fewshot_k > 0:
-            fewshots = retrieve_fewshots(
-                item.question, self.fewshot_store, gateway, config.fewshot_k
-            )
-
-        candidates = generate_candidates(
-            self.specs,
-            item.question,
-            item.hint,
-            linker_outputs,
-            catalog,
-            gateway,
-            fewshots=fewshots,
-            max_tokens=config.max_tokens,
-            max_workers=config.max_in_flight,
-        )
+        candidates = self.generate(catalog, item, gateway)
         for candidate in candidates:
             if candidate.execution is None:
                 candidate.execution = execute_candidate(
@@ -529,7 +582,10 @@ class PipelineRunner:
                     for c in candidates
                 ]
 
-        judge = PairwiseJudge(gateway, config.judge_model, template=self._judge_template)
+        judge = PairwiseJudge(
+            gateway, config.judge_model, template=self._judge_template,
+            question_id=item.question_id,
+        )
         outcome = select(
             candidates,
             question=item.question,
@@ -675,9 +731,11 @@ def run_benchmark(
 ) -> tuple[list[RunRecord], Report]:
     """Run the pipeline over a dataset with a worker pool.
 
-    Records stream to out_path as JSONL in dataset order regardless of
-    completion order.  A question that raises is recorded as an errored
-    record; the run never aborts on per-item failures.
+    workers questions are in flight at once, and config.max_in_flight caps
+    the model calls in flight across all of them.  Records stream to
+    out_path as JSONL in dataset order regardless of completion order.  A
+    question that raises is recorded as an errored record; the run never
+    aborts on per-item failures.
     """
     runner = PipelineRunner(
         config,
@@ -720,6 +778,7 @@ def run_benchmark(
                 for future in as_completed(futures):
                     settle(futures[future], future.result())
     finally:
+        runner.close()
         if out_fh is not None:
             out_fh.close()
 
@@ -909,6 +968,14 @@ def sweep(
     if not pool:
         raise SweepError("sweep needs at least one format and one level")
     labels = [f"{fmt.value}+{level.value}" for fmt, level in pool]
+    # a filtering entry consumes the one linker prediction of its format
+    specs = [
+        CandidateSpec(
+            position, fmt, level, config.generator_model,
+            None if level is FilterLevel.NO_FILTERING else fmt.value,
+        )
+        for position, (fmt, level) in enumerate(pool)
+    ]
     chosen_items = list(items)
     if subset_fraction is not None:
         if not 0 < subset_fraction <= 1:
@@ -948,7 +1015,7 @@ def sweep(
             skipped += 1
             continue
 
-        predictions: dict[RepresentationFormat, LinkingPrediction | None] = {}
+        predictions: dict[str, LinkingPrediction | None] = {}
         if needs_linking:
             for fmt in dict.fromkeys(fmt for fmt, _ in pool):
                 messages = build_linking_prompt(render(catalog, fmt), item.question, item.hint)
@@ -957,10 +1024,13 @@ def sweep(
                         ChatRequest(link_model, tuple(messages), 0.0, config.max_tokens),
                         stage=STAGE_LINKING,
                     )
-                    predictions[fmt] = parse_linking_response(response.text)
+                    predictions[fmt.value] = parse_linking_response(response.text)
                 except (GatewayError, LinkingParseError) as exc:
-                    log.warning("sweep: linker failed for %s: %s", fmt.value, exc)
-                    predictions[fmt] = None
+                    log.warning(
+                        "question %s: sweep linker failed for %s: %s",
+                        item.question_id, fmt.value, exc,
+                    )
+                    predictions[fmt.value] = None
 
         fewshots: Sequence[FewShotExample] = ()
         if fewshot_store is not None and config.fewshot_k > 0:
@@ -968,26 +1038,14 @@ def sweep(
                 item.question, fewshot_store, gateway, config.fewshot_k
             )
 
+        candidates = generate_candidates(
+            specs, item.question, item.hint, predictions, catalog, gateway,
+            fewshots=fewshots, max_tokens=config.max_tokens, question_id=item.question_id,
+        )
         row: list[tuple[str, bool]] = []
-        for fmt, level in pool:
-            filtered = catalog
-            prediction = predictions.get(fmt)
-            if level is not FilterLevel.NO_FILTERING and prediction is not None:
-                filtered = apply_filter(catalog, prediction, level)
-            messages = build_generation_prompt(
-                render(filtered, fmt), item.question, item.hint, fewshots
-            )
-            try:
-                response = gateway.complete(
-                    ChatRequest(config.generator_model, tuple(messages), 0.0, config.max_tokens),
-                    stage=STAGE_GENERATION,
-                )
-                sql = extract_sql(response.text)
-            except (GatewayError, NoCodeBlockError) as exc:
-                row.append((f"error:{type(exc).__name__}", False))
-                continue
-            result = execute_candidate(
-                sql, item.db_path,
+        for candidate in candidates:
+            result = candidate.execution or execute_candidate(
+                candidate.sql, item.db_path,
                 timeout_s=config.execution_timeout_s, precision=config.result_precision,
             )
             row.append(

@@ -281,7 +281,10 @@ def parse_judge_reply(text: str) -> str | None:
 
 
 class PairwiseJudge:
-    """Asks a model to pick the better of two candidates for a question."""
+    """Asks a model to pick the better of two candidates for a question.
+
+    question_id only labels the judge's warnings.
+    """
 
     def __init__(
         self,
@@ -289,20 +292,22 @@ class PairwiseJudge:
         model: str,
         template: str | None = None,
         max_tokens: int = 8,
+        question_id: str = "?",
     ):
         self.gateway = gateway
         self.model = model
         self.template = template if template is not None else load_judge_template()
         self.max_tokens = max_tokens
+        self.question_id = question_id
 
-    def compare(
+    def request(
         self,
         question: str,
         schema_text: str,
         candidate_a: "SqlCandidate",
         candidate_b: "SqlCandidate",
-    ) -> str | None:
-        """Return "A", "B", or None when the call fails or is unparseable."""
+    ) -> ChatRequest:
+        """The request asking which of A and B better answers the question."""
         content = self.template.format(
             question=question,
             schema=schema_text.rstrip(),
@@ -311,20 +316,26 @@ class PairwiseJudge:
             sql_b=candidate_b.sql,
             result_b=_describe_execution(candidate_b),
         )
-        request = ChatRequest(
+        return ChatRequest(
             model=self.model,
             messages=({"role": "user", "content": content},),
             temperature=0.0,
             max_tokens=self.max_tokens,
         )
+
+    def verdict(self, request: ChatRequest) -> str | None:
+        """Return "A", "B", or None when the call fails or is unparseable."""
         try:
             response = self.gateway.complete(request, stage=STAGE_SELECTION)
         except GatewayError as exc:
-            log.warning("judge call failed: %s", exc)
+            log.warning("question %s: judge call failed: %s", self.question_id, exc)
             return None
         verdict = parse_judge_reply(response.text)
         if verdict is None:
-            log.warning("unparseable judge reply: %r", response.text[:200])
+            log.warning(
+                "question %s: unparseable judge reply: %r",
+                self.question_id, response.text[:200],
+            )
         return verdict
 
 
@@ -338,36 +349,46 @@ def pairwise_select(
     """Run the order-balanced pairwise tournament over the finalists.
 
     Every unordered pair is judged exactly twice, once per presentation
-    order, so M finalists always cost 2 * C(M, 2) calls.  A parsed verdict
-    gives its winner one point; a failed or unparseable call gives each side
-    half a point.  Returns (winning finalist position, calls made), breaking
-    point ties by higher vote count then lower spec_index.
+    order, so M finalists always cost 2 * C(M, 2) calls.  The caller builds
+    every request, hands all the calls to the judge gateway's pool at once
+    and waits for them, so it must not be a thread of that pool.  Points
+    are then tallied in pair order: a parsed verdict gives its winner one
+    point; a failed or unparseable call gives each side half a point.
+    Returns (winning finalist position, calls made), breaking point ties by
+    higher vote count then lower spec_index.
     """
     if len(finalists) < 2:
         raise ValueError("pairwise selection needs at least two finalists")
     if len(votes) != len(finalists):
         raise ValueError("votes must align with finalists")
+    pairs = [
+        order
+        for i in range(len(finalists))
+        for j in range(i + 1, len(finalists))
+        for order in ((i, j), (j, i))
+    ]
+    futures = [
+        judge.gateway.submit(
+            judge.verdict,
+            judge.request(question, schema_text, finalists[first], finalists[second]),
+        )
+        for first, second in pairs
+    ]
     points = [0.0] * len(finalists)
-    calls = 0
-    for i in range(len(finalists)):
-        for j in range(i + 1, len(finalists)):
-            for first, second in ((i, j), (j, i)):
-                verdict = judge.compare(
-                    question, schema_text, finalists[first], finalists[second]
-                )
-                calls += 1
-                if verdict == "A":
-                    points[first] += 1.0
-                elif verdict == "B":
-                    points[second] += 1.0
-                else:
-                    points[first] += 0.5
-                    points[second] += 0.5
+    for (first, second), future in zip(pairs, futures):
+        verdict = future.result()
+        if verdict == "A":
+            points[first] += 1.0
+        elif verdict == "B":
+            points[second] += 1.0
+        else:
+            points[first] += 0.5
+            points[second] += 0.5
     winner = max(
         range(len(finalists)),
         key=lambda k: (points[k], votes[k], -finalists[k].spec_index),
     )
-    return winner, calls
+    return winner, len(pairs)
 
 
 class SelectionMethod(str, Enum):

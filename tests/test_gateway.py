@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 from decimal import Decimal
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 import requests
 
 from ensql.gateway import (
+    CallThrottle,
     ChatRequest,
     ChatResponse,
     CostLedger,
@@ -382,3 +385,29 @@ class TestLlmGateway:
             type(rows[0])("embedding", STAGE_EMBEDDING, 3, 0, 0)
         ]
         assert gateway.embed([]) == []
+
+    def test_gateways_sharing_a_throttle_share_its_cap_not_their_ledgers(self):
+        lock = threading.Lock()
+        in_flight = [0, 0]  # now, peak
+
+        def script(request):
+            with lock:
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight)
+            time.sleep(0.02)
+            with lock:
+                in_flight[0] -= 1
+            return "ok"
+
+        throttle = CallThrottle(2)
+        first, second = (
+            LlmGateway(ScriptedBackend(script), throttle=throttle) for _ in range(2)
+        )
+        futures = [
+            gateway.submit(gateway.complete, REQUEST, STAGE_GENERATION)
+            for gateway in (first, second) * 3
+        ]
+        assert [f.result(timeout=10).text for f in futures] == ["ok"] * 6
+        throttle.close()
+        assert in_flight == [0, 2]
+        assert first.ledger.total_calls() == second.ledger.total_calls() == 3

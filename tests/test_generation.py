@@ -222,7 +222,7 @@ class TestGenerateCandidates:
         gateway, backend = self._gateway(script)
         generate_candidates(
             _specs(), "q", "", {"compact_tagged:linker": PREDICTION},
-            toy_catalog, gateway, max_workers=1,
+            toy_catalog, gateway,
         )
         full = render(toy_catalog, RepresentationFormat.COMMENTED_TUPLES)
         first_user = backend.requests[0].messages[-1]["content"]
@@ -240,7 +240,7 @@ class TestGenerateCandidates:
         with caplog.at_level("WARNING"):
             candidates = generate_candidates(
                 _specs(), "q", "", {"compact_tagged:linker": None},
-                toy_catalog, gateway, max_workers=1,
+                toy_catalog, gateway,
             )
         assert "using the full schema" in caplog.text
         assert "products" in backend.requests[1].messages[-1]["content"]
