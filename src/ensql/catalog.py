@@ -50,7 +50,9 @@ class FilterLevel(Enum):
         """Parse a config spelling of a filter level.
 
         Accepts the canonical values plus common shorthands, case and
-        punctuation insensitive ("none", "table", "full", "col filtering").
+        punctuation insensitive ("none", "table", "col filtering").  A bare
+        "full" is refused, since it could mean full filtering or the full,
+        unfiltered schema.
         """
         key = _squash(name)
         level = _FILTER_ALIASES.get(key)

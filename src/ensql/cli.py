@@ -16,11 +16,9 @@ from pathlib import Path
 
 from .catalog import CatalogError, FilterLevel, introspect
 from .config import ConfigError, DEFAULT_LINKER_PRIMARY, PipelineConfig
-from .formats import FormatError, RepresentationFormat, render
+from .formats import FormatError, RepresentationFormat, render, render_all
 from .gateway import (
     ChatBackend,
-    ChatRequest,
-    CostLedger,
     DEFAULT_BASE_URL,
     ENV_API_KEY,
     ENV_BASE_URL,
@@ -28,11 +26,9 @@ from .gateway import (
     HashEmbeddingBackend,
     HttpChatBackend,
     HttpEmbeddingBackend,
-    LlmGateway,
     PriceTable,
     RecordingChatBackend,
     ReplayChatBackend,
-    STAGE_LINKING,
 )
 from .generation import FewShotStore
 from .harness import (
@@ -43,6 +39,8 @@ from .harness import (
     bounds_analysis,
     build_fewshot_store,
     ex_by_vote,
+    link,
+    linker_request,
     load_dataset,
     read_records,
     run_benchmark,
@@ -50,13 +48,10 @@ from .harness import (
     PipelineRunner,
 )
 from .linking import (
-    LinkingParseError,
     LinkingPrediction,
     LinkingResolutionError,
-    build_linking_prompt,
     derive_gold_linking,
     linking_metrics,
-    parse_linking_response,
 )
 
 log = logging.getLogger(__name__)
@@ -178,10 +173,8 @@ def cmd_ask(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     catalog = introspect(args.db, sample_k=args.sample_k)
     if args.format == "all":
-        for fmt in RepresentationFormat:
-            sys.stdout.write(f"=== {fmt.value} ===\n")
-            sys.stdout.write(render(catalog, fmt))
-            sys.stdout.write("\n")
+        for fmt, text in render_all(catalog).items():
+            sys.stdout.write(f"=== {fmt.value} ===\n{text}\n")
     else:
         sys.stdout.write(render(catalog, RepresentationFormat.parse(args.format)))
     return 0
@@ -194,38 +187,24 @@ def cmd_link_eval(args: argparse.Namespace) -> int:
         (e.linker_model for e in config.specs if e.linker_model), DEFAULT_LINKER_PRIMARY
     )
     items = load_dataset(args.dataset, args.split, args.db_root, args.limit)
-    backend = _resolve_backend(args)
-    gateway = LlmGateway(backend, ledger=CostLedger())
-
-    catalogs: dict[str, object] = {}
     predictions, golds = [], []
     skipped = 0
-    for item in items:
-        catalog = catalogs.get(item.db_id)
-        if catalog is None:
-            catalog = introspect(item.db_path, sample_k=config.sample_k,
-                                 category_threshold=config.category_threshold)
-            catalogs[item.db_id] = catalog
-        try:
-            gold = derive_gold_linking(item.gold_sql, catalog)
-        except LinkingResolutionError as exc:
-            log.warning("question %s: cannot resolve reference SQL (%s); skipped",
-                        item.question_id, exc)
-            skipped += 1
-            continue
-        messages = build_linking_prompt(render(catalog, fmt), item.question, item.hint)
-        try:
-            response = gateway.complete(
-                ChatRequest(model, tuple(messages), 0.0, config.max_tokens),
-                stage=STAGE_LINKING,
-            )
-            prediction = parse_linking_response(response.text)
-        except (GatewayError, LinkingParseError) as exc:
-            log.warning("question %s: linker failed (%s); scored as empty",
-                        item.question_id, exc)
-            prediction = LinkingPrediction({})
-        predictions.append(prediction)
-        golds.append(gold)
+    with PipelineRunner(config, _resolve_backend(args)) as runner:
+        gateway = runner.gateway()
+        for item in items:
+            catalog = runner.catalog_for(item.db_id, item.db_path)
+            try:
+                gold = derive_gold_linking(item.gold_sql, catalog)
+            except LinkingResolutionError as exc:
+                log.warning("question %s: cannot resolve reference SQL (%s); skipped",
+                            item.question_id, exc)
+                skipped += 1
+                continue
+            request = linker_request(fmt, model, catalog, item, config.max_tokens)
+            run = link(f"{fmt.value}:{model}", fmt, request, item, gateway)
+            # a failed linker run scores as an empty prediction
+            predictions.append(run.prediction or LinkingPrediction({}))
+            golds.append(gold)
 
     if not predictions:
         print("error: no scorable questions", file=sys.stderr)

@@ -479,7 +479,7 @@ class LlmGateway:
     label.  Calls hold the throttle's semaphore while in flight, and
     submit() hands a task to the throttle's pool.  Gateways that share one
     throttle share its cap and pool but keep their own ledgers; without a
-    throttle, the gateway gets a private one of max_in_flight.
+    throttle, the gateway gets a private CallThrottle() at its default cap.
     """
 
     def __init__(
@@ -487,13 +487,12 @@ class LlmGateway:
         chat_backend: ChatBackend,
         embedding_backend: EmbeddingBackend | None = None,
         ledger: CostLedger | None = None,
-        max_in_flight: int = 8,
         throttle: CallThrottle | None = None,
     ):
         self.chat_backend = chat_backend
         self.embedding_backend = embedding_backend or HashEmbeddingBackend()
         self.ledger = ledger or CostLedger()
-        self.throttle = throttle or CallThrottle(max_in_flight)
+        self.throttle = throttle or CallThrottle()
 
     def submit(self, fn: Callable, /, *args, **kwargs) -> Future:
         return self.throttle.submit(fn, *args, **kwargs)

@@ -14,7 +14,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -305,36 +305,3 @@ def generate_slot(
         raw_response=response.text,
         usage=response.usage,
     )
-
-
-def generate_candidates(
-    specs: Sequence[CandidateSpec],
-    question: str,
-    hint: str,
-    linker_outputs: Mapping[str, LinkingPrediction | None],
-    catalog: SchemaCatalog,
-    gateway: LlmGateway,
-    fewshots: Sequence[FewShotExample] = (),
-    max_tokens: int = 2048,
-    question_id: str = "?",
-) -> list[SqlCandidate]:
-    """Produce one candidate per spec, in spec_index order, one at a time.
-
-    linker_outputs maps linker run id -> prediction (None for a run whose
-    response failed to parse).  The caller always receives len(specs)
-    candidates.  PipelineRunner builds each slot from the same two steps,
-    slot_request and generate_slot, but starts every slot on its own as
-    soon as the slot's inputs exist.
-    """
-    return [
-        generate_slot(
-            spec,
-            slot_request(
-                spec, question, hint, linker_outputs.get(spec.linker_run or ""),
-                catalog, fewshots, max_tokens, question_id,
-            ),
-            gateway,
-            question_id,
-        )
-        for spec in sorted(specs, key=lambda s: s.spec_index)
-    ]

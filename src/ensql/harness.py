@@ -47,7 +47,6 @@ from .generation import (
     FewShotExample,
     FewShotStore,
     SqlCandidate,
-    generate_candidates,
     generate_slot,
     retrieve_fewshots,
     slot_request,
@@ -181,6 +180,11 @@ def load_dataset(
     return items
 
 
+def matches(result: ExecutionResult, gold: ExecutionResult) -> bool:
+    """Whether a candidate's result multiset equals the reference's."""
+    return result.ok and result.signature == gold.signature
+
+
 def execution_accuracy(
     pred_sql: str,
     gold_sql: str,
@@ -197,8 +201,7 @@ def execution_accuracy(
     gold = execute_candidate(gold_sql, db_path, timeout_s, precision)
     if not gold.ok:
         raise GoldExecutionError(f"reference query failed: {gold.error_text}")
-    pred = execute_candidate(pred_sql, db_path, timeout_s, precision)
-    return int(pred.ok and pred.signature == gold.signature)
+    return int(matches(execute_candidate(pred_sql, db_path, timeout_s, precision), gold))
 
 
 # -- run records ----------------------------------------------------------------
@@ -389,11 +392,12 @@ class PipelineRunner:
     own gateway and ledger around that throttle, so per-question usage is
     exact and the run ledger is the merge of item ledgers.
 
-    A question's model calls follow its dependency graph.  Linker runs,
-    few-shot retrieval and the slots that filter nothing start at once; a
-    filtering slot starts as soon as its own linker run resolves; an
-    escalated tournament submits all its comparisons together.  The pool
-    threads exit when the runner is closed or garbage-collected.
+    run_item is the candidate stage (candidates: link, generate, execute)
+    followed by the selection stage; sweep runs the same candidate stage
+    over its own slate.  A question's model calls follow its dependency
+    graph (see generate_candidates), and an escalated tournament submits
+    all its comparisons together.  The pool threads exit when the runner is
+    closed or garbage-collected.
     """
 
     def __init__(
@@ -426,7 +430,8 @@ class PipelineRunner:
     def close(self) -> None:
         self.throttle.close()
 
-    def _gateway(self) -> LlmGateway:
+    def gateway(self) -> LlmGateway:
+        """A fresh gateway and ledger around the runner's throttle."""
         return LlmGateway(
             chat_backend=self.chat_backend,
             embedding_backend=self.embedding_backend,
@@ -449,127 +454,42 @@ class PipelineRunner:
             self._catalogs.setdefault(db_id, catalog)
         return catalog
 
-    def linker_request(
-        self, run_id: str, catalog: SchemaCatalog, item: BenchmarkItem
-    ) -> ChatRequest:
-        """The request of one linker run: the plan's (format, model) pair."""
-        fmt, model = self.linker_plan[run_id]
-        messages = build_linking_prompt(render(catalog, fmt), item.question, item.hint)
-        return ChatRequest(
-            model=model,
-            messages=tuple(messages),
-            temperature=0.0,
-            max_tokens=self.config.max_tokens,
+    def execute(self, sql: str, db_path: str) -> ExecutionResult:
+        """Execute sql under the config's timeout and result precision."""
+        return execute_candidate(
+            sql, db_path,
+            timeout_s=self.config.execution_timeout_s,
+            precision=self.config.result_precision,
         )
 
-    def link(
-        self, run_id: str, request: ChatRequest, item: BenchmarkItem, gateway: LlmGateway
-    ) -> LinkerRun:
-        """Make one linker call and parse its prediction."""
-        fmt, model = self.linker_plan[run_id]
-        try:
-            response = gateway.complete(request, stage=STAGE_LINKING)
-        except GatewayError as exc:
-            log.warning("question %s: linker run %s failed: %s", item.question_id, run_id, exc)
-            return LinkerRun(
-                run_id=run_id, format=fmt, model=model, prediction=None,
-                error=f"BackendError: {exc}",
-            )
-        try:
-            prediction = parse_linking_response(response.text)
-            error = None
-        except LinkingParseError as exc:
-            log.warning(
-                "question %s: linker run %s unparseable: %s", item.question_id, run_id, exc
-            )
-            prediction, error = None, f"{type(exc).__name__}: {exc}"
-        return LinkerRun(
-            run_id=run_id,
-            format=fmt,
-            model=model,
-            prediction=prediction,
-            usage=response.usage,
-            response_text=response.text,
-            error=error,
-        )
-
-    def generate(
-        self, catalog: SchemaCatalog, item: BenchmarkItem, gateway: LlmGateway
+    def candidates(
+        self,
+        item: BenchmarkItem,
+        gateway: LlmGateway,
+        specs: Sequence[CandidateSpec],
+        linker_plan: Mapping[str, tuple[RepresentationFormat, str]],
     ) -> list[SqlCandidate]:
-        """One candidate per slot, each started as soon as its inputs exist.
-
-        This thread builds every prompt and hands only the calls to the
-        pool; it alone waits on futures, so no pool thread ever blocks on
-        another task.
-        """
+        """The candidate stage: link, generate and execute one slate."""
         config = self.config
-        inputs: dict[Future, str | None] = {  # linker run id; None for few-shots
-            gateway.submit(
-                self.link, run_id, self.linker_request(run_id, catalog, item), item, gateway
-            ): run_id
-            for run_id in self.linker_plan
-        }
-        fewshots: Sequence[FewShotExample] | None = ()
-        if self.fewshot_store is not None and config.fewshot_k > 0:
-            fewshots = None
-            retrieval = gateway.submit(
-                retrieve_fewshots, item.question, self.fewshot_store, gateway,
-                config.fewshot_k,
-            )
-            inputs[retrieval] = None
-        predictions: dict[str, LinkingPrediction | None] = {}
-        slots: dict[int, Future] = {}
-
-        def start_ready_slots() -> None:
-            if fewshots is None:
-                return
-            for spec in self.specs:
-                waiting = spec.linker_run is not None and spec.linker_run not in predictions
-                if waiting or spec.spec_index in slots:
-                    continue
-                request = slot_request(
-                    spec, item.question, item.hint, predictions.get(spec.linker_run or ""),
-                    catalog, fewshots, config.max_tokens, item.question_id,
-                )
-                slots[spec.spec_index] = gateway.submit(
-                    generate_slot, spec, request, gateway, item.question_id
-                )
-
-        start_ready_slots()
-        for future in as_completed(inputs):
-            run_id = inputs[future]
-            if run_id is None:
-                fewshots = future.result()
-            else:
-                predictions[run_id] = future.result().prediction
-            start_ready_slots()
-        return [slots[spec.spec_index].result() for spec in self.specs]
+        candidates = generate_candidates(
+            specs, linker_plan, self.catalog_for(item.db_id, item.db_path), item,
+            gateway, self.fewshot_store, config.fewshot_k, config.max_tokens,
+        )
+        for candidate in candidates:
+            if candidate.execution is None:
+                candidate.execution = self.execute(candidate.sql, item.db_path)
+        return candidates
 
     def run_item(self, item: BenchmarkItem) -> RunRecord:
         started = time.monotonic()
-        gateway = self._gateway()
+        gateway = self.gateway()
         config = self.config
-        catalog = self.catalog_for(item.db_id, item.db_path)
-
-        candidates = self.generate(catalog, item, gateway)
-        for candidate in candidates:
-            if candidate.execution is None:
-                candidate.execution = execute_candidate(
-                    candidate.sql,
-                    item.db_path,
-                    timeout_s=config.execution_timeout_s,
-                    precision=config.result_precision,
-                )
+        candidates = self.candidates(item, gateway, self.specs, self.linker_plan)
 
         gold_ok = False
         candidate_ex = [0] * len(candidates)
         if item.gold_sql:
-            gold = execute_candidate(
-                item.gold_sql,
-                item.db_path,
-                timeout_s=config.execution_timeout_s,
-                precision=config.result_precision,
-            )
+            gold = self.execute(item.gold_sql, item.db_path)
             gold_ok = gold.ok
             if not gold_ok:
                 log.warning(
@@ -577,10 +497,7 @@ class PipelineRunner:
                     item.question_id, gold.error_text,
                 )
             else:
-                candidate_ex = [
-                    int(c.execution.ok and c.execution.signature == gold.signature)
-                    for c in candidates
-                ]
+                candidate_ex = [int(matches(c.execution, gold)) for c in candidates]
 
         judge = PairwiseJudge(
             gateway, config.judge_model, template=self._judge_template,
@@ -589,7 +506,9 @@ class PipelineRunner:
         outcome = select(
             candidates,
             question=item.question,
-            schema_text=render(catalog, config.judge_schema_format),
+            schema_text=render(
+                self.catalog_for(item.db_id, item.db_path), config.judge_schema_format
+            ),
             judge=judge,
             rules=config.confidence_rules,
         )
@@ -608,6 +527,117 @@ class PipelineRunner:
             usage=gateway.ledger.rows(),
             wall_ms=wall_ms,
         )
+
+
+def linker_request(
+    fmt: RepresentationFormat,
+    model: str,
+    catalog: SchemaCatalog,
+    item: BenchmarkItem,
+    max_tokens: int,
+) -> ChatRequest:
+    """The request of one linker run: the schema rendered in fmt, for model."""
+    messages = build_linking_prompt(render(catalog, fmt), item.question, item.hint)
+    return ChatRequest(
+        model=model, messages=tuple(messages), temperature=0.0, max_tokens=max_tokens
+    )
+
+
+def link(
+    run_id: str,
+    fmt: RepresentationFormat,
+    request: ChatRequest,
+    item: BenchmarkItem,
+    gateway: LlmGateway,
+) -> LinkerRun:
+    """Make one linker call and parse its prediction; failures never raise."""
+    try:
+        response = gateway.complete(request, stage=STAGE_LINKING)
+    except GatewayError as exc:
+        log.warning("question %s: linker run %s failed: %s", item.question_id, run_id, exc)
+        return LinkerRun(
+            run_id=run_id, format=fmt, model=request.model, prediction=None,
+            error=f"BackendError: {exc}",
+        )
+    try:
+        prediction = parse_linking_response(response.text)
+        error = None
+    except LinkingParseError as exc:
+        log.warning(
+            "question %s: linker run %s unparseable: %s", item.question_id, run_id, exc
+        )
+        prediction, error = None, f"{type(exc).__name__}: {exc}"
+    return LinkerRun(
+        run_id=run_id,
+        format=fmt,
+        model=request.model,
+        prediction=prediction,
+        usage=response.usage,
+        response_text=response.text,
+        error=error,
+    )
+
+
+def generate_candidates(
+    specs: Sequence[CandidateSpec],
+    linker_plan: Mapping[str, tuple[RepresentationFormat, str]],
+    catalog: SchemaCatalog,
+    item: BenchmarkItem,
+    gateway: LlmGateway,
+    fewshot_store: FewShotStore | None = None,
+    fewshot_k: int = 0,
+    max_tokens: int = 2048,
+) -> list[SqlCandidate]:
+    """One candidate per spec, in order, each started once its inputs exist.
+
+    linker_plan maps linker run id -> (format, model).  Linker runs,
+    few-shot retrieval and the specs that filter nothing start at once; a
+    filtering spec starts as soon as its own linker run resolves, and falls
+    back to the full schema when that run failed.  This thread builds every
+    prompt and hands only the calls to the gateway's pool; it alone waits on
+    futures, so no pool thread ever blocks on another task.
+    """
+    inputs: dict[Future, str | None] = {  # linker run id; None for few-shots
+        gateway.submit(
+            link, run_id, fmt,
+            linker_request(fmt, model, catalog, item, max_tokens), item, gateway,
+        ): run_id
+        for run_id, (fmt, model) in linker_plan.items()
+    }
+    fewshots: Sequence[FewShotExample] | None = ()
+    if fewshot_store is not None and fewshot_k > 0:
+        fewshots = None
+        retrieval = gateway.submit(
+            retrieve_fewshots, item.question, fewshot_store, gateway, fewshot_k
+        )
+        inputs[retrieval] = None
+    predictions: dict[str, LinkingPrediction | None] = {}
+    slots: dict[int, Future] = {}
+
+    def start_ready_slots() -> None:
+        if fewshots is None:
+            return
+        for spec in specs:
+            waiting = spec.linker_run is not None and spec.linker_run not in predictions
+            if waiting or spec.spec_index in slots:
+                continue
+            request = slot_request(
+                spec, item.question, item.hint, predictions.get(spec.linker_run or ""),
+                catalog, fewshots, max_tokens, item.question_id,
+            )
+            slots[spec.spec_index] = gateway.submit(
+                generate_slot, spec, request, gateway, item.question_id
+            )
+
+    start_ready_slots()
+    for future in as_completed(inputs):
+        run_id = inputs[future]
+        if run_id is None:
+            fewshots = future.result()
+        else:
+            predictions[run_id] = future.result().prediction
+        start_ready_slots()
+    return [slots[spec.spec_index].result() for spec in specs]
 
 
 # -- reports and aggregation ------------------------------------------------------
@@ -959,9 +989,10 @@ def sweep(
 ) -> list[ComboResult]:
     """Evaluate every size-n multiset of (format, level) under regular voting.
 
-    Generates one candidate per pool entry per question (sharing one linker
-    prediction per format), then scores all combinations offline.  Items
-    whose reference query fails are skipped.  subset_fraction with seed
+    Runs run's candidate stage with the pool as its slate (the filtering
+    entries of a format share one linker run), so its requests are run's,
+    then scores all combinations offline.  Items whose reference query
+    fails are skipped before any model call.  subset_fraction with seed
     draws a deterministic random subset of items first.
     """
     pool = [(fmt, level) for fmt in formats for level in levels]
@@ -987,71 +1018,25 @@ def sweep(
         (entry.linker_model for entry in config.specs if entry.linker_model),
         config.generator_model,
     )
-    gateway = LlmGateway(
-        chat_backend=chat_backend,
-        embedding_backend=embedding_backend or HashEmbeddingBackend(),
-        ledger=CostLedger(),
-        max_in_flight=config.max_in_flight,
-    )
-    catalogs: dict[str, SchemaCatalog] = {}
+    linker_plan = {
+        spec.linker_run: (spec.format, link_model) for spec in specs if spec.linker_run
+    }
     per_item: list[list[tuple[str, bool]]] = []
     skipped = 0
-    needs_linking = any(level is not FilterLevel.NO_FILTERING for _, level in pool)
-    for item in chosen_items:
-        catalog = catalogs.get(item.db_id)
-        if catalog is None:
-            catalog = introspect(
-                item.db_path,
-                sample_k=config.sample_k,
-                category_threshold=config.category_threshold,
+    with PipelineRunner(
+        config, chat_backend, embedding_backend=embedding_backend,
+        fewshot_store=fewshot_store,
+    ) as runner:
+        for item in chosen_items:
+            gold = runner.execute(item.gold_sql, item.db_path)
+            if not gold.ok:
+                log.warning("sweep: skipping %s (reference failed)", item.question_id)
+                skipped += 1
+                continue
+            candidates = runner.candidates(item, runner.gateway(), specs, linker_plan)
+            per_item.append(
+                [(c.execution.group_key(), matches(c.execution, gold)) for c in candidates]
             )
-            catalogs[item.db_id] = catalog
-        gold = execute_candidate(
-            item.gold_sql, item.db_path,
-            timeout_s=config.execution_timeout_s, precision=config.result_precision,
-        )
-        if not gold.ok:
-            log.warning("sweep: skipping %s (reference failed)", item.question_id)
-            skipped += 1
-            continue
-
-        predictions: dict[str, LinkingPrediction | None] = {}
-        if needs_linking:
-            for fmt in dict.fromkeys(fmt for fmt, _ in pool):
-                messages = build_linking_prompt(render(catalog, fmt), item.question, item.hint)
-                try:
-                    response = gateway.complete(
-                        ChatRequest(link_model, tuple(messages), 0.0, config.max_tokens),
-                        stage=STAGE_LINKING,
-                    )
-                    predictions[fmt.value] = parse_linking_response(response.text)
-                except (GatewayError, LinkingParseError) as exc:
-                    log.warning(
-                        "question %s: sweep linker failed for %s: %s",
-                        item.question_id, fmt.value, exc,
-                    )
-                    predictions[fmt.value] = None
-
-        fewshots: Sequence[FewShotExample] = ()
-        if fewshot_store is not None and config.fewshot_k > 0:
-            fewshots = retrieve_fewshots(
-                item.question, fewshot_store, gateway, config.fewshot_k
-            )
-
-        candidates = generate_candidates(
-            specs, item.question, item.hint, predictions, catalog, gateway,
-            fewshots=fewshots, max_tokens=config.max_tokens, question_id=item.question_id,
-        )
-        row: list[tuple[str, bool]] = []
-        for candidate in candidates:
-            result = candidate.execution or execute_candidate(
-                candidate.sql, item.db_path,
-                timeout_s=config.execution_timeout_s, precision=config.result_precision,
-            )
-            row.append(
-                (result.group_key(), bool(result.ok and result.signature == gold.signature))
-            )
-        per_item.append(row)
 
     if skipped:
         log.warning("sweep: skipped %d items with failing reference queries", skipped)

@@ -2,8 +2,8 @@
 
 A linker call shows the model the full schema and asks for a JSON mapping
 of table name -> relevant column names.  That prediction drives catalog
-filtering (see catalog.apply_filter), can be expanded to every filter
-level, and is scored against gold linkings derived from reference SQL.
+filtering (see catalog.apply_filter) and is scored against gold linkings
+derived from reference SQL.
 
 Gold derivation uses a small purpose-built SQLite identifier resolver: it
 tokenizes the query, maps FROM/JOIN items to catalog tables (tracking
@@ -19,9 +19,9 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .catalog import FilterLevel, SchemaCatalog, apply_filter
+from .catalog import SchemaCatalog
 from .formats import RepresentationFormat
 from .gateway import TokenUsage
 
@@ -205,13 +205,6 @@ def parse_linking_response(text: str) -> LinkingPrediction:
                 deduped.append(col)
         selection[str(table)] = deduped
     return LinkingPrediction(selection=selection)
-
-
-def expand_to_levels(
-    prediction: LinkingPrediction, catalog: SchemaCatalog
-) -> dict[FilterLevel, SchemaCatalog]:
-    """Apply one prediction at every filter level in one go."""
-    return {level: apply_filter(catalog, prediction, level) for level in FilterLevel}
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:

@@ -450,7 +450,10 @@ def select(
         )
 
     if not ok_groups:
-        log.warning("every candidate failed; returning the first as low confidence")
+        log.warning(
+            "question %s: every candidate failed; returning the first as low confidence",
+            judge.question_id if judge is not None else "?",
+        )
         return outcome(0, Confidence.LOW, SelectionMethod.PAIRWISE_LLM, 0)
 
     decision = confidence_policy(distribution, len(candidates), rules)

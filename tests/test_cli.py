@@ -135,6 +135,18 @@ class TestLinkEval:
         assert "tables : precision" in stdout
         assert "columns: precision" in stdout
 
+    def test_replays_a_run_fixture_for_another_linker(self, cli_env, capsys, caplog):
+        # run's DDL slot links with gemini-1.5-pro, so its requests are recorded
+        with caplog.at_level("WARNING"):
+            rc = main(["link-eval", "--dataset", cli_env["dataset"],
+                       "--replay", cli_env["fixture"],
+                       "--format", "ddl", "--model", "gemini-1.5-pro"])
+        assert rc == 0
+        stdout = capsys.readouterr().out
+        assert "model gemini-1.5-pro, schema format ddl" in stdout
+        assert f"questions scored: {len(TOY_BENCH)} (skipped 0)" in stdout
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
+
 
 class TestReport:
     @pytest.fixture()
@@ -202,3 +214,16 @@ class TestSweep:
         stdout = capsys.readouterr().out
         assert "1 combinations of size 2" in stdout
         assert "ex 1.0000  compact_tagged+no_filtering, compact_tagged+no_filtering" in stdout
+
+    def test_replays_a_run_fixture_with_linking(self, cli_env, capsys, caplog):
+        # sweep makes run's linker and generation requests, so run's fixture
+        # serves every level of a format the run filtered
+        with caplog.at_level("WARNING"):
+            rc = main(["sweep", "--dataset", cli_env["dataset"],
+                       "--replay", cli_env["fixture"],
+                       "--formats", "compact_tagged",
+                       "--levels", "none,table_only,full_filtering", "--n", "2",
+                       "--linker-model", "gpt-4o"])
+        assert rc == 0
+        assert "6 combinations of size 2" in capsys.readouterr().out
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []

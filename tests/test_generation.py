@@ -17,11 +17,11 @@ from ensql.generation import (
     NoCodeBlockError,
     build_generation_prompt,
     extract_sql,
-    generate_candidates,
     load_generation_system_prompt,
     retrieve_fewshots,
 )
-from ensql.linking import LinkingPrediction, format_user_turn
+from ensql.harness import BenchmarkItem, generate_candidates
+from ensql.linking import LinkingPrediction, format_user_turn, load_linking_system_prompt
 from ensql.selection import ExecStatus
 
 from helpers import ScriptedBackend, sql_block
@@ -196,20 +196,38 @@ class TestCandidateSpec:
             spec.validate()
 
 
+LINKER_PLAN = {"compact_tagged:linker": (RepresentationFormat.COMPACT_TAGGED, "linker")}
+LINKING_SYSTEM = load_linking_system_prompt()
+
+
+def _item(hint=""):
+    return BenchmarkItem(question_id="q1", db_id="toy_shop", question="q", gold_sql="",
+                         hint=hint)
+
+
 class TestGenerateCandidates:
-    def _gateway(self, script):
+    def _gateway(self, generate, linker_reply=PREDICTION.to_json()):
+        """Linker prompts get linker_reply; generation prompts go to generate."""
+        def script(request):
+            if request.messages[0]["content"] == LINKING_SYSTEM:
+                return linker_reply
+            return generate(request)
+
         backend = ScriptedBackend(script)
         return LlmGateway(backend, ledger=CostLedger()), backend
+
+    @staticmethod
+    def _generation_requests(backend):
+        """Generation requests by model, whatever order the calls ran in."""
+        requests = [r for r in backend.requests if r.messages[0]["content"] != LINKING_SYSTEM]
+        return sorted(requests, key=lambda r: r.model)
 
     def test_one_candidate_per_spec_in_order(self, toy_catalog):
         def script(request):
             return sql_block(f"SELECT '{request.model}'")
 
         gateway, backend = self._gateway(script)
-        candidates = generate_candidates(
-            _specs(), "q", "", {"compact_tagged:linker": PREDICTION},
-            toy_catalog, gateway,
-        )
+        candidates = generate_candidates(_specs(), LINKER_PLAN, toy_catalog, _item(), gateway)
         assert [c.spec_index for c in candidates] == [0, 1]
         assert [c.sql for c in candidates] == ["SELECT 'm0'", "SELECT 'm1'"]
         assert all(c.execution is None for c in candidates)
@@ -220,14 +238,11 @@ class TestGenerateCandidates:
             return sql_block("SELECT 1")
 
         gateway, backend = self._gateway(script)
-        generate_candidates(
-            _specs(), "q", "", {"compact_tagged:linker": PREDICTION},
-            toy_catalog, gateway,
-        )
+        generate_candidates(_specs(), LINKER_PLAN, toy_catalog, _item(), gateway)
+        first, second = self._generation_requests(backend)
         full = render(toy_catalog, RepresentationFormat.COMMENTED_TUPLES)
-        first_user = backend.requests[0].messages[-1]["content"]
-        assert full in first_user
-        second_user = backend.requests[1].messages[-1]["content"]
+        assert full in first.messages[-1]["content"]
+        second_user = second.messages[-1]["content"]
         assert "[DB_ID]" in second_user
         # table-only filtering keeps users whole but drops products entirely
         assert "products" not in second_user
@@ -236,14 +251,13 @@ class TestGenerateCandidates:
         def script(request):
             return sql_block("SELECT 1")
 
-        gateway, backend = self._gateway(script)
+        gateway, backend = self._gateway(script, linker_reply="no JSON here")
         with caplog.at_level("WARNING"):
             candidates = generate_candidates(
-                _specs(), "q", "", {"compact_tagged:linker": None},
-                toy_catalog, gateway,
+                _specs(), LINKER_PLAN, toy_catalog, _item(), gateway
             )
         assert "using the full schema" in caplog.text
-        assert "products" in backend.requests[1].messages[-1]["content"]
+        assert "products" in self._generation_requests(backend)[1].messages[-1]["content"]
         assert candidates[1].sql == "SELECT 1"
 
     def test_no_code_block_yields_error_candidate(self, toy_catalog):
@@ -253,10 +267,7 @@ class TestGenerateCandidates:
             return sql_block("SELECT 1")
 
         gateway, _ = self._gateway(script)
-        candidates = generate_candidates(
-            _specs(), "q", "", {"compact_tagged:linker": PREDICTION},
-            toy_catalog, gateway,
-        )
+        candidates = generate_candidates(_specs(), LINKER_PLAN, toy_catalog, _item(), gateway)
         failed = candidates[1]
         assert failed.sql == ""
         assert failed.raw_response == "I cannot answer that."
@@ -271,10 +282,7 @@ class TestGenerateCandidates:
             return sql_block("SELECT 1")
 
         gateway, _ = self._gateway(script)
-        candidates = generate_candidates(
-            _specs(), "q", "", {"compact_tagged:linker": PREDICTION},
-            toy_catalog, gateway,
-        )
+        candidates = generate_candidates(_specs(), LINKER_PLAN, toy_catalog, _item(), gateway)
         failed = candidates[1]
         assert failed.execution.error_text == "BackendError: boom"
         assert failed.usage == TokenUsage()
@@ -286,13 +294,11 @@ class TestGenerateCandidates:
             return sql_block("SELECT 1")
 
         gateway, backend = self._gateway(script)
-        generate_candidates(
-            _specs(), "q", "a hint", {"compact_tagged:linker": PREDICTION},
-            toy_catalog, gateway,
-        )
+        generate_candidates(_specs(), LINKER_PLAN, toy_catalog, _item("a hint"), gateway)
         assert all(r.temperature == 0.0 for r in backend.requests)
-        assert backend.requests[0].messages[-1]["content"].endswith("Hint: a hint")
+        first = self._generation_requests(backend)[0]
+        assert first.messages[-1]["content"].endswith("Hint: a hint")
 
     def test_no_specs(self, toy_catalog):
         gateway, _ = self._gateway(lambda r: sql_block("SELECT 1"))
-        assert generate_candidates([], "q", "", {}, toy_catalog, gateway) == []
+        assert generate_candidates([], {}, toy_catalog, _item(), gateway) == []

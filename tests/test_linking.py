@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from ensql.catalog import FilterLevel
 from ensql.linking import (
     FEWSHOT_COUNT,
     GoldLinking,
@@ -13,7 +12,6 @@ from ensql.linking import (
     NoJsonFound,
     build_linking_prompt,
     derive_gold_linking,
-    expand_to_levels,
     format_user_turn,
     linking_metrics,
     load_default_linking_fewshots,
@@ -98,15 +96,6 @@ class TestParseResponse:
     def test_parse_error_is_a_linking_error(self):
         with pytest.raises(LinkingParseError):
             parse_linking_response("nope")
-
-
-class TestExpandToLevels:
-    def test_covers_all_levels(self, toy_catalog):
-        prediction = LinkingPrediction({"users": ["user_id", "name"]})
-        by_level = expand_to_levels(prediction, toy_catalog)
-        assert set(by_level) == set(FilterLevel)
-        assert by_level[FilterLevel.NO_FILTERING] is toy_catalog
-        assert by_level[FilterLevel.FULL_FILTERING].table_names() == ("users",)
 
 
 class TestMetrics:

@@ -217,6 +217,8 @@ class TestConcurrentTournament:
 
 
 def test_per_question_warnings_name_the_question(items, caplog):
+    escalated, all_failed = items[3], items[0]
+
     def script(request):
         first = request.messages[0]["content"]
         if first == LINKING_SYSTEM:
@@ -225,16 +227,28 @@ def test_per_question_warnings_name_the_question(items, caplog):
             raise GatewayError("linker down")
         if first.startswith("You are comparing two candidate SQL queries"):
             raise GatewayError("judge down")
+        if request.messages[-1]["content"].endswith(f"Question: {all_failed.question}"):
+            return "no SQL here"
         return ToyScript()(request)
 
-    escalated = items[3]
     with PipelineRunner(PipelineConfig.default(), ScriptedBackend(script)) as runner:
         with caplog.at_level("WARNING"):
             record = runner.run_item(escalated)
+            escalated_warnings = [
+                r.getMessage() for r in caplog.records if r.levelname == "WARNING"
+            ]
+            caplog.clear()
+            failed = runner.run_item(all_failed)
     assert record.selection.pairwise_calls == 6
     prefix = f"question {escalated.question_id}: "
-    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     for fragment in ("failed: linker down", "unparseable", "using the full schema",
                      "judge call failed"):
-        found = [w for w in warnings if fragment in w]
+        found = [w for w in escalated_warnings if fragment in w]
         assert found and all(w.startswith(prefix) for w in found), fragment
+
+    assert all(not c.execution.ok for c in failed.candidates)
+    found = [r.getMessage() for r in caplog.records if "every candidate failed" in r.getMessage()]
+    assert found == [
+        f"question {all_failed.question_id}: every candidate failed; "
+        "returning the first as low confidence"
+    ]
