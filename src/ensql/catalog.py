@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import sqlite3
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -131,11 +131,18 @@ class ForeignKeyDef:
 
 @dataclass(frozen=True)
 class SchemaCatalog:
-    """A whole database schema: tables in introspection order plus FK edges."""
+    """A whole database schema: tables in introspection order plus FK edges.
+
+    rendered holds this catalog's schema texts by format, filled by
+    formats.render, so each text is rendered once and lives exactly as long
+    as the catalog.  It is no constructor argument, so a catalog made by
+    dataclasses.replace starts empty, and it takes no part in equality.
+    """
 
     db_id: str
     tables: tuple[TableDef, ...]
     foreign_keys: tuple[ForeignKeyDef, ...] = ()
+    rendered: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def table(self, name: str) -> TableDef | None:
         """Case-insensitive table lookup; None when absent."""

@@ -13,11 +13,12 @@ metadata surfaced, and familiarity to a code-trained model:
 * json_raw: a machine-readable JSON document (the only round-trippable one)
 * sqlalchemy: Python Table() declarations as produced by code generators
 
-Rendering is pure and deterministic.  Output is canonicalized: every line
-right-stripped and the document ends with exactly one newline.  Identifier
-text is emitted verbatim in the prompt-oriented formats; the two formats
-that embed names inside string literals (inline_tables, sqlalchemy) escape
-single quotes with a backslash, and json_raw relies on JSON escaping.
+Rendering is deterministic, and each text is rendered once per catalog and
+format: render memoises it on the catalog.  Output is canonicalized: every
+line right-stripped and the document ends with exactly one newline.
+Identifier text is emitted verbatim in the prompt-oriented formats; the two
+formats that embed names inside string literals (inline_tables, sqlalchemy)
+escape single quotes with a backslash, and json_raw relies on JSON escaping.
 """
 from __future__ import annotations
 
@@ -78,9 +79,17 @@ def canonicalize(text: str) -> str:
 
 
 def render(catalog: SchemaCatalog, fmt: RepresentationFormat) -> str:
-    """Render a catalog in the given format; pure and deterministic."""
-    renderer = _RENDERERS[fmt]
-    return canonicalize(renderer(catalog))
+    """Render a catalog in the given format; deterministic.
+
+    The text is memoised on the catalog (SchemaCatalog.rendered), so a
+    catalog is rendered at most once per format and a renderer's warnings
+    fire once per catalog.  Two threads racing on a first render both
+    compute it and get the same stored text.
+    """
+    text = catalog.rendered.get(fmt)
+    if text is None:
+        text = catalog.rendered.setdefault(fmt, canonicalize(_RENDERERS[fmt](catalog)))
+    return text
 
 
 def render_all(catalog: SchemaCatalog) -> dict[RepresentationFormat, str]:

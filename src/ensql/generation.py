@@ -3,12 +3,13 @@
 Each candidate spec names a representation format, a filter level tied to a
 linker run, and a generator model.  For every spec the engine renders the
 (possibly filtered) catalog, assembles a few-shot prompt, asks the model
-for one SQL query, and extracts it from the fenced code block.  Failures
-become error candidates rather than exceptions so the voting stage always
-sees the full slate.
+for one SQL query, and extracts it from the fenced code block.  Model
+failures become error candidates rather than exceptions so the voting stage
+always sees the full slate; a replay miss is a fixture fault and raises.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -24,6 +25,7 @@ from .gateway import (
     ChatRequest,
     GatewayError,
     LlmGateway,
+    ReplayMissError,
     STAGE_GENERATION,
     TokenUsage,
 )
@@ -175,7 +177,9 @@ def retrieve_fewshots(
     return [store.examples[int(i)] for i in order]
 
 
+@functools.cache
 def load_generation_system_prompt() -> str:
+    """The generation system prompt, read once per process."""
     return (_ASSETS / "generation_system_prompt.txt").read_text(encoding="utf-8")
 
 
@@ -282,11 +286,13 @@ def generate_slot(
 ) -> SqlCandidate:
     """Make one slot's generation call and extract its candidate.
 
-    Backend failures and missing code blocks yield error candidates, never
-    exceptions.
+    Backend failures and missing code blocks yield error candidates; only a
+    replay miss raises, since it is a fixture fault, not a model failure.
     """
     try:
         response = gateway.complete(request, stage=STAGE_GENERATION)
+    except ReplayMissError:
+        raise
     except GatewayError as exc:
         log.warning(
             "question %s: spec %d: generation call failed: %s",

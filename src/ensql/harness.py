@@ -38,6 +38,7 @@ from .gateway import (
     LLM_STAGES,
     LlmGateway,
     PriceTable,
+    ReplayMissError,
     STAGE_LINKING,
     TokenUsage,
     UsageRow,
@@ -385,7 +386,9 @@ def read_records(path: str | Path) -> list[RunRecord]:
 class PipelineRunner:
     """Executes the full pipeline for single questions.
 
-    Catalogs are introspected once per database and cached.  The runner
+    Catalogs are introspected once per database path and cached, and each
+    catalog memoises its rendered schema texts, so the full schema is
+    rendered once per database and format for the runner's life.  The runner
     owns one CallThrottle for the whole run: config.max_in_flight caps the
     model calls in flight across every question it serves, however many
     questions run at once (run_benchmark's workers).  Each question gets its
@@ -440,8 +443,14 @@ class PipelineRunner:
         )
 
     def catalog_for(self, db_id: str, db_path: str) -> SchemaCatalog:
+        """The database's catalog, introspected once per path.
+
+        db_id only picks the database's descriptions: two databases that
+        share a db_id at different paths get their own catalogs, and so
+        their own rendered schema texts.
+        """
         with self._catalog_lock:
-            cached = self._catalogs.get(db_id)
+            cached = self._catalogs.get(db_path)
         if cached is not None:
             return cached
         catalog = introspect(
@@ -451,8 +460,7 @@ class PipelineRunner:
             descriptions=self.descriptions.get(db_id),
         )
         with self._catalog_lock:
-            self._catalogs.setdefault(db_id, catalog)
-        return catalog
+            return self._catalogs.setdefault(db_path, catalog)
 
     def execute(self, sql: str, db_path: str) -> ExecutionResult:
         """Execute sql under the config's timeout and result precision."""
@@ -550,9 +558,16 @@ def link(
     item: BenchmarkItem,
     gateway: LlmGateway,
 ) -> LinkerRun:
-    """Make one linker call and parse its prediction; failures never raise."""
+    """Make one linker call and parse its prediction.
+
+    A failed call or an unparseable reply comes back as a run without a
+    prediction; only a replay miss raises, since it is a fixture fault,
+    not a model failure.
+    """
     try:
         response = gateway.complete(request, stage=STAGE_LINKING)
+    except ReplayMissError:
+        raise
     except GatewayError as exc:
         log.warning("question %s: linker run %s failed: %s", item.question_id, run_id, exc)
         return LinkerRun(
@@ -1055,19 +1070,20 @@ def build_fewshot_store(
 ) -> FewShotStore:
     """Embed dataset questions into a retrieval store of solved examples.
 
-    embedder is anything with embed(texts) -> unit vectors.  Schema text is
-    rendered once per database in the given format.
+    embedder is anything with embed(texts) -> unit vectors.  Each database
+    path is introspected once, and its schema text rendered once in the
+    given format.
     """
-    schema_texts: dict[str, str] = {}
+    catalogs: dict[str, SchemaCatalog] = {}
     for item in items:
-        if item.db_id not in schema_texts:
-            schema_texts[item.db_id] = render(introspect(item.db_path, sample_k), fmt)
+        if item.db_path not in catalogs:
+            catalogs[item.db_path] = introspect(item.db_path, sample_k)
     examples = [
         FewShotExample(
             question=item.question,
             sql=item.gold_sql,
             db_id=item.db_id,
-            schema_text=schema_texts[item.db_id],
+            schema_text=render(catalogs[item.db_path], fmt),
         )
         for item in items
     ]

@@ -14,6 +14,7 @@ rather than silently mis-score.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -122,13 +123,20 @@ class LinkingMetrics:
     column_f1: float
 
 
+@functools.cache
 def load_linking_system_prompt() -> str:
+    """The linking system prompt, read once per process."""
     return (_ASSETS / "linking_system_prompt.txt").read_text(encoding="utf-8")
 
 
-def load_default_linking_fewshots() -> list[LinkingFewShot]:
+@functools.cache
+def load_default_linking_fewshots() -> tuple[LinkingFewShot, ...]:
+    """The shipped linking examples, parsed once per process.
+
+    A tuple of frozen examples, since every caller shares the cached value.
+    """
     doc = json.loads((_ASSETS / "linking_fewshots.json").read_text(encoding="utf-8"))
-    return [
+    return tuple(
         LinkingFewShot(
             schema_text=entry["schema_text"],
             question=entry["question"],
@@ -136,7 +144,7 @@ def load_default_linking_fewshots() -> list[LinkingFewShot]:
             response=entry["response"],
         )
         for entry in doc
-    ]
+    )
 
 
 def format_user_turn(schema_text: str, question: str, hint: str = "") -> str:

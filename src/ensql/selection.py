@@ -28,7 +28,13 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .gateway import ChatRequest, GatewayError, LlmGateway, STAGE_SELECTION
+from .gateway import (
+    ChatRequest,
+    GatewayError,
+    LlmGateway,
+    ReplayMissError,
+    STAGE_SELECTION,
+)
 
 if TYPE_CHECKING:  # import only for annotations; generation imports us at runtime
     from .generation import SqlCandidate
@@ -324,9 +330,15 @@ class PairwiseJudge:
         )
 
     def verdict(self, request: ChatRequest) -> str | None:
-        """Return "A", "B", or None when the call fails or is unparseable."""
+        """Return "A", "B", or None when the call fails or is unparseable.
+
+        A replay miss raises, since it is a fixture fault, not a judge
+        failure.
+        """
         try:
             response = self.gateway.complete(request, stage=STAGE_SELECTION)
+        except ReplayMissError:
+            raise
         except GatewayError as exc:
             log.warning("question %s: judge call failed: %s", self.question_id, exc)
             return None

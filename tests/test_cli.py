@@ -148,6 +148,14 @@ class TestLinkEval:
         assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
 
 
+    def test_replay_miss_fails_loudly(self, cli_env, capsys):
+        # run never asked the default linker (gpt-4o) about the DDL schema
+        rc = main(["link-eval", "--dataset", cli_env["dataset"],
+                   "--replay", cli_env["fixture"], "--format", "ddl"])
+        assert rc == 1
+        assert "error: no recorded response" in capsys.readouterr().err
+
+
 class TestReport:
     @pytest.fixture()
     def records_path(self, cli_env, tmp_path, capsys):

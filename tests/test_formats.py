@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from ensql.catalog import ColumnDef, ForeignKeyDef, SchemaCatalog, TableDef
@@ -115,6 +117,21 @@ class TestRender:
         assert text.count("# Table:") == 3
 
 
+class TestRenderMemo:
+    @pytest.mark.parametrize("fmt", list(RepresentationFormat), ids=lambda f: f.value)
+    def test_memoised_render_equals_a_fresh_one(self, financial_catalog, fmt):
+        catalog = replace(financial_catalog)  # equal, with an empty memo
+        assert catalog == financial_catalog and not catalog.rendered
+        text = render(catalog, fmt)
+        assert render(catalog, fmt) is text
+        assert render(replace(catalog), fmt) == text
+
+    def test_a_replaced_catalog_renders_its_own_tables(self, toy_catalog):
+        render(toy_catalog, RepresentationFormat.DDL)
+        smaller = replace(toy_catalog, tables=toy_catalog.tables[:1], foreign_keys=())
+        assert render(smaller, RepresentationFormat.DDL).count("CREATE TABLE") == 1
+
+
 class TestJsonRoundTrip:
     def test_round_trip_preserves_structure(self, toy_catalog):
         text = render(toy_catalog, RepresentationFormat.JSON_RAW)
@@ -146,21 +163,35 @@ class TestJsonRoundTrip:
             parse_json_raw("{not json", "x")
 
 
+def _duplicate_fk_catalog() -> SchemaCatalog:
+    return SchemaCatalog(
+        "dup",
+        tables=(
+            TableDef("a", (ColumnDef("x", "INTEGER"),)),
+            TableDef("b", (ColumnDef("y", "INTEGER"),)),
+            TableDef("c", (ColumnDef("z", "INTEGER"),)),
+        ),
+        foreign_keys=(
+            ForeignKeyDef("a", "x", "b", "y"),
+            ForeignKeyDef("a", "x", "c", "z"),
+        ),
+    )
+
+
 class TestDuplicateForeignKeys:
     def test_json_render_keeps_first_edge_per_column(self, caplog):
-        catalog = SchemaCatalog(
-            "dup",
-            tables=(
-                TableDef("a", (ColumnDef("x", "INTEGER"),)),
-                TableDef("b", (ColumnDef("y", "INTEGER"),)),
-                TableDef("c", (ColumnDef("z", "INTEGER"),)),
-            ),
-            foreign_keys=(
-                ForeignKeyDef("a", "x", "b", "y"),
-                ForeignKeyDef("a", "x", "c", "z"),
-            ),
-        )
         with caplog.at_level("WARNING"):
-            text = render(catalog, RepresentationFormat.JSON_RAW)
+            text = render(_duplicate_fk_catalog(), RepresentationFormat.JSON_RAW)
         assert '"referenced_table": "b"' in text
         assert '"referenced_table": "c"' not in text
+
+    @pytest.mark.parametrize(
+        "fmt", [RepresentationFormat.JSON_RAW, RepresentationFormat.SQLALCHEMY],
+        ids=lambda f: f.value,
+    )
+    def test_warns_once_per_catalog(self, caplog, fmt):
+        catalog = _duplicate_fk_catalog()
+        with caplog.at_level("WARNING"):
+            for _ in range(3):
+                render(catalog, fmt)
+        assert caplog.text.count("keeps only the first foreign key on a.x") == 1

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import requests
 
+from ensql.config import PipelineConfig
 from ensql.gateway import (
     CallThrottle,
     ChatRequest,
@@ -344,6 +345,14 @@ class TestPriceTable:
         assert table.dollars("gpt-4o", out) == Decimal("10.00")
         assert table.dollars("gemini-1.5-pro", out) == Decimal("10.00")
         assert table.dollars("gemini-2.5-pro", out) == Decimal("10.00")
+        assert table.dollars("gemini-1.5-flash", million) == Decimal("0.075")
+        assert table.dollars("gemini-1.5-flash", out) == Decimal("0.30")
+
+    def test_prices_every_default_model(self):
+        config = PipelineConfig.default()
+        models = {config.generator_model, config.judge_model}
+        models |= {entry.linker_model for entry in config.specs if entry.linker_model}
+        assert models <= set(PriceTable.default().prices)
 
     def test_mixed_usage(self):
         table = PriceTable.default()
@@ -353,8 +362,8 @@ class TestPriceTable:
     def test_unknown_model_is_free_and_warns_once(self, caplog):
         table = PriceTable.default()
         with caplog.at_level("WARNING"):
-            assert table.dollars("gemini-1.5-flash", TokenUsage(10**6, 10**6)) == 0
-            assert table.dollars("gemini-1.5-flash", TokenUsage(5, 5)) == 0
+            assert table.dollars("unpriced-model", TokenUsage(10**6, 10**6)) == 0
+            assert table.dollars("unpriced-model", TokenUsage(5, 5)) == 0
         assert caplog.text.count("no price for model") == 1
 
     def test_from_dict_keeps_decimal_strings(self):

@@ -1,12 +1,14 @@
 import json
 import re
+import sqlite3
 from decimal import Decimal
 
 import pytest
 
 from ensql.catalog import FilterLevel
 from ensql.config import PipelineConfig
-from ensql.formats import RepresentationFormat
+from ensql import formats
+from ensql.formats import RepresentationFormat, render
 from ensql.gateway import (
     STAGE_GENERATION,
     STAGE_LINKING,
@@ -297,9 +299,10 @@ class TestAggregateRecords:
 
     def test_cost_is_exact_and_excludes_errored_items(self):
         report = aggregate_records(self._records())
-        # two full gpt-4o input megatokens at $2.50 plus flash at $0
-        assert report.cost_usd_total == Decimal("5.00")
-        assert report.cost_usd_avg == Decimal("5.00") / 3
+        # two full gpt-4o input megatokens at $2.50, plus flash at $0.075 in
+        # and $0.30 out per million: 80,000 in and 506 out
+        assert report.cost_usd_total == Decimal("5.0061518")
+        assert report.cost_usd_avg == Decimal("5.0061518") / 3
 
     def test_empty(self):
         report = aggregate_records([])
@@ -432,6 +435,44 @@ class TestPipelineRunner:
         first = runner.catalog_for(items[0].db_id, items[0].db_path)
         second = runner.catalog_for(items[1].db_id, items[1].db_path)
         assert first is second
+
+    def test_catalogs_are_keyed_by_path(self, tmp_path):
+        # two datasets may reuse a db_id for different databases
+        paths = []
+        for table in ("alpha", "beta"):
+            path = tmp_path / table / "shop.sqlite"
+            path.parent.mkdir()
+            conn = sqlite3.connect(path)
+            conn.execute(f"CREATE TABLE {table} (id INTEGER PRIMARY KEY)")
+            conn.commit()
+            conn.close()
+            paths.append(str(path))
+        with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+            catalogs = [runner.catalog_for("shop", path) for path in paths]
+        assert [c.table_names() for c in catalogs] == [("alpha",), ("beta",)]
+        texts = [render(c, RepresentationFormat.DDL) for c in catalogs]
+        assert "CREATE TABLE beta" in texts[1] and "alpha" not in texts[1]
+
+    def test_full_schema_rendered_once_per_format(self, items, monkeypatch):
+        config = PipelineConfig.default()
+        with PipelineRunner(config, ScriptedBackend(ToyScript())) as runner:
+            full = runner.catalog_for(items[0].db_id, items[0].db_path)
+            renders = []
+            for fmt, renderer in list(formats._RENDERERS.items()):
+                def counted(catalog, fmt=fmt, renderer=renderer):
+                    if catalog is full:
+                        renders.append(fmt)
+                    return renderer(catalog)
+                monkeypatch.setitem(formats._RENDERERS, fmt, counted)
+            for item in items[:2]:
+                assert item.db_path == items[0].db_path
+                runner.run_item(item)
+        # three linker runs, the unfiltered slot and the judge, per question
+        shown = {fmt for fmt, _ in runner.linker_plan.values()}
+        shown |= {s.format for s in runner.specs if s.linker_run is None}
+        shown.add(config.judge_schema_format)
+        assert len(renders) == len(shown) == 4
+        assert set(renders) == shown
 
 
 class TestRunBenchmark:

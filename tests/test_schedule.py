@@ -14,7 +14,13 @@ from dataclasses import replace
 import pytest
 
 from ensql.config import DEFAULT_LINKER_SECONDARY, PipelineConfig
-from ensql.gateway import ChatBackend, ChatRequest, ChatResponse, GatewayError
+from ensql.gateway import (
+    ChatBackend,
+    ChatRequest,
+    ChatResponse,
+    GatewayError,
+    ReplayMissError,
+)
 from ensql.generation import load_generation_system_prompt
 from ensql.harness import PipelineRunner, load_dataset, run_benchmark
 from ensql.linking import load_linking_system_prompt
@@ -252,3 +258,21 @@ def test_per_question_warnings_name_the_question(items, caplog):
         f"question {all_failed.question_id}: every candidate failed; "
         "returning the first as low confidence"
     ]
+
+
+@pytest.mark.parametrize("stage", ["link", "gen", "judge"])
+def test_replay_miss_errors_the_question(items, stage):
+    # a fixture that lacks a request is a fault to report, not a model failure
+    escalated = items[3]
+
+    def script(request):
+        if kind_of(request).split(":")[0] == stage:
+            raise ReplayMissError("0" * 64, request.model)
+        return ToyScript()(request)
+
+    records, report = run_benchmark(
+        PipelineConfig.default(), [escalated], ScriptedBackend(script),
+        workers=1, record_timing=False,
+    )
+    assert report.failed == 1
+    assert records[0].error.startswith("ReplayMissError: no recorded response")
