@@ -186,6 +186,26 @@ def matches(result: ExecutionResult, gold: ExecutionResult) -> bool:
     return result.ok and result.signature == gold.signature
 
 
+def execute_once(
+    executions: dict[str, ExecutionResult],
+    sql: str,
+    db_path: str | Path,
+    timeout_s: float = 30.0,
+    precision: int = 6,
+) -> ExecutionResult:
+    """execute_candidate, run at most once per SQL text in executions.
+
+    executions is one question's memo, SQL text -> its frozen result, so
+    every slot (and the reference) with the same text shares one result.
+    The caller creates it per question and drops it with the question, so
+    no two questions share one, even when they run at once.
+    """
+    result = executions.get(sql)
+    if result is None:
+        result = executions[sql] = execute_candidate(sql, db_path, timeout_s, precision)
+    return result
+
+
 def execution_accuracy(
     pred_sql: str,
     gold_sql: str,
@@ -197,12 +217,14 @@ def execution_accuracy(
 
     The reference query must succeed; a failing reference raises
     GoldExecutionError since such an item cannot be scored at all.  A
-    failing prediction simply scores 0.
+    failing prediction simply scores 0.  A prediction whose text is the
+    reference's is not executed again.
     """
-    gold = execute_candidate(gold_sql, db_path, timeout_s, precision)
+    executions: dict[str, ExecutionResult] = {}
+    gold = execute_once(executions, gold_sql, db_path, timeout_s, precision)
     if not gold.ok:
         raise GoldExecutionError(f"reference query failed: {gold.error_text}")
-    return int(matches(execute_candidate(pred_sql, db_path, timeout_s, precision), gold))
+    return int(matches(execute_once(executions, pred_sql, db_path, timeout_s, precision), gold))
 
 
 # -- run records ----------------------------------------------------------------
@@ -397,9 +419,11 @@ class PipelineRunner:
 
     run_item is the candidate stage (candidates: link, generate, execute)
     followed by the selection stage; sweep runs the same candidate stage
-    over its own slate.  A question's model calls follow its dependency
-    graph (see generate_candidates), and an escalated tournament submits
-    all its comparisons together.  The pool threads exit when the runner is
+    over its own slate.  Both keep a memo of executions per question, so a
+    distinct SQL text runs once per question, the reference included.  A
+    question's model calls follow its dependency graph (see
+    generate_candidates), and an escalated tournament submits all its
+    comparisons together.  The pool threads exit when the runner is
     closed or garbage-collected.
     """
 
@@ -462,10 +486,12 @@ class PipelineRunner:
         with self._catalog_lock:
             return self._catalogs.setdefault(db_path, catalog)
 
-    def execute(self, sql: str, db_path: str) -> ExecutionResult:
-        """Execute sql under the config's timeout and result precision."""
-        return execute_candidate(
-            sql, db_path,
+    def execute(
+        self, sql: str, db_path: str, executions: dict[str, ExecutionResult]
+    ) -> ExecutionResult:
+        """execute_once under the config's timeout and result precision."""
+        return execute_once(
+            executions, sql, db_path,
             timeout_s=self.config.execution_timeout_s,
             precision=self.config.result_precision,
         )
@@ -476,8 +502,12 @@ class PipelineRunner:
         gateway: LlmGateway,
         specs: Sequence[CandidateSpec],
         linker_plan: Mapping[str, tuple[RepresentationFormat, str]],
+        executions: dict[str, ExecutionResult],
     ) -> list[SqlCandidate]:
-        """The candidate stage: link, generate and execute one slate."""
+        """The candidate stage: link, generate and execute one slate.
+
+        Each distinct SQL text runs once; executions is the question's memo.
+        """
         config = self.config
         candidates = generate_candidates(
             specs, linker_plan, self.catalog_for(item.db_id, item.db_path), item,
@@ -485,19 +515,22 @@ class PipelineRunner:
         )
         for candidate in candidates:
             if candidate.execution is None:
-                candidate.execution = self.execute(candidate.sql, item.db_path)
+                candidate.execution = self.execute(candidate.sql, item.db_path, executions)
         return candidates
 
     def run_item(self, item: BenchmarkItem) -> RunRecord:
         started = time.monotonic()
         gateway = self.gateway()
         config = self.config
-        candidates = self.candidates(item, gateway, self.specs, self.linker_plan)
+        executions: dict[str, ExecutionResult] = {}
+        candidates = self.candidates(
+            item, gateway, self.specs, self.linker_plan, executions
+        )
 
         gold_ok = False
         candidate_ex = [0] * len(candidates)
         if item.gold_sql:
-            gold = self.execute(item.gold_sql, item.db_path)
+            gold = self.execute(item.gold_sql, item.db_path, executions)
             gold_ok = gold.ok
             if not gold_ok:
                 log.warning(
@@ -1043,12 +1076,15 @@ def sweep(
         fewshot_store=fewshot_store,
     ) as runner:
         for item in chosen_items:
-            gold = runner.execute(item.gold_sql, item.db_path)
+            executions: dict[str, ExecutionResult] = {}
+            gold = runner.execute(item.gold_sql, item.db_path, executions)
             if not gold.ok:
                 log.warning("sweep: skipping %s (reference failed)", item.question_id)
                 skipped += 1
                 continue
-            candidates = runner.candidates(item, runner.gateway(), specs, linker_plan)
+            candidates = runner.candidates(
+                item, runner.gateway(), specs, linker_plan, executions
+            )
             per_item.append(
                 [(c.execution.group_key(), matches(c.execution, gold)) for c in candidates]
             )

@@ -1,13 +1,19 @@
 """Candidate execution, result canonicalization, voting, and selection.
 
-Candidates are executed read-only against SQLite with a wall-clock budget.
-Results are reduced to a canonical multiset digest so that queries
+Candidates are executed against SQLite opened read-only, under an authorizer
+that lets a statement only select, read, call functions and recurse, and
+with a wall-clock budget.  Results are reduced to a canonical multiset
+digest so that queries
 
 * returning the same rows in a different order,
 * differing only in int-vs-float typing of the same values, or
 * differing past six decimal places
 
 land in the same vote group, while NULL and empty string stay distinct.
+Each cell value is canonicalized once per result, however many rows repeat
+it.  The harness runs each distinct SQL text once per question and hands
+the one frozen result to every slot, and to the reference query, that
+share the text.
 
 Groups vote: a confident distribution accepts the top group's answer; an
 ambiguous one escalates the group representatives to a pairwise LLM
@@ -17,7 +23,6 @@ order swapped.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 import re
@@ -25,6 +30,7 @@ import sqlite3
 import time
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -94,6 +100,12 @@ def _canonical_cell(value: object, precision: int) -> str:
     return "text:" + str(value)
 
 
+# distinct cells normalize_result remembers per call; past this, new values
+# are still canonicalized but not kept, so an all-distinct result costs no
+# more memory than without the memo
+_CELL_MEMO_LIMIT = 1 << 14
+
+
 def normalize_result(rows: Sequence[Sequence[object]], precision: int = 6) -> str:
     """Canonical digest of a result multiset.
 
@@ -101,11 +113,24 @@ def normalize_result(rows: Sequence[Sequence[object]], precision: int = 6) -> st
     order within a row is preserved and duplicate rows keep their
     multiplicity.  Numeric cells unify ints with whole floats and round the
     rest to `precision` decimals; text is compared byte-for-byte; NULL never
-    equals empty string.
+    equals empty string.  Each row is encoded as json.dumps would encode the
+    list of its canonical cells; a cell's JSON string is computed once per
+    distinct (type, value) and reused for every repeat.
     """
-    canon_rows = sorted(
-        json.dumps([_canonical_cell(v, precision) for v in row]) for row in rows
-    )
+    cells: dict[tuple[type, object], str] = {}
+    canon_rows = []
+    for row in rows:
+        parts = []
+        for value in row:
+            key = (type(value), value)
+            text = cells.get(key)
+            if text is None:
+                text = encode_basestring_ascii(_canonical_cell(value, precision))
+                if len(cells) < _CELL_MEMO_LIMIT:
+                    cells[key] = text
+            parts.append(text)
+        canon_rows.append("[" + ", ".join(parts) + "]")
+    canon_rows.sort()
     return hashlib.sha256("\n".join(canon_rows).encode("utf-8")).hexdigest()
 
 
@@ -119,6 +144,20 @@ def _preview_rows(rows: Sequence[Sequence[object]], limit: int) -> str:
     return text
 
 
+# the only actions a candidate's statement may compile to: no writes, no
+# ATTACH/DETACH, no PRAGMA, no transaction control, no schema changes
+_READ_ONLY_ACTIONS = frozenset({
+    sqlite3.SQLITE_SELECT,
+    sqlite3.SQLITE_READ,
+    sqlite3.SQLITE_FUNCTION,
+    sqlite3.SQLITE_RECURSIVE,
+})
+
+
+def _read_only(action: int, *_details) -> int:
+    return sqlite3.SQLITE_OK if action in _READ_ONLY_ACTIONS else sqlite3.SQLITE_DENY
+
+
 def execute_candidate(
     sql: str,
     db_path: str | Path,
@@ -128,6 +167,9 @@ def execute_candidate(
 ) -> ExecutionResult:
     """Run one query read-only and classify the outcome.
 
+    The statement is compiled under an authorizer that allows only
+    selecting, reading, functions and recursive CTEs, so writes, ATTACH and
+    PRAGMA come back as "not authorized" errors before they run.
     Never raises for query-level problems: syntax errors, missing tables,
     and unopenable databases come back as Error results, and queries that
     exceed timeout_s are interrupted and come back as Timeout results with
@@ -148,6 +190,7 @@ def execute_candidate(
     try:
         conn = sqlite3.connect(f"file:{Path(db_path)}?mode=ro", uri=True)
         conn.text_factory = lambda raw: raw.decode("utf-8", "replace")
+        conn.set_authorizer(_read_only)
         conn.set_progress_handler(_watchdog, 5000)
         rows = conn.execute(sql).fetchall()
         elapsed_ms = (time.monotonic() - started) * 1000.0

@@ -9,6 +9,7 @@ from ensql.gateway import RecordingChatBackend
 from ensql.harness import load_dataset, read_records, run_benchmark
 from ensql.config import PipelineConfig
 
+from conftest import GOLDEN_DIR
 from helpers import ScriptedBackend, TOY_BENCH, ToyScript, write_toy_dataset
 
 
@@ -86,6 +87,16 @@ class TestRun:
                          "--replay", cli_env["fixture"], "--out", str(out)]) == 0
         capsys.readouterr()
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_replayed_records_match_the_pinned_records(self, cli_env, tmp_path, capsys):
+        # toy_run_records.jsonl holds this command's records from an engine that
+        # executed every slot and the reference apart; sharing executions
+        # must not change one byte
+        out = tmp_path / "records.jsonl"
+        assert main(["run", "--dataset", cli_env["dataset"], "--replay", cli_env["fixture"],
+                     "--out", str(out), "--workers", "2"]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (GOLDEN_DIR / "toy_run_records.jsonl").read_bytes()
 
 
 class TestAsk:

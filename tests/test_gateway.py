@@ -343,7 +343,7 @@ class TestPriceTable:
         out = TokenUsage(0, 1_000_000)
         assert table.dollars("o3-mini", out) == Decimal("4.40")
         assert table.dollars("gpt-4o", out) == Decimal("10.00")
-        assert table.dollars("gemini-1.5-pro", out) == Decimal("10.00")
+        assert table.dollars("gemini-1.5-pro", out) == Decimal("5.00")
         assert table.dollars("gemini-2.5-pro", out) == Decimal("10.00")
         assert table.dollars("gemini-1.5-flash", million) == Decimal("0.075")
         assert table.dollars("gemini-1.5-flash", out) == Decimal("0.30")

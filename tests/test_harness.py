@@ -1,13 +1,15 @@
+import dataclasses
 import json
 import re
 import sqlite3
+import threading
 from decimal import Decimal
 
 import pytest
 
 from ensql.catalog import FilterLevel
 from ensql.config import PipelineConfig
-from ensql import formats
+from ensql import formats, harness
 from ensql.formats import RepresentationFormat, render
 from ensql.gateway import (
     STAGE_GENERATION,
@@ -51,6 +53,7 @@ from helpers import (
     ScriptedBackend,
     TOY_BENCH,
     ToyScript,
+    build_toy_db,
     sql_block,
     write_toy_dataset,
 )
@@ -473,6 +476,125 @@ class TestPipelineRunner:
         shown.add(config.judge_schema_format)
         assert len(renders) == len(shown) == 4
         assert set(renders) == shown
+
+
+@pytest.fixture()
+def executions(monkeypatch):
+    """Every call into ensql.harness.execute_candidate: (sql, db_path, result)."""
+    calls = []
+    original = harness.execute_candidate
+
+    def counted(sql, db_path, *args, **kwargs):
+        result = original(sql, db_path, *args, **kwargs)
+        calls.append((sql, str(db_path), result))
+        return result
+
+    monkeypatch.setattr(harness, "execute_candidate", counted)
+    return calls
+
+
+class TestExecutionMemo:
+    """Each distinct SQL text runs once per question, the reference included."""
+
+    @pytest.fixture()
+    def items(self, toy_dataset):
+        return load_dataset(toy_dataset)
+
+    @pytest.mark.parametrize("position", range(len(TOY_BENCH)))
+    def test_each_distinct_text_runs_once(self, items, executions, position):
+        # position 0 is a unanimous slate whose reference has its text: 1 call
+        item = items[position]
+        with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+            record = runner.run_item(item)
+        texts = [sql for sql, _, _ in executions]
+        assert sorted(texts) == sorted(set(TOY_BENCH[position]["slots"]) | {item.gold_sql})
+        by_text = {sql: result for sql, _, result in executions}
+        assert all(c.execution is by_text[c.sql] for c in record.candidates)
+        assert record.ex == TOY_BENCH[position]["ex"]
+
+    def test_distinct_texts_and_a_distinct_reference(self, items, executions):
+        # five distinct slot texts; the reference matches slot 0's rows only
+        item = dataclasses.replace(
+            items[4],
+            gold_sql="SELECT name FROM products WHERE price = (SELECT MAX(price) FROM products)",
+        )
+        assert len(set(TOY_BENCH[4]["slots"])) == 5
+        with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+            record = runner.run_item(item)
+        assert len(executions) == 5 + 1
+        assert executions[-1][0] == item.gold_sql
+        assert record.candidate_ex == [1, 0, 0, 0, 0]
+
+    def test_concurrent_questions_never_share_a_result(
+        self, tmp_path, executions, monkeypatch
+    ):
+        # the same question and SQL over two databases that answer differently
+        paths = []
+        for users in (4, 5):
+            path = tmp_path / f"shop{users}.sqlite"
+            build_toy_db(path)
+            if users == 5:
+                conn = sqlite3.connect(path)
+                conn.execute("INSERT INTO users VALUES (5, 'Eve', NULL, '2023-07-01')")
+                conn.commit()
+                conn.close()
+            paths.append(str(path))
+        question = TOY_BENCH[0]["question"]
+        items = [
+            BenchmarkItem(str(i), "toy_shop", question, TOY_BENCH[0]["gold"], db_path=path)
+            for i, path in enumerate(paths)
+        ]
+        both_executing = threading.Barrier(2, timeout=10)
+        counted = harness.execute_candidate
+
+        def overlapping(sql, db_path, *args, **kwargs):
+            both_executing.wait()  # each question executes while the other does
+            return counted(sql, db_path, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "execute_candidate", overlapping)
+        records, _ = run_benchmark(
+            PipelineConfig.default(), items, ScriptedBackend(ToyScript()),
+            workers=2, record_timing=False,
+        )
+        assert sorted(path for _, path, _ in executions) == sorted(paths)
+        previews = [{c.execution.preview for c in r.candidates} for r in records]
+        assert previews == [{"1 row(s): (4,)"}, {"1 row(s): (5,)"}]
+        shared = {id(c.execution) for c in records[0].candidates}
+        assert shared.isdisjoint(id(c.execution) for c in records[1].candidates)
+
+    def test_execution_accuracy_runs_an_identical_prediction_once(self, toy_db, executions):
+        assert execution_accuracy("SELECT COUNT(*) FROM users", "SELECT COUNT(*) FROM users",
+                                  toy_db) == 1
+        assert len(executions) == 1
+        assert execution_accuracy("SELECT 4", "SELECT COUNT(*) FROM users", toy_db) == 1
+        assert len(executions) == 3
+
+    def test_sweep_reference_shares_the_slate_memo(self, toy_dataset, executions):
+        items = load_dataset(toy_dataset, limit=3)
+        results = sweep(
+            PipelineConfig.default(), items, ScriptedBackend(_sweep_script()),
+            formats=[RepresentationFormat.COMPACT_TAGGED, RepresentationFormat.DDL],
+            levels=[FilterLevel.NO_FILTERING], n=2,
+        )
+        assert {r.ex for r in results} == {1.0}
+        # every slot answers with the reference text: one execution per item
+        assert [sql for sql, _, _ in executions] == [item.gold_sql for item in items]
+
+    def test_repeated_timeouts_cost_one_budget(self, toy_db, executions, monkeypatch):
+        slow = (
+            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r) "
+            "SELECT COUNT(*) FROM r"
+        )
+        config = dataclasses.replace(PipelineConfig.default(), execution_timeout_s=0.2)
+        monkeypatch.setattr(harness, "generate_candidates", lambda specs, *rest: [
+            SqlCandidate(spec_index=spec.spec_index, sql=slow) for spec in specs
+        ])
+        item = BenchmarkItem("t", "toy_shop", "q", "SELECT 1", db_path=toy_db)
+        with PipelineRunner(config, ScriptedBackend(ToyScript())) as runner:
+            candidates = runner.candidates(item, runner.gateway(), runner.specs,
+                                           runner.linker_plan, {})
+        assert [sql for sql, _, _ in executions] == [slow]
+        assert {c.execution.group_key() for c in candidates} == {"timeout"}
 
 
 class TestRunBenchmark:

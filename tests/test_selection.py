@@ -1,7 +1,12 @@
+import hashlib
 import itertools
+import json
+import math
+import random
 
 import pytest
 
+from ensql import selection
 from ensql.gateway import CostLedger, LlmGateway
 from ensql.generation import SqlCandidate
 from ensql.selection import (
@@ -58,6 +63,78 @@ class TestNormalizeResult:
         assert normalize_result([("1",)]) != normalize_result([(1,)])
 
 
+def _reference_canonical_cell(value, precision):
+    # the original per-cell canonicalization, kept verbatim as the oracle
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return f"int:{int(value)}"
+    if isinstance(value, int):
+        return f"int:{value}"
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return f"num:{value!r}"
+        rounded = round(value, precision)
+        if rounded == int(rounded):
+            return f"int:{int(rounded)}"
+        return f"num:{rounded:.{precision}f}"
+    if isinstance(value, bytes):
+        return "bytes:" + value.hex()
+    return "text:" + str(value)
+
+
+def _reference_normalize_result(rows, precision=6):
+    canon_rows = sorted(
+        json.dumps([_reference_canonical_cell(v, precision) for v in row]) for row in rows
+    )
+    return hashlib.sha256("\n".join(canon_rows).encode("utf-8")).hexdigest()
+
+
+_ORACLE_CELLS = (
+    None, True, False, 0, 1, -1, 2**63 - 1, -(2**70),
+    0.0, -0.0, 1.0, -3.0, 1e300, 0.1 + 0.2, 1.0000001, 1.000001, 2.5e-7, -123.4567891,
+    math.nan, math.inf, -math.inf,
+    b"", b"\x00\xff", b"a",
+    "", "a", "A", "1", "1.0", "null", "int:1", "é", "日本語", "🙂", "\u2028",
+    'say "hi"', "back\\slash", "new\nline", "tab\t", "\x00", "\x7f",
+)
+
+
+class TestNormalizeResultOracle:
+    """normalize_result gives the original implementation's digest, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_results_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        width = rng.randint(0, 4)
+        rows = [
+            tuple(rng.choice(_ORACLE_CELLS) for _ in range(width))
+            for _ in range(rng.randint(0, 60))
+        ]
+        for precision in (6, 2, 0):
+            assert normalize_result(rows, precision) == _reference_normalize_result(
+                rows, precision
+            )
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [()],
+        [(), ()],
+        [tuple(_ORACLE_CELLS)],
+        [(v,) for v in _ORACLE_CELLS],
+        [(v, v) for v in _ORACLE_CELLS] * 3,
+        [(0.0,), (-0.0,), (0,), (False,)],
+        [(1,), (True,), (1.0,), ("1",), (b"1",)],
+    ])
+    def test_edge_results_match_the_reference(self, rows):
+        assert normalize_result(rows) == _reference_normalize_result(rows)
+
+    def test_memo_limit_keeps_the_digest(self, monkeypatch):
+        rows = [(i % 7, f"v{i}", i / 3) for i in range(200)]
+        monkeypatch.setattr(selection, "_CELL_MEMO_LIMIT", 5)
+        assert normalize_result(rows) == _reference_normalize_result(rows)
+
+
 class TestExecuteCandidate:
     def test_ok_result(self, toy_db):
         result = execute_candidate("SELECT COUNT(*) FROM users", toy_db)
@@ -102,6 +179,50 @@ class TestExecuteCandidate:
         err = execute_candidate("SELECT * FROM ghost", toy_db)
         assert ok.group_key().startswith("ok:")
         assert err.group_key() == "error:OperationalError"
+
+
+    def test_attach_is_refused_and_creates_no_file(self, toy_db, tmp_path):
+        target = tmp_path / "attached.sqlite"
+        result = execute_candidate(f"ATTACH DATABASE '{target}' AS e", toy_db)
+        assert result.status is ExecStatus.ERROR
+        assert "not authorized" in result.error_text
+        assert not target.exists()
+
+    @pytest.mark.parametrize("pragma", [
+        "PRAGMA query_only=0",
+        "PRAGMA journal_mode=DELETE",
+        "PRAGMA user_version=7",
+    ])
+    def test_state_changing_pragma_is_refused(self, toy_db, pragma):
+        result = execute_candidate(pragma, toy_db)
+        assert result.status is ExecStatus.ERROR
+        assert "not authorized" in result.error_text
+
+    @pytest.mark.parametrize("statement", [
+        "CREATE TABLE t (a)",
+        "DROP TABLE orders",
+        "UPDATE users SET name = 'x'",
+        "BEGIN",
+    ])
+    def test_writes_and_transactions_are_refused(self, toy_db, statement):
+        result = execute_candidate(statement, toy_db)
+        assert result.status is ExecStatus.ERROR
+        assert "not authorized" in result.error_text
+
+    def test_recursive_ctes_and_functions_still_run(self, toy_db):
+        result = execute_candidate(
+            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r WHERE n < 4) "
+            "SELECT SUM(n), UPPER('x'), ROUND(AVG(n), 1), COUNT(*) FROM r",
+            toy_db,
+        )
+        assert result.ok
+        assert result.preview == "1 row(s): (10, 'X', 2.5, 4)"
+        joined = execute_candidate(
+            "SELECT u.name, SUM(o.quantity) FROM users u JOIN orders o "
+            "ON o.user_id = u.user_id GROUP BY u.name ORDER BY u.name LIMIT 1",
+            toy_db,
+        )
+        assert joined.preview == "1 row(s): ('Alice', 3)"
 
 
 def _candidate(i, sql="SELECT 1", signature="sig", status=ExecStatus.OK,
