@@ -8,6 +8,7 @@ replay.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from .catalog import CatalogError, FilterLevel, introspect
 from .config import ConfigError, DEFAULT_LINKER_PRIMARY, PipelineConfig
-from .formats import FormatError, RepresentationFormat, render, render_all
+from .formats import RepresentationFormat, render, render_all
 from .gateway import (
     ChatBackend,
     DEFAULT_BASE_URL,
@@ -64,7 +65,9 @@ def _add_backend_args(parser: argparse.ArgumentParser, required: bool = True) ->
         help=f"call the HTTP API (needs {ENV_API_KEY}; {ENV_BASE_URL} overrides the endpoint)",
     )
     group.add_argument("--replay", metavar="FILE", help="serve responses from a recorded JSONL fixture")
-    parser.add_argument("--record", metavar="FILE", help="append all responses to a JSONL fixture")
+    parser.add_argument("--record", metavar="FILE",
+                        help="append all responses to a JSONL fixture, sorted by "
+                             "request digest when the command ends")
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
@@ -117,18 +120,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not items:
         print("error: dataset is empty", file=sys.stderr)
         return 1
-    backend = _resolve_backend(args)
-    records, report = run_benchmark(
-        config,
-        items,
-        backend,
-        fewshot_store=_load_store(args, config),
-        descriptions=_load_descriptions(args, config),
-        out_path=args.out,
-        workers=args.workers,
-        record_timing=not args.replay,
-        price_table=_price_table(config),
-    )
+    with _resolve_backend(args) as backend:
+        records, report = run_benchmark(
+            config,
+            items,
+            backend,
+            fewshot_store=_load_store(args, config),
+            descriptions=_load_descriptions(args, config),
+            out_path=args.out,
+            workers=args.workers,
+            record_timing=not args.replay,
+            price_table=_price_table(config),
+        )
     print(report.render_text())
     if args.out:
         print(f"\nwrote {len(records)} records to {args.out}")
@@ -137,7 +140,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_ask(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    backend = _resolve_backend(args)
     item = BenchmarkItem(
         question_id="adhoc",
         db_id=Path(args.db).stem,
@@ -146,7 +148,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
         hint=args.hint or "",
         db_path=args.db,
     )
-    with PipelineRunner(
+    with _resolve_backend(args) as backend, PipelineRunner(
         config,
         backend,
         fewshot_store=_load_store(args, config),
@@ -189,7 +191,7 @@ def cmd_link_eval(args: argparse.Namespace) -> int:
     items = load_dataset(args.dataset, args.split, args.db_root, args.limit)
     predictions, golds = [], []
     skipped = 0
-    with PipelineRunner(config, _resolve_backend(args)) as runner:
+    with _resolve_backend(args) as backend, PipelineRunner(config, backend) as runner:
         gateway = runner.gateway()
         for item in items:
             catalog = runner.catalog_for(item.db_id, item.db_path)
@@ -232,8 +234,11 @@ def cmd_build_fewshot_store(args: argparse.Namespace) -> int:
         embedder = HttpEmbeddingBackend(args.embedding_model, http)
     else:
         embedder = HashEmbeddingBackend()
+    config = _load_config(args)
+    if args.sample_k is not None:
+        config = dataclasses.replace(config, sample_k=args.sample_k)
     store = build_fewshot_store(
-        items, embedder, RepresentationFormat.parse(args.format), sample_k=args.sample_k
+        items, embedder, RepresentationFormat.parse(args.format), config
     )
     store.save(args.out)
     print(f"wrote {len(store)} examples to {args.out}")
@@ -251,15 +256,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.levels else list(FilterLevel)
     )
     items = load_dataset(args.dataset, args.split, args.db_root, args.limit)
-    backend = _resolve_backend(args)
-    results = sweep(
-        config, items, backend, formats, levels, args.n,
-        linker_model=args.linker_model,
-        cap=args.max_combos,
-        subset_fraction=args.subset,
-        seed=args.seed,
-        fewshot_store=_load_store(args, config),
-    )
+    with _resolve_backend(args) as backend:
+        results = sweep(
+            config, items, backend, formats, levels, args.n,
+            linker_model=args.linker_model,
+            cap=args.max_combos,
+            subset_fraction=args.subset,
+            seed=args.seed,
+            fewshot_store=_load_store(args, config),
+        )
     shown = results[: args.top] if args.top else results
     print(f"{len(results)} combinations of size {args.n}; top {len(shown)}:")
     for result in shown:
@@ -336,7 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_store.add_argument("--out", required=True, help="store file to write")
     p_store.add_argument("--format", default="compact_tagged",
                          help="schema format stored with each example")
-    p_store.add_argument("--sample-k", type=int, default=3)
+    p_store.add_argument("--config", help="pipeline config JSON: its sample_k and "
+                         "category_threshold shape the stored schema texts")
+    p_store.add_argument("--sample-k", type=int,
+                         help="value examples per column (default from config)")
     p_store.add_argument("--embedding-model",
                          help="HTTP embedding model (default: local hash embeddings)")
     p_store.set_defaults(func=cmd_build_fewshot_store)
@@ -380,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (CatalogError, ConfigError, DatasetError, FormatError, GatewayError,
+    except (CatalogError, ConfigError, DatasetError, GatewayError,
             SweepError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -68,10 +68,6 @@ _FORMAT_ALIASES = {
 }
 
 
-class FormatError(Exception):
-    """Raised when a rendering or parsing step cannot proceed."""
-
-
 def canonicalize(text: str) -> str:
     """Right-strip every line and end the document with one newline."""
     body = "\n".join(line.rstrip() for line in text.split("\n"))
@@ -233,41 +229,6 @@ def _render_json_raw(catalog: SchemaCatalog) -> str:
             "foreign_keys": fk_map,
         }
     return json.dumps({"tables": tables}, indent=4)
-
-
-def parse_json_raw(text: str, db_id: str) -> SchemaCatalog:
-    """Rebuild a catalog from json_raw text.
-
-    The format carries no database id, samples, descriptions, or nullability,
-    so the caller supplies db_id and columns come back nullable with no
-    metadata.  parse_json_raw(render(c, JSON_RAW), c.db_id) reproduces the
-    structural content of c.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid json_raw document: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("tables"), dict):
-        raise FormatError("json_raw document must have a 'tables' mapping")
-    tables = []
-    fks = []
-    for name, spec in doc["tables"].items():
-        columns = tuple(
-            ColumnDef(name=col, sql_type=str(sql_type))
-            for col, sql_type in spec.get("columns", {}).items()
-        )
-        pk = tuple(spec.get("keys", {}).get("primary_key", []))
-        tables.append(TableDef(name=name, columns=columns, primary_key=pk))
-        for col, ref in spec.get("foreign_keys", {}).items():
-            fks.append(
-                ForeignKeyDef(
-                    from_table=name,
-                    from_column=col,
-                    to_table=ref["referenced_table"],
-                    to_column=ref["referenced_column"],
-                )
-            )
-    return SchemaCatalog(db_id=db_id, tables=tuple(tables), foreign_keys=tuple(fks))
 
 
 # -- sqlalchemy ---------------------------------------------------------------

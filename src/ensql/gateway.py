@@ -21,7 +21,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import requests
@@ -114,10 +114,19 @@ def request_digest(model: str, messages: Sequence[dict]) -> str:
 
 
 class ChatBackend:
-    """Interface for chat transports."""
+    """Interface for chat transports; a context manager that closes itself."""
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Finish any output the backend writes; the base has none."""
+
+    def __enter__(self) -> "ChatBackend":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 class HttpChatBackend(ChatBackend):
@@ -240,7 +249,13 @@ class ReplayChatBackend(ChatBackend):
 
 
 class RecordingChatBackend(ChatBackend):
-    """Wraps another backend and appends every exchange to a JSONL fixture."""
+    """Wraps another backend and appends every exchange to a JSONL fixture.
+
+    Lines are appended as calls complete, so the fixture can be replayed
+    at any time; close() rewrites it sorted by request digest (lines with
+    one digest keep their order), so two recordings of the same calls give
+    the same bytes however the calls interleaved.
+    """
 
     def __init__(self, inner: ChatBackend, path: str | Path):
         self.inner = inner
@@ -261,6 +276,17 @@ class RecordingChatBackend(ChatBackend):
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
         return response
+
+    def close(self) -> None:
+        with self._lock:
+            if not self.path.exists():
+                return
+            text = self.path.read_text(encoding="utf-8")
+            lines = [line for line in text.splitlines() if line.strip()]
+            lines.sort(key=lambda line: json.loads(line)["digest"])
+            partial = self.path.with_name(self.path.name + ".partial")
+            partial.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            os.replace(partial, self.path)
 
 
 class EmbeddingBackend:
@@ -368,18 +394,6 @@ class CostLedger:
             UsageRow(model, stage, t.calls, t.input_tokens, t.output_tokens)
             for (model, stage), t in items
         ]
-
-    def total_calls(self, stages: Iterable[str] = LLM_STAGES) -> int:
-        wanted = set(stages)
-        return sum(r.calls for r in self.rows() if r.stage in wanted)
-
-    def total_usage(self, stages: Iterable[str] = LLM_STAGES) -> TokenUsage:
-        wanted = set(stages)
-        total = TokenUsage()
-        for r in self.rows():
-            if r.stage in wanted:
-                total += TokenUsage(r.input_tokens, r.output_tokens)
-        return total
 
 
 @dataclass(frozen=True)

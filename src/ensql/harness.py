@@ -181,6 +181,20 @@ def load_dataset(
     return items
 
 
+def introspect_for(
+    config: PipelineConfig,
+    db_path: str | Path,
+    descriptions: Mapping[str, Mapping[str, str]] | None = None,
+) -> SchemaCatalog:
+    """The database's catalog, with the config's value samples and categories."""
+    return introspect(
+        db_path,
+        sample_k=config.sample_k,
+        category_threshold=config.category_threshold,
+        descriptions=descriptions,
+    )
+
+
 def matches(result: ExecutionResult, gold: ExecutionResult) -> bool:
     """Whether a candidate's result multiset equals the reference's."""
     return result.ok and result.signature == gold.signature
@@ -477,12 +491,7 @@ class PipelineRunner:
             cached = self._catalogs.get(db_path)
         if cached is not None:
             return cached
-        catalog = introspect(
-            db_path,
-            sample_k=self.config.sample_k,
-            category_threshold=self.config.category_threshold,
-            descriptions=self.descriptions.get(db_id),
-        )
+        catalog = introspect_for(self.config, db_path, self.descriptions.get(db_id))
         with self._catalog_lock:
             return self._catalogs.setdefault(db_path, catalog)
 
@@ -1101,19 +1110,21 @@ def build_fewshot_store(
     items: Sequence[BenchmarkItem],
     embedder,
     fmt: RepresentationFormat = RepresentationFormat.COMPACT_TAGGED,
-    sample_k: int = 3,
+    config: PipelineConfig | None = None,
     batch_size: int = 64,
 ) -> FewShotStore:
     """Embed dataset questions into a retrieval store of solved examples.
 
     embedder is anything with embed(texts) -> unit vectors.  Each database
-    path is introspected once, and its schema text rendered once in the
-    given format.
+    path is introspected once, as a runner with the same config (default:
+    PipelineConfig.default()) introspects it, without descriptions, and its
+    schema text rendered once in the given format.
     """
+    config = config or PipelineConfig.default()
     catalogs: dict[str, SchemaCatalog] = {}
     for item in items:
         if item.db_path not in catalogs:
-            catalogs[item.db_path] = introspect(item.db_path, sample_k)
+            catalogs[item.db_path] = introspect_for(config, item.db_path)
     examples = [
         FewShotExample(
             question=item.question,

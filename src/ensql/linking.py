@@ -62,9 +62,6 @@ class LinkingPrediction:
 
     selection: dict[str, list[str]]
 
-    def to_json(self) -> str:
-        return json.dumps(self.selection, ensure_ascii=False)
-
     def tables(self) -> set[str]:
         return {t.lower() for t in self.selection}
 

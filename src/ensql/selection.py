@@ -2,18 +2,22 @@
 
 Candidates are executed against SQLite opened read-only, under an authorizer
 that lets a statement only select, read, call functions and recurse, and
-with a wall-clock budget.  Results are reduced to a canonical multiset
-digest so that queries
+with a wall-clock budget that bounds the whole execution: SQLite, fetching,
+canonicalization and preview.  Rows are fetched in batches and
+canonicalized as they arrive, so elapsed_ms includes canonicalization.
+Text is decoded as strict UTF-8; a result holding invalid UTF-8 is fetched
+once more, under the same deadline, with the invalid bytes replaced.
+Results are reduced to a canonical multiset digest so that queries
 
 * returning the same rows in a different order,
 * differing only in int-vs-float typing of the same values, or
 * differing past six decimal places
 
 land in the same vote group, while NULL and empty string stay distinct.
-Each cell value is canonicalized once per result, however many rows repeat
-it.  The harness runs each distinct SQL text once per question and hands
-the one frozen result to every slot, and to the reference query, that
-share the text.
+Each row and each cell value is canonicalized once per result, however
+many times it repeats.  The harness runs each distinct SQL text once per
+question and hands the one frozen result to every slot, and to the
+reference query, that share the text.
 
 Groups vote: a confident distribution accepts the top group's answer; an
 ambiguous one escalates the group representatives to a pairwise LLM
@@ -28,11 +32,12 @@ import math
 import re
 import sqlite3
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .gateway import (
     ChatRequest,
@@ -100,10 +105,59 @@ def _canonical_cell(value: object, precision: int) -> str:
     return "text:" + str(value)
 
 
-# distinct cells normalize_result remembers per call; past this, new values
-# are still canonicalized but not kept, so an all-distinct result costs no
-# more memory than without the memo
+# distinct rows and cells one result's canonicalizer remembers; past this,
+# new values are still canonicalized but not kept, so an all-distinct
+# result costs no more memory than without the memos
 _CELL_MEMO_LIMIT = 1 << 14
+
+
+class _Canonicalizer:
+    """The canonical rows of one result, fed batch by batch.
+
+    Each row is encoded as json.dumps would encode the list of its
+    canonical cells.  Whole rows and single cells are memoised by value:
+    SQLite values that compare equal (1, 1.0 and True; 0.0 and -0.0)
+    canonicalize equally, so a repeated row or cell is encoded once.
+    """
+
+    def __init__(self, precision: int):
+        self.precision = precision
+        self.rows: list[str] = []
+        self._row_texts: dict[tuple, str] = {}
+        self._cell_texts: dict[object, str] = {}
+
+    def _cell(self, value: object) -> str:
+        text = encode_basestring_ascii(_canonical_cell(value, self.precision))
+        if len(self._cell_texts) < _CELL_MEMO_LIMIT:
+            self._cell_texts[value] = text
+        return text
+
+    def feed(self, rows: Iterable[tuple]) -> None:
+        row_texts, cell_texts, cell = self._row_texts, self._cell_texts, self._cell
+        append = self.rows.append
+        for row in rows:
+            text = row_texts.get(row)
+            if text is None:
+                text = "[" + ", ".join(
+                    [cell_texts.get(value) or cell(value) for value in row]
+                ) + "]"
+                if len(row_texts) < _CELL_MEMO_LIMIT:
+                    row_texts[row] = text
+            append(text)
+
+    def digest(self) -> str:
+        """sha256 of the sorted canonical rows, one per line."""
+        rows = self.rows
+        distinct = len(self._row_texts)
+        if distinct < _CELL_MEMO_LIMIT and 2 * distinct <= len(rows):
+            # mostly repeated rows: sort each distinct text once
+            counts = Counter(rows)
+            rows = []
+            for text in sorted(counts):
+                rows += [text] * counts[text]
+        else:
+            rows.sort()
+        return hashlib.sha256("\n".join(rows).encode("utf-8")).hexdigest()
 
 
 def normalize_result(rows: Sequence[Sequence[object]], precision: int = 6) -> str:
@@ -113,32 +167,19 @@ def normalize_result(rows: Sequence[Sequence[object]], precision: int = 6) -> st
     order within a row is preserved and duplicate rows keep their
     multiplicity.  Numeric cells unify ints with whole floats and round the
     rest to `precision` decimals; text is compared byte-for-byte; NULL never
-    equals empty string.  Each row is encoded as json.dumps would encode the
-    list of its canonical cells; a cell's JSON string is computed once per
-    distinct (type, value) and reused for every repeat.
+    equals empty string.  Cells are SQLite values (None, int, float, str,
+    bytes; a bool counts as an int).  execute_candidate computes the same
+    digest while it streams a result.
     """
-    cells: dict[tuple[type, object], str] = {}
-    canon_rows = []
-    for row in rows:
-        parts = []
-        for value in row:
-            key = (type(value), value)
-            text = cells.get(key)
-            if text is None:
-                text = encode_basestring_ascii(_canonical_cell(value, precision))
-                if len(cells) < _CELL_MEMO_LIMIT:
-                    cells[key] = text
-            parts.append(text)
-        canon_rows.append("[" + ", ".join(parts) + "]")
-    canon_rows.sort()
-    return hashlib.sha256("\n".join(canon_rows).encode("utf-8")).hexdigest()
+    canonicalizer = _Canonicalizer(precision)
+    canonicalizer.feed(map(tuple, rows))
+    return canonicalizer.digest()
 
 
-def _preview_rows(rows: Sequence[Sequence[object]], limit: int) -> str:
-    head = "; ".join(repr(tuple(r)) for r in rows[:limit])
-    text = f"{len(rows)} row(s)"
+def _preview(head: Sequence[tuple], row_count: int) -> str:
+    text = f"{row_count} row(s)"
     if head:
-        text += ": " + head
+        text += ": " + "; ".join(repr(row) for row in head)
     if len(text) > 500:
         text = text[:497] + "..."
     return text
@@ -158,6 +199,43 @@ def _read_only(action: int, *_details) -> int:
     return sqlite3.SQLITE_OK if action in _READ_ONLY_ACTIONS else sqlite3.SQLITE_DENY
 
 
+# rows fetched per step; the deadline is checked after each batch has been
+# canonicalized, so one batch is the grain of the time budget
+_FETCH_BATCH = 512
+
+# how sqlite3's strict decoder reports invalid UTF-8 (Python 3.10-3.13)
+_DECODE_ERROR = "Could not decode to UTF-8"
+
+
+def _decode_replacing(raw: bytes) -> str:
+    return raw.decode("utf-8", "replace")
+
+
+def _stream(
+    conn: sqlite3.Connection,
+    sql: str,
+    precision: int,
+    preview_limit: int,
+    deadline: float,
+) -> tuple[str, int, str] | None:
+    """(signature, row count, preview) of sql's rows, None past the deadline."""
+    cursor = conn.execute(sql)
+    canonicalizer = _Canonicalizer(precision)
+    head: list[tuple] = []
+    while batch := cursor.fetchmany(_FETCH_BATCH):
+        if len(head) < preview_limit:
+            head += batch[:preview_limit - len(head)]
+        canonicalizer.feed(batch)
+        if time.monotonic() > deadline:
+            return None
+    row_count = len(canonicalizer.rows)
+    signature = canonicalizer.digest()
+    preview = _preview(head, row_count)
+    if time.monotonic() > deadline:
+        return None
+    return signature, row_count, preview
+
+
 def execute_candidate(
     sql: str,
     db_path: str | Path,
@@ -169,7 +247,12 @@ def execute_candidate(
 
     The statement is compiled under an authorizer that allows only
     selecting, reading, functions and recursive CTEs, so writes, ATTACH and
-    PRAGMA come back as "not authorized" errors before they run.
+    PRAGMA come back as "not authorized" errors before they run.  Rows are
+    fetched in batches and canonicalized as they arrive; timeout_s bounds
+    the whole execution (SQLite, fetch, canonicalization and preview), and
+    elapsed_ms covers all of it.  Text is decoded as strict UTF-8; a result
+    holding invalid UTF-8 is fetched again, under the same deadline, with
+    invalid bytes replaced by U+FFFD.
     Never raises for query-level problems: syntax errors, missing tables,
     and unopenable databases come back as Error results, and queries that
     exceed timeout_s are interrupted and come back as Timeout results with
@@ -186,37 +269,34 @@ def execute_candidate(
             return 1
         return 0
 
+    def _result(status: ExecStatus, **fields) -> ExecutionResult:
+        elapsed_ms = (time.monotonic() - started) * 1000.0
+        return ExecutionResult(status=status, elapsed_ms=elapsed_ms, **fields)
+
     conn = None
     try:
         conn = sqlite3.connect(f"file:{Path(db_path)}?mode=ro", uri=True)
-        conn.text_factory = lambda raw: raw.decode("utf-8", "replace")
         conn.set_authorizer(_read_only)
         conn.set_progress_handler(_watchdog, 5000)
-        rows = conn.execute(sql).fetchall()
-        elapsed_ms = (time.monotonic() - started) * 1000.0
-        return ExecutionResult(
-            status=ExecStatus.OK,
-            signature=normalize_result(rows, precision),
-            row_count=len(rows),
-            preview=_preview_rows(rows, preview_limit),
-            elapsed_ms=elapsed_ms,
-        )
-    except (sqlite3.Error, sqlite3.Warning) as exc:
-        elapsed_ms = (time.monotonic() - started) * 1000.0
-        if timed_out:
-            return ExecutionResult(
-                status=ExecStatus.TIMEOUT,
-                error_text=f"timeout after {timeout_s:g}s",
-                elapsed_ms=elapsed_ms,
+        try:
+            streamed = _stream(conn, sql, precision, preview_limit, deadline)
+        except sqlite3.OperationalError as exc:
+            if not str(exc).startswith(_DECODE_ERROR):
+                raise
+            conn.text_factory = _decode_replacing
+            streamed = _stream(conn, sql, precision, preview_limit, deadline)
+        if streamed is not None:  # None: the deadline passed between batches
+            signature, row_count, preview = streamed
+            return _result(
+                ExecStatus.OK, signature=signature, row_count=row_count, preview=preview
             )
-        return ExecutionResult(
-            status=ExecStatus.ERROR,
-            error_text=f"{type(exc).__name__}: {exc}",
-            elapsed_ms=elapsed_ms,
-        )
+    except (sqlite3.Error, sqlite3.Warning) as exc:
+        if not timed_out:
+            return _result(ExecStatus.ERROR, error_text=f"{type(exc).__name__}: {exc}")
     finally:
         if conn is not None:
             conn.close()
+    return _result(ExecStatus.TIMEOUT, error_text=f"timeout after {timeout_s:g}s")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,7 @@ from ensql.catalog import introspect
 from ensql.cli import main
 from ensql.formats import RepresentationFormat, render
 from ensql.gateway import RecordingChatBackend
+from ensql.generation import FewShotStore
 from ensql.harness import load_dataset, read_records, run_benchmark
 from ensql.config import PipelineConfig
 
@@ -20,13 +22,9 @@ def cli_env(tmp_path_factory):
     dataset = write_toy_dataset(root / "data")
     fixture = root / "fixture.jsonl"
     items = load_dataset(dataset)
-    run_benchmark(
-        PipelineConfig.default(),
-        items,
-        RecordingChatBackend(ScriptedBackend(ToyScript()), fixture),
-        workers=1,
-        record_timing=False,
-    )
+    with RecordingChatBackend(ScriptedBackend(ToyScript()), fixture) as backend:
+        run_benchmark(PipelineConfig.default(), items, backend, workers=1,
+                      record_timing=False)
     return {
         "dataset": str(dataset),
         "fixture": str(fixture),
@@ -97,6 +95,14 @@ class TestRun:
                      "--out", str(out), "--workers", "2"]) == 0
         capsys.readouterr()
         assert out.read_bytes() == (GOLDEN_DIR / "toy_run_records.jsonl").read_bytes()
+
+    def test_recorded_fixture_is_sorted_when_the_command_ends(self, cli_env, tmp_path,
+                                                              capsys):
+        copy = tmp_path / "copy.jsonl"
+        assert main(["run", "--dataset", cli_env["dataset"], "--replay", cli_env["fixture"],
+                     "--record", str(copy), "--workers", "2"]) == 0
+        capsys.readouterr()
+        assert copy.read_bytes() == Path(cli_env["fixture"]).read_bytes()
 
 
 class TestAsk:
@@ -213,6 +219,25 @@ class TestBuildFewshotStore:
         assert rc == 0
         assert "wrote 3 examples" in capsys.readouterr().out
         assert out.is_file()
+
+    def test_config_and_sample_k_shape_the_schema_texts(self, cli_env, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"category_threshold": 3, "sample_k": 1}))
+
+        def schema_text(fmt, *extra):
+            out = tmp_path / "store.jsonl"
+            assert main(["build-fewshot-store", "--dataset", cli_env["dataset"],
+                         "--limit", "1", "--format", fmt, "--out", str(out), *extra]) == 0
+            return FewShotStore.load(out).examples[0].schema_text
+
+        categories = "Value examples: ['Alice', 'Bob', 'Cara', 'Dan']"
+        assert categories in schema_text("mac")
+        assert categories not in schema_text("mac", "--config", str(config))
+        assert "(name:TEXT, Examples: [Alice])" in schema_text(
+            "compact_tagged", "--config", str(config))
+        assert "(name:TEXT, Examples: [Alice, Bob, Cara])" in schema_text(
+            "compact_tagged", "--config", str(config), "--sample-k", "3")
+        capsys.readouterr()
 
     def test_embedding_model_requires_live(self, cli_env, tmp_path, capsys):
         rc = main(["build-fewshot-store", "--dataset", cli_env["dataset"],

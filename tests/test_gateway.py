@@ -17,6 +17,7 @@ from ensql.gateway import (
     HashEmbeddingBackend,
     HttpChatBackend,
     HttpEmbeddingBackend,
+    LLM_STAGES,
     LlmGateway,
     PriceTable,
     RecordingChatBackend,
@@ -189,6 +190,29 @@ class TestReplayAndRecording:
         assert replay.complete(req_a) == live_a
         assert replay.complete(req_b) == live_b
 
+    def test_close_sorts_by_digest_and_the_last_duplicate_still_wins(self, tmp_path):
+        path = tmp_path / "fixture.jsonl"
+        replies = iter(["first", "other", "again"])
+        req_a = ChatRequest(model="m", messages=MESSAGES, temperature=0.0, max_tokens=8)
+        req_b = ChatRequest(
+            model="m",
+            messages=({"role": "user", "content": "other"},),
+            temperature=0.0,
+            max_tokens=8,
+        )
+        with RecordingChatBackend(ScriptedBackend(lambda req: next(replies)), path) as rec:
+            for request in (req_a, req_b, req_a):
+                rec.complete(request)
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        digests = [line["digest"] for line in lines]
+        assert digests == sorted(digests)
+        assert [line["text"] for line in lines if line["digest"] == digests[0]] in (
+            ["first", "again"], ["other"],
+        )
+        replay = ReplayChatBackend(path)
+        assert replay.complete(req_a).text == "again"
+        assert replay.complete(req_b).text == "other"
+
     def test_recording_passes_response_through(self, tmp_path):
         live_a, _, _ = self._record_fixture(tmp_path / "f.jsonl")
         assert live_a.text == "reply to hello"
@@ -316,9 +340,13 @@ class TestCostLedger:
         ledger.record("m", STAGE_GENERATION, TokenUsage(1, 1))
         ledger.record("m", STAGE_SELECTION, TokenUsage(1, 1))
         ledger.record("embedding", STAGE_EMBEDDING, TokenUsage(), calls=9)
-        assert ledger.total_calls() == 3
-        assert ledger.total_calls(stages=(STAGE_EMBEDDING,)) == 9
-        assert ledger.total_usage().total_tokens == 6
+        calls = {row.stage: row.calls for row in ledger.rows()}
+        assert sum(calls[stage] for stage in LLM_STAGES) == 3
+        assert calls[STAGE_EMBEDDING] == 9
+        assert sum(
+            row.input_tokens + row.output_tokens
+            for row in ledger.rows() if row.stage in LLM_STAGES
+        ) == 6
 
     def test_merge(self):
         left = CostLedger()
@@ -419,4 +447,5 @@ class TestLlmGateway:
         assert [f.result(timeout=10).text for f in futures] == ["ok"] * 6
         throttle.close()
         assert in_flight == [0, 2]
-        assert first.ledger.total_calls() == second.ledger.total_calls() == 3
+        assert [sum(row.calls for row in gateway.ledger.rows())
+                for gateway in (first, second)] == [3, 3]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -206,7 +208,7 @@ def _item(hint=""):
 
 
 class TestGenerateCandidates:
-    def _gateway(self, generate, linker_reply=PREDICTION.to_json()):
+    def _gateway(self, generate, linker_reply=json.dumps(PREDICTION.selection)):
         """Linker prompts get linker_reply; generation prompts go to generate."""
         def script(request):
             if request.messages[0]["content"] == LINKING_SYSTEM:

@@ -15,6 +15,8 @@ from ensql.gateway import (
     STAGE_GENERATION,
     STAGE_LINKING,
     STAGE_SELECTION,
+    RecordingChatBackend,
+    ReplayChatBackend,
     TokenUsage,
     UsageRow,
 )
@@ -650,6 +652,24 @@ class TestRunBenchmark:
         assert report.failed == 0
         assert [r.ex for r in records] == [q["ex"] for q in TOY_BENCH[:3]]
 
+    def test_two_recordings_are_byte_identical(self, toy_dataset, tmp_path):
+        items = load_dataset(toy_dataset)
+        fixtures, replayed = [], []
+        for attempt in range(2):
+            fixture = tmp_path / f"fixture{attempt}.jsonl"
+            with RecordingChatBackend(ScriptedBackend(ToyScript()), fixture) as backend:
+                run_benchmark(PipelineConfig.default(), items, backend, workers=2,
+                              record_timing=False)
+            fixtures.append(fixture.read_bytes())
+            out = tmp_path / f"replayed{attempt}.jsonl"
+            run_benchmark(PipelineConfig.default(), items, ReplayChatBackend(fixture),
+                          out_path=out, workers=2, record_timing=False)
+            replayed.append(out.read_bytes())
+        assert fixtures[0] == fixtures[1]
+        digests = [json.loads(line)["digest"] for line in fixtures[0].splitlines()]
+        assert digests == sorted(digests)
+        assert replayed[0] == replayed[1]
+
 
 def _sweep_script():
     gold_by_question = {q["question"]: q["gold"] for q in TOY_BENCH}
@@ -752,3 +772,17 @@ class TestBuildFewshotStore:
         assert store.examples[0].question == TOY_BENCH[0]["question"]
         assert store.examples[0].sql == TOY_BENCH[0]["gold"]
         assert "[DB_ID]  toy_shop" in store.examples[0].schema_text
+
+    def test_schema_texts_follow_the_config(self, toy_dataset):
+        # users.name holds 4 distinct texts: a category list under the default
+        # threshold of 20, none under a threshold of 3
+        items = load_dataset(toy_dataset, limit=1)
+        fmt = RepresentationFormat.COMMENTED_TUPLES
+        config = dataclasses.replace(PipelineConfig.default(), category_threshold=3)
+        store = build_fewshot_store(items, HashEmbeddingBackend(), fmt, config)
+        with PipelineRunner(config, ScriptedBackend(ToyScript())) as runner:
+            expected = render(runner.catalog_for(items[0].db_id, items[0].db_path), fmt)
+        assert store.examples[0].schema_text == expected
+        assert "'Alice'" not in expected
+        default = build_fewshot_store(items, HashEmbeddingBackend(), fmt)
+        assert "Value examples: ['Alice', 'Bob', 'Cara', 'Dan']" in default.examples[0].schema_text

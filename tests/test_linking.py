@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from ensql.linking import (
@@ -274,10 +272,6 @@ class TestGoldDerivation:
 
 
 class TestPrediction:
-    def test_to_json_round_trips(self):
-        prediction = LinkingPrediction({"users": ["name"]})
-        assert json.loads(prediction.to_json()) == {"users": ["name"]}
-
     def test_tables_and_columns_accessors(self):
         prediction = LinkingPrediction({"Users": ["Name", "email"], "orders": []})
         assert prediction.tables() == {"users", "orders"}

@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import random
+import sqlite3
+import time
 
 import pytest
 
@@ -225,6 +227,130 @@ class TestExecuteCandidate:
         assert joined.preview == "1 row(s): ('Alice', 3)"
 
 
+def _slow_cells(monkeypatch, seconds):
+    """Make every cell canonicalization busy-wait for the given time."""
+    original = selection._canonical_cell
+
+    def slow(value, precision):
+        until = time.perf_counter() + seconds
+        while time.perf_counter() < until:
+            pass
+        return original(value, precision)
+
+    monkeypatch.setattr(selection, "_canonical_cell", slow)
+
+
+def _count_passes(monkeypatch):
+    """Every fetch pass execute_candidate makes, as the text factory it used."""
+    passes = []
+    original = selection._stream
+
+    def counted(conn, *args):
+        passes.append(conn.text_factory)
+        return original(conn, *args)
+
+    monkeypatch.setattr(selection, "_stream", counted)
+    return passes
+
+
+# rows of long_notes, and the one whose text is not valid UTF-8
+_LONG_ROWS = 1500
+_BAD_ROW = 700
+
+
+@pytest.fixture(scope="module")
+def notes_db(tmp_path_factory):
+    path = tmp_path_factory.mktemp("notes") / "notes.sqlite"
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE notes (id INTEGER PRIMARY KEY, body TEXT)")
+    conn.execute(
+        "INSERT INTO notes VALUES "
+        "(1, 'plain'), (2, CAST(x'ff61' AS TEXT)), (3, 'café'), (4, NULL)"
+    )
+    conn.execute("CREATE TABLE long_notes (id INTEGER PRIMARY KEY, body TEXT)")
+    conn.executemany(
+        "INSERT INTO long_notes VALUES (?, ?)",
+        ((i, f"note {i}") for i in range(1, _LONG_ROWS + 1)),
+    )
+    conn.execute(
+        "UPDATE long_notes SET body = CAST(x'6e6f7465ff' AS TEXT) WHERE id = ?", (_BAD_ROW,)
+    )
+    conn.commit()
+    conn.close()
+    return str(path)
+
+
+class TestBoundedStreaming:
+    def test_invalid_utf8_matches_the_replace_decoder(self, notes_db):
+        result = execute_candidate("SELECT id, body FROM notes", notes_db)
+        assert result.ok
+        assert result.row_count == 4
+        # the digest of the engine that decoded every text cell with
+        # errors="replace"
+        assert result.signature == (
+            "643a66e9c0f815c205f88b8fb34b3e4c54d30a4fcf06e5eac715a323b9feb77c"
+        )
+        assert result.preview == (
+            "4 row(s): (1, 'plain'); (2, '\ufffda'); (3, 'café'); (4, None)"
+        )
+
+    def test_only_invalid_utf8_takes_a_second_pass(self, notes_db, monkeypatch):
+        passes = _count_passes(monkeypatch)
+        valid = execute_candidate("SELECT id, body FROM notes WHERE id != 2", notes_db)
+        assert valid.preview == "3 row(s): (1, 'plain'); (3, 'café'); (4, None)"
+        assert passes == [str]
+        execute_candidate("SELECT body FROM notes WHERE id = 2", notes_db)
+        assert passes[1:] == [str, selection._decode_replacing]
+
+    def test_invalid_cell_after_the_first_batch_restarts_cleanly(self, notes_db, monkeypatch):
+        assert selection._FETCH_BATCH < _BAD_ROW < _LONG_ROWS
+        passes = _count_passes(monkeypatch)
+        result = execute_candidate("SELECT id, body FROM long_notes", notes_db)
+        conn = sqlite3.connect(notes_db)
+        conn.text_factory = lambda raw: raw.decode("utf-8", "replace")
+        rows = conn.execute("SELECT id, body FROM long_notes").fetchall()
+        conn.close()
+        assert rows[_BAD_ROW - 1] == (_BAD_ROW, "note\ufffd")
+        assert result.ok
+        assert result.row_count == _LONG_ROWS
+        assert result.signature == _reference_normalize_result(rows)
+        assert result.preview == f"{_LONG_ROWS} row(s): " + "; ".join(
+            f"({i}, 'note {i}')" for i in range(1, 6)
+        )
+        assert len(passes) == 2
+
+    def test_the_second_pass_keeps_the_first_deadline(self, notes_db, monkeypatch):
+        # 1 ms per cell: the first pass meets the bad cell after ~0.3 s, and
+        # a whole second pass would take ~0.9 s more
+        monkeypatch.setattr(selection, "_FETCH_BATCH", 16)
+        passes = _count_passes(monkeypatch)
+        _slow_cells(monkeypatch, 0.001)
+        result = execute_candidate(
+            "SELECT id, body FROM long_notes "
+            f"WHERE id BETWEEN {_BAD_ROW - 150} AND {_BAD_ROW + 300}",
+            notes_db, timeout_s=0.6,
+        )
+        assert len(passes) == 2
+        assert result.status is ExecStatus.TIMEOUT
+        assert result.error_text == "timeout after 0.6s"
+        # a fresh budget for the second pass would end past 0.3 + 0.6 s
+        assert result.elapsed_ms < 850
+
+    def test_timeout_bounds_fetch_and_canonicalization(self, notes_db, monkeypatch):
+        # SQLite yields these rows in too few VM steps for its progress
+        # handler to stop them; canonicalizing them at 1 ms per cell takes
+        # ~1.4 s, so only the checks between batches can end it in time
+        monkeypatch.setattr(selection, "_FETCH_BATCH", 16, raising=False)
+        _slow_cells(monkeypatch, 0.001)
+        started = time.monotonic()
+        result = execute_candidate(
+            f"SELECT id, body FROM long_notes WHERE id < {_BAD_ROW}", notes_db, timeout_s=0.3
+        )
+        assert time.monotonic() - started < 0.8
+        assert result.status is ExecStatus.TIMEOUT
+        assert result.error_text == "timeout after 0.3s"
+        assert result.elapsed_ms < 800
+
 def _candidate(i, sql="SELECT 1", signature="sig", status=ExecStatus.OK,
                error_text=None):
     return SqlCandidate(
@@ -353,7 +479,7 @@ class TestPairwiseSelect:
         finalists = self._finalists(["SELECT " + "x" * i for i in range(m)])
         _, calls = pairwise_select(finalists, [1] * m, judge, "q", "schema")
         assert calls == m * (m - 1)
-        assert gateway.ledger.total_calls() == calls
+        assert sum(row.calls for row in gateway.ledger.rows()) == calls
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_longest_wins_in_any_position(self, m):
