@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .catalog import CatalogError, FilterLevel, introspect
-from .config import ConfigError, DEFAULT_LINKER_PRIMARY, PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .formats import RepresentationFormat, render, render_all
 from .gateway import (
     ChatBackend,
@@ -77,14 +77,18 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--limit", type=int, help="use only the first N questions")
 
 
+def _live_backend() -> HttpChatBackend:
+    api_key = os.environ.get(ENV_API_KEY)
+    if not api_key:
+        raise GatewayError(f"--live requires the {ENV_API_KEY} environment variable")
+    return HttpChatBackend(os.environ.get(ENV_BASE_URL, DEFAULT_BASE_URL), api_key)
+
+
 def _resolve_backend(args: argparse.Namespace) -> ChatBackend:
     if getattr(args, "replay", None):
         backend: ChatBackend = ReplayChatBackend(args.replay)
     else:
-        api_key = os.environ.get(ENV_API_KEY)
-        if not api_key:
-            raise GatewayError(f"--live requires the {ENV_API_KEY} environment variable")
-        backend = HttpChatBackend(os.environ.get(ENV_BASE_URL, DEFAULT_BASE_URL), api_key)
+        backend = _live_backend()
     if getattr(args, "record", None):
         backend = RecordingChatBackend(backend, args.record)
     return backend
@@ -185,9 +189,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 def cmd_link_eval(args: argparse.Namespace) -> int:
     config = _load_config(args)
     fmt = RepresentationFormat.parse(args.format)
-    model = args.model or next(
-        (e.linker_model for e in config.specs if e.linker_model), DEFAULT_LINKER_PRIMARY
-    )
+    model = args.model or config.default_linker()
     items = load_dataset(args.dataset, args.split, args.db_root, args.limit)
     predictions, golds = [], []
     skipped = 0
@@ -203,9 +205,9 @@ def cmd_link_eval(args: argparse.Namespace) -> int:
                 skipped += 1
                 continue
             request = linker_request(fmt, model, catalog, item, config.max_tokens)
-            run = link(f"{fmt.value}:{model}", fmt, request, item, gateway)
+            prediction = link(f"{fmt.value}:{model}", request, item, gateway)
             # a failed linker run scores as an empty prediction
-            predictions.append(run.prediction or LinkingPrediction({}))
+            predictions.append(prediction or LinkingPrediction({}))
             golds.append(gold)
 
     if not predictions:
@@ -227,11 +229,7 @@ def cmd_build_fewshot_store(args: argparse.Namespace) -> int:
         if not args.live:
             print("error: --embedding-model needs --live", file=sys.stderr)
             return 1
-        api_key = os.environ.get(ENV_API_KEY)
-        if not api_key:
-            raise GatewayError(f"--live requires the {ENV_API_KEY} environment variable")
-        http = HttpChatBackend(os.environ.get(ENV_BASE_URL, DEFAULT_BASE_URL), api_key)
-        embedder = HttpEmbeddingBackend(args.embedding_model, http)
+        embedder = HttpEmbeddingBackend(args.embedding_model, _live_backend())
     else:
         embedder = HashEmbeddingBackend()
     config = _load_config(args)
@@ -362,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--subset", type=float,
                          help="score a random fraction of the dataset")
     p_sweep.add_argument("--seed", type=int, default=0, help="subset sampling seed")
-    p_sweep.add_argument("--linker-model", help="model for the shared linking pass")
+    p_sweep.add_argument("--linker-model",
+                         help="model for the shared linking pass (default from config)")
     p_sweep.add_argument("--fewshot-store")
     p_sweep.add_argument("--top", type=int, default=10, help="combinations to print (0: all)")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -1,11 +1,14 @@
 """Pipeline configuration: the candidate slate and engine knobs.
 
-The default configuration is the shipped five-candidate slate: two
-commented-tuples slots (unfiltered and fully filtered), two compact-tagged
-slots sharing a single linker prediction at the table-only and full levels,
-and one fully filtered DDL slot, with one generator model across all slots.
-Configs load from JSON and validation happens at startup so a bad slate
-fails before any model call.
+The slate is a list of CandidateSpec slots, each a representation format, a
+filter level and, exactly when the slot filters, a linker model.  Slots
+that share a format and linker model share one linker call.  The default
+configuration is the shipped five-candidate slate: two commented-tuples
+slots (unfiltered and fully filtered), two compact-tagged slots sharing a
+single linker prediction at the table-only and full levels, and one fully
+filtered DDL slot, with one generator model across all slots.  Configs load
+from JSON and validation happens at startup so a bad slate fails before any
+model call.
 """
 from __future__ import annotations
 
@@ -28,30 +31,11 @@ class ConfigError(Exception):
     """A configuration file or value is unusable."""
 
 
-@dataclass(frozen=True)
-class SpecEntry:
-    """One candidate slot: representation, filter level, linker model."""
-
-    format: RepresentationFormat
-    filter_level: FilterLevel
-    linker_model: str | None = None
-
-    def linker_run_id(self) -> str | None:
-        """Identity of the linker call this slot consumes.
-
-        Slots sharing (format, linker model) share one prediction and one
-        LLM call; no-filtering slots consume none.
-        """
-        if self.filter_level is FilterLevel.NO_FILTERING:
-            return None
-        return f"{self.format.value}:{self.linker_model}"
-
-
 @dataclass
 class PipelineConfig:
     """Everything the benchmark runner and ad-hoc querying need."""
 
-    specs: list[SpecEntry] = field(default_factory=list)
+    specs: list[CandidateSpec] = field(default_factory=list)
     generator_model: str = DEFAULT_GENERATOR_MODEL
     judge_model: str = DEFAULT_JUDGE_MODEL
     judge_schema_format: RepresentationFormat = RepresentationFormat.INLINE_TABLES
@@ -73,23 +57,23 @@ class PipelineConfig:
     def default(cls) -> "PipelineConfig":
         config = cls(
             specs=[
-                SpecEntry(RepresentationFormat.COMMENTED_TUPLES, FilterLevel.NO_FILTERING),
-                SpecEntry(
+                CandidateSpec(RepresentationFormat.COMMENTED_TUPLES, FilterLevel.NO_FILTERING),
+                CandidateSpec(
                     RepresentationFormat.COMMENTED_TUPLES,
                     FilterLevel.FULL_FILTERING,
                     DEFAULT_LINKER_PRIMARY,
                 ),
-                SpecEntry(
+                CandidateSpec(
                     RepresentationFormat.COMPACT_TAGGED,
                     FilterLevel.TABLE_ONLY,
                     DEFAULT_LINKER_PRIMARY,
                 ),
-                SpecEntry(
+                CandidateSpec(
                     RepresentationFormat.COMPACT_TAGGED,
                     FilterLevel.FULL_FILTERING,
                     DEFAULT_LINKER_PRIMARY,
                 ),
-                SpecEntry(
+                CandidateSpec(
                     RepresentationFormat.DDL,
                     FilterLevel.FULL_FILTERING,
                     DEFAULT_LINKER_SECONDARY,
@@ -183,33 +167,15 @@ class PipelineConfig:
         except MissingPolicyError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def to_candidate_specs(self) -> tuple[list[CandidateSpec], dict[str, tuple[RepresentationFormat, str]]]:
-        """Expand config slots into CandidateSpecs plus the linker-call plan.
-
-        The plan maps linker run id -> (format, model) with one entry per
-        distinct pair, so slots sharing a prediction share one call.
-        """
-        specs = []
-        plan: dict[str, tuple[RepresentationFormat, str]] = {}
-        for position, entry in enumerate(self.specs):
-            run_id = entry.linker_run_id()
-            if run_id is not None and run_id not in plan:
-                plan[run_id] = (entry.format, entry.linker_model or "")
-            specs.append(
-                CandidateSpec(
-                    spec_index=position,
-                    format=entry.format,
-                    filter_level=entry.filter_level,
-                    model=self.generator_model,
-                    linker_run=run_id,
-                )
-            )
-        for spec in specs:
-            spec.validate()
-        return specs, plan
+    def default_linker(self) -> str:
+        """The first linker model of the slate, else DEFAULT_LINKER_PRIMARY."""
+        return next(
+            (spec.linker_model for spec in self.specs if spec.linker_model),
+            DEFAULT_LINKER_PRIMARY,
+        )
 
 
-def _parse_spec_entry(entry: dict) -> SpecEntry:
+def _parse_spec_entry(entry: dict) -> CandidateSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"spec entry must be an object, got {type(entry).__name__}")
     unknown = set(entry) - {"format", "filter_level", "linker_model"}
@@ -222,7 +188,7 @@ def _parse_spec_entry(entry: dict) -> SpecEntry:
         raise ConfigError(f"spec entry missing {exc.args[0]}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return SpecEntry(fmt, level, entry.get("linker_model"))
+    return CandidateSpec(fmt, level, entry.get("linker_model"))
 
 
 def _parse_confidence_rules(doc: dict) -> dict[int, frozenset[tuple[int, ...]]]:

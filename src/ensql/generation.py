@@ -1,11 +1,12 @@
 """Candidate SQL generation over multiple schema representations.
 
-Each candidate spec names a representation format, a filter level tied to a
-linker run, and a generator model.  For every spec the engine renders the
-(possibly filtered) catalog, assembles a few-shot prompt, asks the model
-for one SQL query, and extracts it from the fenced code block.  Model
-failures become error candidates rather than exceptions so the voting stage
-always sees the full slate; a replay miss is a fixture fault and raises.
+Each candidate spec names a representation format, a filter level and, when
+it filters, the linker model whose prediction does the filtering.  For every
+spec the engine renders the (possibly filtered) catalog, assembles a
+few-shot prompt, asks the generator model for one SQL query, and extracts it
+from the fenced code block.  Model failures become error candidates rather
+than exceptions so the voting stage always sees the full slate; a replay
+miss is a fixture fault and raises.
 """
 from __future__ import annotations
 
@@ -43,29 +44,26 @@ class NoCodeBlockError(Exception):
 
 @dataclass(frozen=True)
 class CandidateSpec:
-    """One slot in the candidate ensemble.
+    """One slot in the candidate ensemble: representation, filter level, linker.
 
-    linker_run identifies which linker invocation supplies the filtering
-    prediction; it must be None exactly when filter_level is NO_FILTERING.
+    linker_model is set exactly when the slot filters; PipelineConfig.validate
+    checks that rule where a slate enters from user input.
     """
 
-    spec_index: int
     format: RepresentationFormat
     filter_level: FilterLevel
-    model: str
-    linker_run: str | None = None
+    linker_model: str | None = None
 
-    def validate(self) -> None:
-        needs_linker = self.filter_level is not FilterLevel.NO_FILTERING
-        if needs_linker and self.linker_run is None:
-            raise ValueError(
-                f"spec {self.spec_index}: filter level "
-                f"{self.filter_level.value} requires a linker run"
-            )
-        if not needs_linker and self.linker_run is not None:
-            raise ValueError(
-                f"spec {self.spec_index}: no-filtering spec must not name a linker run"
-            )
+    @property
+    def linker_run(self) -> str | None:
+        """Identity of the linker call this slot consumes.
+
+        Slots sharing (format, linker model) share one prediction and one
+        LLM call; no-filtering slots consume none.
+        """
+        if self.filter_level is FilterLevel.NO_FILTERING:
+            return None
+        return f"{self.format.value}:{self.linker_model}"
 
 
 @dataclass(frozen=True)
@@ -233,10 +231,10 @@ def extract_sql(response_text: str) -> str:
 
 
 def _failed_candidate(
-    spec: CandidateSpec, raw_response: str, usage: TokenUsage, error_class: str, detail: str
+    index: int, raw_response: str, usage: TokenUsage, error_class: str, detail: str
 ) -> SqlCandidate:
     return SqlCandidate(
-        spec_index=spec.spec_index,
+        spec_index=index,
         sql="",
         raw_response=raw_response,
         usage=usage,
@@ -247,7 +245,9 @@ def _failed_candidate(
 
 
 def slot_request(
+    index: int,
     spec: CandidateSpec,
+    model: str,
     question: str,
     hint: str,
     prediction: LinkingPrediction | None,
@@ -256,7 +256,7 @@ def slot_request(
     max_tokens: int = 2048,
     question_id: str = "?",
 ) -> ChatRequest:
-    """The generation request of one slot.
+    """The generation request, for model, of the slot at index in the slate.
 
     prediction is the output of the slot's linker run, None when that run
     failed; a filtering slot without one falls back to the unfiltered
@@ -267,14 +267,14 @@ def slot_request(
         if prediction is None:
             log.warning(
                 "question %s: spec %d: linker output %r unavailable; using the full schema",
-                question_id, spec.spec_index, spec.linker_run,
+                question_id, index, spec.linker_run,
             )
         else:
             filtered = apply_filter(catalog, prediction, spec.filter_level)
     schema_text = render(filtered, spec.format)
     messages = build_generation_prompt(schema_text, question, hint, fewshots)
     return ChatRequest(
-        model=spec.model,
+        model=model,
         messages=tuple(messages),
         temperature=0.0,
         max_tokens=max_tokens,
@@ -282,9 +282,9 @@ def slot_request(
 
 
 def generate_slot(
-    spec: CandidateSpec, request: ChatRequest, gateway: LlmGateway, question_id: str = "?"
+    index: int, request: ChatRequest, gateway: LlmGateway, question_id: str = "?"
 ) -> SqlCandidate:
-    """Make one slot's generation call and extract its candidate.
+    """Make the generation call of the slot at index and extract its candidate.
 
     Backend failures and missing code blocks yield error candidates; only a
     replay miss raises, since it is a fixture fault, not a model failure.
@@ -296,17 +296,17 @@ def generate_slot(
     except GatewayError as exc:
         log.warning(
             "question %s: spec %d: generation call failed: %s",
-            question_id, spec.spec_index, exc,
+            question_id, index, exc,
         )
-        return _failed_candidate(spec, "", TokenUsage(), "BackendError", str(exc))
+        return _failed_candidate(index, "", TokenUsage(), "BackendError", str(exc))
     try:
         sql = extract_sql(response.text)
     except NoCodeBlockError as exc:
         return _failed_candidate(
-            spec, response.text, response.usage, "NoCodeBlock", str(exc)
+            index, response.text, response.usage, "NoCodeBlock", str(exc)
         )
     return SqlCandidate(
-        spec_index=spec.spec_index,
+        spec_index=index,
         sql=sql,
         raw_response=response.text,
         usage=response.usage,

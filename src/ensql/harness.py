@@ -53,7 +53,6 @@ from .generation import (
     slot_request,
 )
 from .linking import (
-    LinkerRun,
     LinkingParseError,
     LinkingPrediction,
     build_linking_prompt,
@@ -67,7 +66,6 @@ from .selection import (
     SelectionMethod,
     SelectionOutcome,
     execute_candidate,
-    load_judge_template,
     select,
 )
 
@@ -80,6 +78,10 @@ class DatasetError(Exception):
 
 class GoldExecutionError(Exception):
     """A reference query failed to execute, so the item cannot be scored."""
+
+    def __init__(self, gold: ExecutionResult):
+        super().__init__(f"reference query failed: {gold.error_text}")
+        self.gold = gold
 
 
 class SweepError(Exception):
@@ -220,6 +222,16 @@ def execute_once(
     return result
 
 
+def scorable_reference(gold: ExecutionResult) -> ExecutionResult:
+    """gold, the reference query's result, when an item can be scored on it.
+
+    A failed reference raises GoldExecutionError: no prediction can match it.
+    """
+    if not gold.ok:
+        raise GoldExecutionError(gold)
+    return gold
+
+
 def execution_accuracy(
     pred_sql: str,
     gold_sql: str,
@@ -235,9 +247,7 @@ def execution_accuracy(
     reference's is not executed again.
     """
     executions: dict[str, ExecutionResult] = {}
-    gold = execute_once(executions, gold_sql, db_path, timeout_s, precision)
-    if not gold.ok:
-        raise GoldExecutionError(f"reference query failed: {gold.error_text}")
+    gold = scorable_reference(execute_once(executions, gold_sql, db_path, timeout_s, precision))
     return int(matches(execute_once(executions, pred_sql, db_path, timeout_s, precision), gold))
 
 
@@ -432,13 +442,14 @@ class PipelineRunner:
     exact and the run ledger is the merge of item ledgers.
 
     run_item is the candidate stage (candidates: link, generate, execute)
-    followed by the selection stage; sweep runs the same candidate stage
-    over its own slate.  Both keep a memo of executions per question, so a
-    distinct SQL text runs once per question, the reference included.  A
-    question's model calls follow its dependency graph (see
+    over config.specs followed by the selection stage; sweep runs the same
+    candidate stage over its own slate.  Slots that share a format and
+    linker model share one linker call.  Both keep a memo of executions per
+    question, so a distinct SQL text runs once per question, the reference
+    included.  A question's model calls follow its dependency graph (see
     generate_candidates), and an escalated tournament submits all its
-    comparisons together.  The pool threads exit when the runner is
-    closed or garbage-collected.
+    comparisons together.  The pool threads exit when the runner is closed
+    or garbage-collected.
     """
 
     def __init__(
@@ -456,9 +467,7 @@ class PipelineRunner:
         self.fewshot_store = fewshot_store
         self.descriptions = descriptions or {}
         self.record_timing = record_timing
-        self.specs, self.linker_plan = config.to_candidate_specs()
         self.throttle = CallThrottle(config.max_in_flight)
-        self._judge_template = load_judge_template()
         self._catalogs: dict[str, SchemaCatalog] = {}
         self._catalog_lock = threading.Lock()
 
@@ -510,7 +519,6 @@ class PipelineRunner:
         item: BenchmarkItem,
         gateway: LlmGateway,
         specs: Sequence[CandidateSpec],
-        linker_plan: Mapping[str, tuple[RepresentationFormat, str]],
         executions: dict[str, ExecutionResult],
     ) -> list[SqlCandidate]:
         """The candidate stage: link, generate and execute one slate.
@@ -519,8 +527,8 @@ class PipelineRunner:
         """
         config = self.config
         candidates = generate_candidates(
-            specs, linker_plan, self.catalog_for(item.db_id, item.db_path), item,
-            gateway, self.fewshot_store, config.fewshot_k, config.max_tokens,
+            specs, config.generator_model, self.catalog_for(item.db_id, item.db_path),
+            item, gateway, self.fewshot_store, config.fewshot_k, config.max_tokens,
         )
         for candidate in candidates:
             if candidate.execution is None:
@@ -532,27 +540,23 @@ class PipelineRunner:
         gateway = self.gateway()
         config = self.config
         executions: dict[str, ExecutionResult] = {}
-        candidates = self.candidates(
-            item, gateway, self.specs, self.linker_plan, executions
-        )
+        candidates = self.candidates(item, gateway, config.specs, executions)
 
         gold_ok = False
         candidate_ex = [0] * len(candidates)
         if item.gold_sql:
-            gold = self.execute(item.gold_sql, item.db_path, executions)
-            gold_ok = gold.ok
-            if not gold_ok:
+            try:
+                gold = scorable_reference(self.execute(item.gold_sql, item.db_path, executions))
+            except GoldExecutionError as exc:
                 log.warning(
                     "question %s: reference query failed (%s); excluded from accuracy",
-                    item.question_id, gold.error_text,
+                    item.question_id, exc.gold.error_text,
                 )
             else:
+                gold_ok = True
                 candidate_ex = [int(matches(c.execution, gold)) for c in candidates]
 
-        judge = PairwiseJudge(
-            gateway, config.judge_model, template=self._judge_template,
-            question_id=item.question_id,
-        )
+        judge = PairwiseJudge(gateway, config.judge_model, question_id=item.question_id)
         outcome = select(
             candidates,
             question=item.question,
@@ -594,17 +598,12 @@ def linker_request(
 
 
 def link(
-    run_id: str,
-    fmt: RepresentationFormat,
-    request: ChatRequest,
-    item: BenchmarkItem,
-    gateway: LlmGateway,
-) -> LinkerRun:
-    """Make one linker call and parse its prediction.
+    run_id: str, request: ChatRequest, item: BenchmarkItem, gateway: LlmGateway
+) -> LinkingPrediction | None:
+    """Make one linker call and parse its prediction; run_id labels warnings.
 
-    A failed call or an unparseable reply comes back as a run without a
-    prediction; only a replay miss raises, since it is a fixture fault,
-    not a model failure.
+    A failed call or an unparseable reply comes back as None; only a replay
+    miss raises, since it is a fixture fault, not a model failure.
     """
     try:
         response = gateway.complete(request, stage=STAGE_LINKING)
@@ -612,32 +611,19 @@ def link(
         raise
     except GatewayError as exc:
         log.warning("question %s: linker run %s failed: %s", item.question_id, run_id, exc)
-        return LinkerRun(
-            run_id=run_id, format=fmt, model=request.model, prediction=None,
-            error=f"BackendError: {exc}",
-        )
+        return None
     try:
-        prediction = parse_linking_response(response.text)
-        error = None
+        return parse_linking_response(response.text)
     except LinkingParseError as exc:
         log.warning(
             "question %s: linker run %s unparseable: %s", item.question_id, run_id, exc
         )
-        prediction, error = None, f"{type(exc).__name__}: {exc}"
-    return LinkerRun(
-        run_id=run_id,
-        format=fmt,
-        model=request.model,
-        prediction=prediction,
-        usage=response.usage,
-        response_text=response.text,
-        error=error,
-    )
+        return None
 
 
 def generate_candidates(
     specs: Sequence[CandidateSpec],
-    linker_plan: Mapping[str, tuple[RepresentationFormat, str]],
+    model: str,
     catalog: SchemaCatalog,
     item: BenchmarkItem,
     gateway: LlmGateway,
@@ -647,19 +633,23 @@ def generate_candidates(
 ) -> list[SqlCandidate]:
     """One candidate per spec, in order, each started once its inputs exist.
 
-    linker_plan maps linker run id -> (format, model).  Linker runs,
-    few-shot retrieval and the specs that filter nothing start at once; a
-    filtering spec starts as soon as its own linker run resolves, and falls
-    back to the full schema when that run failed.  This thread builds every
-    prompt and hands only the calls to the gateway's pool; it alone waits on
+    model generates every slot; a slot's index is its position in specs.
+    Slots that share a format and linker model share one linker run, and
+    runs start in the order of their first slots.  Linker runs, few-shot
+    retrieval and the specs that filter nothing start at once; a filtering
+    spec starts as soon as its own linker run resolves, and falls back to
+    the full schema when that run failed.  This thread builds every prompt
+    and hands only the calls to the gateway's pool; it alone waits on
     futures, so no pool thread ever blocks on another task.
     """
+    linker_runs = {spec.linker_run: spec for spec in specs if spec.linker_run is not None}
     inputs: dict[Future, str | None] = {  # linker run id; None for few-shots
         gateway.submit(
-            link, run_id, fmt,
-            linker_request(fmt, model, catalog, item, max_tokens), item, gateway,
+            link, run_id,
+            linker_request(spec.format, spec.linker_model, catalog, item, max_tokens),
+            item, gateway,
         ): run_id
-        for run_id, (fmt, model) in linker_plan.items()
+        for run_id, spec in linker_runs.items()
     }
     fewshots: Sequence[FewShotExample] | None = ()
     if fewshot_store is not None and fewshot_k > 0:
@@ -674,16 +664,17 @@ def generate_candidates(
     def start_ready_slots() -> None:
         if fewshots is None:
             return
-        for spec in specs:
+        for index, spec in enumerate(specs):
             waiting = spec.linker_run is not None and spec.linker_run not in predictions
-            if waiting or spec.spec_index in slots:
+            if waiting or index in slots:
                 continue
             request = slot_request(
-                spec, item.question, item.hint, predictions.get(spec.linker_run or ""),
-                catalog, fewshots, max_tokens, item.question_id,
+                index, spec, model, item.question, item.hint,
+                predictions.get(spec.linker_run or ""), catalog, fewshots, max_tokens,
+                item.question_id,
             )
-            slots[spec.spec_index] = gateway.submit(
-                generate_slot, spec, request, gateway, item.question_id
+            slots[index] = gateway.submit(
+                generate_slot, index, request, gateway, item.question_id
             )
 
     start_ready_slots()
@@ -692,9 +683,9 @@ def generate_candidates(
         if run_id is None:
             fewshots = future.result()
         else:
-            predictions[run_id] = future.result().prediction
+            predictions[run_id] = future.result()
         start_ready_slots()
-    return [slots[spec.spec_index].result() for spec in specs]
+    return [slots[index].result() for index in range(len(specs))]
 
 
 # -- reports and aggregation ------------------------------------------------------
@@ -1056,13 +1047,11 @@ def sweep(
     if not pool:
         raise SweepError("sweep needs at least one format and one level")
     labels = [f"{fmt.value}+{level.value}" for fmt, level in pool]
-    # a filtering entry consumes the one linker prediction of its format
+    # the filtering entries of a format share one linker model, so one run
+    link_model = linker_model or config.default_linker()
     specs = [
-        CandidateSpec(
-            position, fmt, level, config.generator_model,
-            None if level is FilterLevel.NO_FILTERING else fmt.value,
-        )
-        for position, (fmt, level) in enumerate(pool)
+        CandidateSpec(fmt, level, None if level is FilterLevel.NO_FILTERING else link_model)
+        for fmt, level in pool
     ]
     chosen_items = list(items)
     if subset_fraction is not None:
@@ -1071,13 +1060,6 @@ def sweep(
         keep = max(1, round(len(chosen_items) * subset_fraction))
         chosen_items = random.Random(seed).sample(chosen_items, keep)
 
-    link_model = linker_model or next(
-        (entry.linker_model for entry in config.specs if entry.linker_model),
-        config.generator_model,
-    )
-    linker_plan = {
-        spec.linker_run: (spec.format, link_model) for spec in specs if spec.linker_run
-    }
     per_item: list[list[tuple[str, bool]]] = []
     skipped = 0
     with PipelineRunner(
@@ -1086,14 +1068,13 @@ def sweep(
     ) as runner:
         for item in chosen_items:
             executions: dict[str, ExecutionResult] = {}
-            gold = runner.execute(item.gold_sql, item.db_path, executions)
-            if not gold.ok:
+            try:
+                gold = scorable_reference(runner.execute(item.gold_sql, item.db_path, executions))
+            except GoldExecutionError:
                 log.warning("sweep: skipping %s (reference failed)", item.question_id)
                 skipped += 1
                 continue
-            candidates = runner.candidates(
-                item, runner.gateway(), specs, linker_plan, executions
-            )
+            candidates = runner.candidates(item, runner.gateway(), specs, executions)
             per_item.append(
                 [(c.execution.group_key(), matches(c.execution, gold)) for c in candidates]
             )

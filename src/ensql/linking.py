@@ -18,13 +18,11 @@ import functools
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .catalog import SchemaCatalog
-from .formats import RepresentationFormat
-from .gateway import TokenUsage
 
 log = logging.getLogger(__name__)
 
@@ -71,23 +69,6 @@ class LinkingPrediction:
             for t, cols in self.selection.items()
             for c in cols
         }
-
-
-@dataclass
-class LinkerRun:
-    """One linker invocation: inputs, outcome, and usage.
-
-    prediction is None when the response failed to parse; callers fall back
-    to no filtering for the affected representations.
-    """
-
-    run_id: str
-    format: RepresentationFormat
-    model: str
-    prediction: LinkingPrediction | None
-    usage: TokenUsage = field(default_factory=TokenUsage)
-    response_text: str = ""
-    error: str | None = None
 
 
 @dataclass(frozen=True)

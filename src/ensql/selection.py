@@ -26,6 +26,7 @@ order swapped.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
@@ -390,7 +391,9 @@ def confidence_policy(
     return Decision.ESCALATE if dist in table else Decision.ACCEPT_TOP
 
 
+@functools.cache
 def load_judge_template() -> str:
+    """The pairwise judge prompt template, read once per process."""
     return (_ASSETS / "judge_prompt.txt").read_text(encoding="utf-8")
 
 
@@ -419,13 +422,11 @@ class PairwiseJudge:
         self,
         gateway: LlmGateway,
         model: str,
-        template: str | None = None,
         max_tokens: int = 8,
         question_id: str = "?",
     ):
         self.gateway = gateway
         self.model = model
-        self.template = template if template is not None else load_judge_template()
         self.max_tokens = max_tokens
         self.question_id = question_id
 
@@ -437,7 +438,7 @@ class PairwiseJudge:
         candidate_b: "SqlCandidate",
     ) -> ChatRequest:
         """The request asking which of A and B better answers the question."""
-        content = self.template.format(
+        content = load_judge_template().format(
             question=question,
             schema=schema_text.rstrip(),
             sql_a=candidate_a.sql,

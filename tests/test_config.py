@@ -1,4 +1,7 @@
 import json
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +13,28 @@ from ensql.config import (
     DEFAULT_LINKER_PRIMARY,
     DEFAULT_LINKER_SECONDARY,
     PipelineConfig,
-    SpecEntry,
 )
 from ensql.formats import RepresentationFormat
+from ensql.generation import CandidateSpec
+from ensql.harness import BenchmarkItem, PipelineRunner
+from ensql.linking import load_linking_system_prompt
+
+from helpers import ScriptedBackend, TOY_BENCH, ToyScript
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _run_default_slate(toy_db):
+    """The requests one run_item of the default slate sends, by stage."""
+    backend = ScriptedBackend(ToyScript())
+    item = BenchmarkItem("1", "toy_shop", TOY_BENCH[0]["question"], TOY_BENCH[0]["gold"],
+                         db_path=toy_db)
+    with PipelineRunner(PipelineConfig.default(), backend) as runner:
+        record = runner.run_item(item)
+    linking_system = load_linking_system_prompt()
+    linker = [r for r in backend.requests if r.messages[0]["content"] == linking_system]
+    generation = [r for r in backend.requests if r.messages[0]["content"] != linking_system]
+    return record, linker, generation
 
 
 class TestDefaultSlate:
@@ -39,22 +61,26 @@ class TestDefaultSlate:
         assert DEFAULT_LINKER_PRIMARY == "gpt-4o"
         assert DEFAULT_LINKER_SECONDARY == "gemini-1.5-pro"
 
-    def test_three_distinct_linker_calls(self):
-        specs, plan = PipelineConfig.default().to_candidate_specs()
-        assert len(specs) == 5
-        assert sorted(plan) == [
-            "commented_tuples:gpt-4o",
-            "compact_tagged:gpt-4o",
-            "ddl:gemini-1.5-pro",
-        ]
-        # slots 2 and 3 consume the same prediction
-        assert specs[2].linker_run == specs[3].linker_run == "compact_tagged:gpt-4o"
-        assert specs[0].linker_run is None
+    def test_three_distinct_linker_calls(self, toy_db):
+        # slots 2 and 3 (compact tagged, gpt-4o) consume the same prediction
+        _, linker, _ = _run_default_slate(toy_db)
+        assert len(linker) == 3
+        assert Counter(r.model for r in linker) == {"gpt-4o": 2, "gemini-1.5-pro": 1}
 
-    def test_spec_indices_and_generator(self):
-        specs, _ = PipelineConfig.default().to_candidate_specs()
-        assert [s.spec_index for s in specs] == [0, 1, 2, 3, 4]
-        assert {s.model for s in specs} == {"gemini-1.5-flash"}
+    def test_spec_indices_and_generator(self, toy_db):
+        # the vote settles this question, so every other request generates
+        record, _, generation = _run_default_slate(toy_db)
+        assert [c.spec_index for c in record.candidates] == [0, 1, 2, 3, 4]
+        assert len(generation) == 5
+        assert {r.model for r in generation} == {"gemini-1.5-flash"}
+
+    def test_default_linker_is_the_first_slate_linker(self):
+        config = PipelineConfig.default()
+        assert config.default_linker() == DEFAULT_LINKER_PRIMARY
+        config.specs = config.specs[4:]
+        assert config.default_linker() == DEFAULT_LINKER_SECONDARY
+        config.specs = [CandidateSpec(RepresentationFormat.DDL, FilterLevel.NO_FILTERING)]
+        assert config.default_linker() == DEFAULT_LINKER_PRIMARY
 
     def test_judge_schema_format(self):
         assert PipelineConfig.default().judge_schema_format is RepresentationFormat.INLINE_TABLES
@@ -87,7 +113,7 @@ class TestFromDict:
                 "confidence_rules": {"2": [[1, 1]]},
             }
         )
-        assert config.specs[0] == SpecEntry(
+        assert config.specs[0] == CandidateSpec(
             RepresentationFormat.COMPACT_TAGGED, FilterLevel.NO_FILTERING
         )
         assert config.specs[1].linker_model == "gpt-4o"
@@ -120,6 +146,12 @@ class TestFromDict:
         with pytest.raises(ConfigError, match="bad config value"):
             PipelineConfig.from_dict({"fewshot_k": "lots"})
 
+    def test_readme_configuration_block_is_the_default_slate(self):
+        section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        config = PipelineConfig.from_dict(json.loads(block))
+        assert config.specs == PipelineConfig.default().specs
+
 
 class TestValidate:
     def _one_spec_config(self, **kwargs):
@@ -130,7 +162,7 @@ class TestValidate:
 
     def test_filtered_spec_needs_linker(self):
         config = self._one_spec_config()
-        config.specs[1] = SpecEntry(
+        config.specs[1] = CandidateSpec(
             RepresentationFormat.DDL, FilterLevel.FULL_FILTERING, None
         )
         with pytest.raises(ConfigError, match="spec 1.*requires a linker model"):
@@ -138,7 +170,7 @@ class TestValidate:
 
     def test_unfiltered_spec_rejects_linker(self):
         config = self._one_spec_config()
-        config.specs[0] = SpecEntry(
+        config.specs[0] = CandidateSpec(
             RepresentationFormat.DDL, FilterLevel.NO_FILTERING, "gpt-4o"
         )
         with pytest.raises(ConfigError, match="spec 0.*must not"):
@@ -159,9 +191,7 @@ class TestValidate:
         config.specs = config.specs[:3]
         config.confidence_rules = {3: frozenset({(1, 1, 1)})}
         config.validate()
-        specs, plan = config.to_candidate_specs()
-        assert len(specs) == 3
-        assert len(plan) == 2
+        assert len({s.linker_run for s in config.specs if s.linker_run}) == 2
 
     def test_bad_worker_counts(self):
         with pytest.raises(ConfigError):

@@ -154,51 +154,11 @@ class TestRetrieveFewshots:
         assert [s.question for s in first] == [s.question for s in second]
 
 
-def _specs():
-    return [
-        CandidateSpec(
-            spec_index=0,
-            format=RepresentationFormat.COMMENTED_TUPLES,
-            filter_level=FilterLevel.NO_FILTERING,
-            model="m0",
-        ),
-        CandidateSpec(
-            spec_index=1,
-            format=RepresentationFormat.COMPACT_TAGGED,
-            filter_level=FilterLevel.TABLE_ONLY,
-            model="m1",
-            linker_run="compact_tagged:linker",
-        ),
-    ]
-
-
+SPECS = [
+    CandidateSpec(RepresentationFormat.COMMENTED_TUPLES, FilterLevel.NO_FILTERING),
+    CandidateSpec(RepresentationFormat.COMPACT_TAGGED, FilterLevel.TABLE_ONLY, "linker"),
+]
 PREDICTION = LinkingPrediction(selection={"users": ["name"]})
-
-
-class TestCandidateSpec:
-    def test_filtered_spec_requires_linker_run(self):
-        spec = CandidateSpec(
-            spec_index=0,
-            format=RepresentationFormat.DDL,
-            filter_level=FilterLevel.FULL_FILTERING,
-            model="m",
-        )
-        with pytest.raises(ValueError, match="requires a linker run"):
-            spec.validate()
-
-    def test_unfiltered_spec_must_not_name_one(self):
-        spec = CandidateSpec(
-            spec_index=0,
-            format=RepresentationFormat.DDL,
-            filter_level=FilterLevel.NO_FILTERING,
-            model="m",
-            linker_run="ddl:m",
-        )
-        with pytest.raises(ValueError, match="must not"):
-            spec.validate()
-
-
-LINKER_PLAN = {"compact_tagged:linker": (RepresentationFormat.COMPACT_TAGGED, "linker")}
 LINKING_SYSTEM = load_linking_system_prompt()
 
 
@@ -219,28 +179,48 @@ class TestGenerateCandidates:
         return LlmGateway(backend, ledger=CostLedger()), backend
 
     @staticmethod
-    def _generation_requests(backend):
-        """Generation requests by model, whatever order the calls ran in."""
+    def _slot(request):
+        """Which of SPECS a generation request is for: compact tagged shows [DB_ID]."""
+        return int("[DB_ID]" in request.messages[-1]["content"])
+
+    @classmethod
+    def _generation_requests(cls, backend):
+        """Generation requests in slot order, whatever order the calls ran in."""
         requests = [r for r in backend.requests if r.messages[0]["content"] != LINKING_SYSTEM]
-        return sorted(requests, key=lambda r: r.model)
+        return sorted(requests, key=cls._slot)
 
     def test_one_candidate_per_spec_in_order(self, toy_catalog):
         def script(request):
-            return sql_block(f"SELECT '{request.model}'")
+            return sql_block(f"SELECT {self._slot(request)}")
 
         gateway, backend = self._gateway(script)
-        candidates = generate_candidates(_specs(), LINKER_PLAN, toy_catalog, _item(), gateway)
+        candidates = generate_candidates(SPECS, "gen", toy_catalog, _item(), gateway)
         assert [c.spec_index for c in candidates] == [0, 1]
-        assert [c.sql for c in candidates] == ["SELECT 'm0'", "SELECT 'm1'"]
+        assert [c.sql for c in candidates] == ["SELECT 0", "SELECT 1"]
         assert all(c.execution is None for c in candidates)
         assert all(c.usage.output_tokens > 0 for c in candidates)
+        assert {r.model for r in self._generation_requests(backend)} == {"gen"}
+
+    def test_linker_runs_come_from_the_slate(self, toy_catalog):
+        # two filtered slots share (format, linker model); the third differs
+        # from the second only in its linker model
+        specs = [
+            CandidateSpec(RepresentationFormat.COMPACT_TAGGED, FilterLevel.TABLE_ONLY, "a"),
+            CandidateSpec(RepresentationFormat.COMPACT_TAGGED, FilterLevel.FULL_FILTERING, "a"),
+            CandidateSpec(RepresentationFormat.COMPACT_TAGGED, FilterLevel.FULL_FILTERING, "b"),
+        ]
+        gateway, backend = self._gateway(lambda r: sql_block("SELECT 1"))
+        candidates = generate_candidates(specs, "gen", toy_catalog, _item(), gateway)
+        linker = [r for r in backend.requests if r.messages[0]["content"] == LINKING_SYSTEM]
+        assert sorted(r.model for r in linker) == ["a", "b"]
+        assert [c.spec_index for c in candidates] == [0, 1, 2]
 
     def test_schema_rendering_respects_spec(self, toy_catalog):
         def script(request):
             return sql_block("SELECT 1")
 
         gateway, backend = self._gateway(script)
-        generate_candidates(_specs(), LINKER_PLAN, toy_catalog, _item(), gateway)
+        generate_candidates(SPECS, "gen", toy_catalog, _item(), gateway)
         first, second = self._generation_requests(backend)
         full = render(toy_catalog, RepresentationFormat.COMMENTED_TUPLES)
         assert full in first.messages[-1]["content"]
@@ -255,21 +235,19 @@ class TestGenerateCandidates:
 
         gateway, backend = self._gateway(script, linker_reply="no JSON here")
         with caplog.at_level("WARNING"):
-            candidates = generate_candidates(
-                _specs(), LINKER_PLAN, toy_catalog, _item(), gateway
-            )
+            candidates = generate_candidates(SPECS, "gen", toy_catalog, _item(), gateway)
         assert "using the full schema" in caplog.text
         assert "products" in self._generation_requests(backend)[1].messages[-1]["content"]
         assert candidates[1].sql == "SELECT 1"
 
     def test_no_code_block_yields_error_candidate(self, toy_catalog):
         def script(request):
-            if request.model == "m1":
+            if self._slot(request) == 1:
                 return "I cannot answer that."
             return sql_block("SELECT 1")
 
         gateway, _ = self._gateway(script)
-        candidates = generate_candidates(_specs(), LINKER_PLAN, toy_catalog, _item(), gateway)
+        candidates = generate_candidates(SPECS, "gen", toy_catalog, _item(), gateway)
         failed = candidates[1]
         assert failed.sql == ""
         assert failed.raw_response == "I cannot answer that."
@@ -279,12 +257,12 @@ class TestGenerateCandidates:
 
     def test_backend_error_yields_error_candidate(self, toy_catalog):
         def script(request):
-            if request.model == "m1":
+            if self._slot(request) == 1:
                 raise GatewayError("boom")
             return sql_block("SELECT 1")
 
         gateway, _ = self._gateway(script)
-        candidates = generate_candidates(_specs(), LINKER_PLAN, toy_catalog, _item(), gateway)
+        candidates = generate_candidates(SPECS, "gen", toy_catalog, _item(), gateway)
         failed = candidates[1]
         assert failed.execution.error_text == "BackendError: boom"
         assert failed.usage == TokenUsage()
@@ -296,11 +274,11 @@ class TestGenerateCandidates:
             return sql_block("SELECT 1")
 
         gateway, backend = self._gateway(script)
-        generate_candidates(_specs(), LINKER_PLAN, toy_catalog, _item("a hint"), gateway)
+        generate_candidates(SPECS, "gen", toy_catalog, _item("a hint"), gateway)
         assert all(r.temperature == 0.0 for r in backend.requests)
         first = self._generation_requests(backend)[0]
         assert first.messages[-1]["content"].endswith("Hint: a hint")
 
     def test_no_specs(self, toy_catalog):
         gateway, _ = self._gateway(lambda r: sql_block("SELECT 1"))
-        assert generate_candidates([], {}, toy_catalog, _item(), gateway) == []
+        assert generate_candidates([], "gen", toy_catalog, _item(), gateway) == []

@@ -8,7 +8,7 @@ from decimal import Decimal
 import pytest
 
 from ensql.catalog import FilterLevel
-from ensql.config import PipelineConfig
+from ensql.config import DEFAULT_LINKER_PRIMARY, PipelineConfig
 from ensql import formats, harness
 from ensql.formats import RepresentationFormat, render
 from ensql.gateway import (
@@ -20,7 +20,7 @@ from ensql.gateway import (
     TokenUsage,
     UsageRow,
 )
-from ensql.generation import SqlCandidate, load_generation_system_prompt
+from ensql.generation import CandidateSpec, SqlCandidate, load_generation_system_prompt
 from ensql.harness import (
     BenchmarkItem,
     DatasetError,
@@ -54,6 +54,7 @@ from helpers import (
     EXPECTED_EX,
     ScriptedBackend,
     TOY_BENCH,
+    TOY_LINKER_JSON,
     ToyScript,
     build_toy_db,
     sql_block,
@@ -409,6 +410,16 @@ class TestPipelineRunner:
     def items(self, toy_dataset):
         return load_dataset(toy_dataset)
 
+    def test_failing_reference_is_excluded_from_accuracy(self, items, caplog):
+        item = dataclasses.replace(items[0], gold_sql="SELECT nope FROM users")
+        with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+            with caplog.at_level("WARNING"):
+                record = runner.run_item(item)
+        assert not record.gold_ok
+        assert record.candidate_ex == [0, 0, 0, 0, 0] and record.ex == 0
+        assert record.selection.chosen_votes == 5  # selection still runs
+        assert "question 1: reference query failed (" in caplog.text
+
     def test_unanimous_question(self, items):
         runner = PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript()))
         record = runner.run_item(items[0])
@@ -472,10 +483,8 @@ class TestPipelineRunner:
             for item in items[:2]:
                 assert item.db_path == items[0].db_path
                 runner.run_item(item)
-        # three linker runs, the unfiltered slot and the judge, per question
-        shown = {fmt for fmt, _ in runner.linker_plan.values()}
-        shown |= {s.format for s in runner.specs if s.linker_run is None}
-        shown.add(config.judge_schema_format)
+        # the three linker runs' formats, the unfiltered slot's and the judge's
+        shown = {s.format for s in config.specs} | {config.judge_schema_format}
         assert len(renders) == len(shown) == 4
         assert set(renders) == shown
 
@@ -589,12 +598,11 @@ class TestExecutionMemo:
         )
         config = dataclasses.replace(PipelineConfig.default(), execution_timeout_s=0.2)
         monkeypatch.setattr(harness, "generate_candidates", lambda specs, *rest: [
-            SqlCandidate(spec_index=spec.spec_index, sql=slow) for spec in specs
+            SqlCandidate(spec_index=index, sql=slow) for index in range(len(specs))
         ])
         item = BenchmarkItem("t", "toy_shop", "q", "SELECT 1", db_path=toy_db)
         with PipelineRunner(config, ScriptedBackend(ToyScript())) as runner:
-            candidates = runner.candidates(item, runner.gateway(), runner.specs,
-                                           runner.linker_plan, {})
+            candidates = runner.candidates(item, runner.gateway(), config.specs, {})
         assert [sql for sql, _, _ in executions] == [slow]
         assert {c.execution.group_key() for c in candidates} == {"timeout"}
 
@@ -671,12 +679,17 @@ class TestRunBenchmark:
         assert replayed[0] == replayed[1]
 
 
-def _sweep_script():
+def _sweep_script(linker_models=None):
+    """Every slot answers with the reference; linker calls are allowed only
+    when linker_models is a list, which collects their models."""
     gold_by_question = {q["question"]: q["gold"] for q in TOY_BENCH}
     generation_system = load_generation_system_prompt()
     question_re = re.compile(r"Question: (.*)")
 
     def script(request):
+        if linker_models is not None and request.messages[0]["content"] != generation_system:
+            linker_models.append(request.model)
+            return TOY_LINKER_JSON
         assert request.messages[0]["content"] == generation_system
         question = question_re.search(request.messages[-1]["content"]).group(1)
         return sql_block(gold_by_question[question])
@@ -700,6 +713,23 @@ class TestSweep:
         assert results[0].labels[0] in (
             "compact_tagged+no_filtering", "ddl+no_filtering"
         )
+
+    def test_slate_without_a_linker_links_with_the_default(self, toy_dataset):
+        # no slot of this slate filters, so it names no linker model
+        config = dataclasses.replace(
+            PipelineConfig.default(),
+            specs=[CandidateSpec(RepresentationFormat.DDL, FilterLevel.NO_FILTERING)],
+        )
+        linker_models = []
+        results = sweep(
+            config, load_dataset(toy_dataset, limit=2),
+            ScriptedBackend(_sweep_script(linker_models)),
+            formats=[RepresentationFormat.COMPACT_TAGGED, RepresentationFormat.DDL],
+            levels=[FilterLevel.NO_FILTERING, FilterLevel.FULL_FILTERING], n=1,
+        )
+        assert {r.ex for r in results} == {1.0}
+        # one linker run per format and item
+        assert linker_models == [DEFAULT_LINKER_PRIMARY] * 4
 
     def test_reference_failures_skipped(self, toy_dataset, caplog):
         items = load_dataset(toy_dataset, limit=1)
