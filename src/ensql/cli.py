@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -31,7 +30,6 @@ from .gateway import (
     RecordingChatBackend,
     ReplayChatBackend,
 )
-from .generation import FewShotStore
 from .harness import (
     BenchmarkItem,
     DatasetError,
@@ -95,21 +93,19 @@ def _resolve_backend(args: argparse.Namespace) -> ChatBackend:
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
+    """The --config file (else the default), with the command's overriding flags."""
     if getattr(args, "config", None):
-        return PipelineConfig.load(args.config)
-    return PipelineConfig.default()
-
-
-def _load_store(args: argparse.Namespace, config: PipelineConfig) -> FewShotStore | None:
-    path = getattr(args, "fewshot_store", None) or config.fewshot_store_path
-    return FewShotStore.load(path) if path else None
-
-
-def _load_descriptions(args: argparse.Namespace, config: PipelineConfig) -> dict | None:
-    path = getattr(args, "descriptions", None) or config.descriptions_path
-    if not path:
-        return None
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+        config = PipelineConfig.load(args.config)
+    else:
+        config = PipelineConfig.default()
+    overrides = {
+        "fewshot_store_path": getattr(args, "fewshot_store", None),
+        "descriptions_path": getattr(args, "descriptions", None),
+        "sample_k": getattr(args, "sample_k", None),
+    }
+    return dataclasses.replace(
+        config, **{key: value for key, value in overrides.items() if value is not None}
+    )
 
 
 def _price_table(config: PipelineConfig) -> PriceTable:
@@ -129,8 +125,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             config,
             items,
             backend,
-            fewshot_store=_load_store(args, config),
-            descriptions=_load_descriptions(args, config),
             out_path=args.out,
             workers=args.workers,
             record_timing=not args.replay,
@@ -153,11 +147,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
         db_path=args.db,
     )
     with _resolve_backend(args) as backend, PipelineRunner(
-        config,
-        backend,
-        fewshot_store=_load_store(args, config),
-        descriptions=_load_descriptions(args, config),
-        record_timing=not args.replay,
+        config, backend, record_timing=not args.replay
     ) as runner:
         record = runner.run_item(item)
     outcome = record.selection
@@ -232,12 +222,12 @@ def cmd_build_fewshot_store(args: argparse.Namespace) -> int:
         embedder = HttpEmbeddingBackend(args.embedding_model, _live_backend())
     else:
         embedder = HashEmbeddingBackend()
-    config = _load_config(args)
-    if args.sample_k is not None:
-        config = dataclasses.replace(config, sample_k=args.sample_k)
-    store = build_fewshot_store(
-        items, embedder, RepresentationFormat.parse(args.format), config
-    )
+    # the store being built is this command's output, never its input
+    config = dataclasses.replace(_load_config(args), fewshot_store_path=None)
+    with PipelineRunner(config, ChatBackend()) as runner:
+        store = build_fewshot_store(
+            runner, items, embedder, RepresentationFormat.parse(args.format)
+        )
     store.save(args.out)
     print(f"wrote {len(store)} examples to {args.out}")
     return 0
@@ -261,7 +251,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cap=args.max_combos,
             subset_fraction=args.subset,
             seed=args.seed,
-            fewshot_store=_load_store(args, config),
         )
     shown = results[: args.top] if args.top else results
     print(f"{len(results)} combinations of size {args.n}; top {len(shown)}:")
@@ -301,8 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="pipeline config JSON")
     p_run.add_argument("--out", help="write one JSON record per question to this file")
     p_run.add_argument("--workers", type=int, help="parallel questions (default from config)")
-    p_run.add_argument("--fewshot-store", help="retrieval store built by build-fewshot-store")
-    p_run.add_argument("--descriptions", help="JSON of column descriptions per database")
+    p_run.add_argument("--fewshot-store", help="retrieval store built by build-fewshot-store "
+                       "(overrides the config's fewshot_store_path)")
+    p_run.add_argument("--descriptions", help="JSON of column descriptions per database "
+                       "(overrides the config's descriptions_path)")
     p_run.set_defaults(func=cmd_run)
 
     p_ask = sub.add_parser("ask", help="answer one question against one database")
@@ -339,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_store.add_argument("--out", required=True, help="store file to write")
     p_store.add_argument("--format", default="compact_tagged",
                          help="schema format stored with each example")
-    p_store.add_argument("--config", help="pipeline config JSON: its sample_k and "
-                         "category_threshold shape the stored schema texts")
+    p_store.add_argument("--config", help="pipeline config JSON: its sample_k, "
+                         "category_threshold and descriptions_path shape the stored "
+                         "schema texts")
     p_store.add_argument("--sample-k", type=int,
                          help="value examples per column (default from config)")
     p_store.add_argument("--embedding-model",

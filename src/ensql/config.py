@@ -51,7 +51,6 @@ class PipelineConfig:
     price_table_path: str | None = None
     fewshot_store_path: str | None = None
     descriptions_path: str | None = None
-    embedding_model: str | None = None  # None uses offline hash embeddings
 
     @classmethod
     def default(cls) -> "PipelineConfig":
@@ -101,7 +100,6 @@ class PipelineConfig:
                 "price_table_path",
                 "fewshot_store_path",
                 "descriptions_path",
-                "embedding_model",
             ):
                 if key in doc:
                     setattr(config, key, doc[key])

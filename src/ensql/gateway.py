@@ -322,9 +322,9 @@ class HashEmbeddingBackend(EmbeddingBackend):
 class HttpEmbeddingBackend(EmbeddingBackend):
     """Live embeddings through the OpenAI-style /embeddings endpoint."""
 
-    def __init__(self, model: str, http: HttpChatBackend | None = None, **http_kwargs):
+    def __init__(self, model: str, http: HttpChatBackend):
         self.model = model
-        self._http = http or HttpChatBackend(**http_kwargs)
+        self._http = http
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
@@ -494,17 +494,18 @@ class LlmGateway:
     submit() hands a task to the throttle's pool.  Gateways that share one
     throttle share its cap and pool but keep their own ledgers; without a
     throttle, the gateway gets a private CallThrottle() at its default cap.
+    Questions embed offline, to embedding_backend.dim entries.
     """
+
+    embedding_backend = HashEmbeddingBackend()
 
     def __init__(
         self,
         chat_backend: ChatBackend,
-        embedding_backend: EmbeddingBackend | None = None,
         ledger: CostLedger | None = None,
         throttle: CallThrottle | None = None,
     ):
         self.chat_backend = chat_backend
-        self.embedding_backend = embedding_backend or HashEmbeddingBackend()
         self.ledger = ledger or CostLedger()
         self.throttle = throttle or CallThrottle()
 

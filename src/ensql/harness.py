@@ -25,16 +25,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .catalog import FilterLevel, SchemaCatalog, introspect
-from .config import PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .formats import RepresentationFormat, render
 from .gateway import (
     CallThrottle,
     ChatBackend,
     ChatRequest,
     CostLedger,
-    EmbeddingBackend,
     GatewayError,
-    HashEmbeddingBackend,
     LLM_STAGES,
     LlmGateway,
     PriceTable,
@@ -181,20 +179,6 @@ def load_dataset(
     if skipped:
         log.warning("%s: skipped %d malformed records", data_file.name, skipped)
     return items
-
-
-def introspect_for(
-    config: PipelineConfig,
-    db_path: str | Path,
-    descriptions: Mapping[str, Mapping[str, str]] | None = None,
-) -> SchemaCatalog:
-    """The database's catalog, with the config's value samples and categories."""
-    return introspect(
-        db_path,
-        sample_k=config.sample_k,
-        category_threshold=config.category_threshold,
-        descriptions=descriptions,
-    )
 
 
 def matches(result: ExecutionResult, gold: ExecutionResult) -> bool:
@@ -432,8 +416,10 @@ def read_records(path: str | Path) -> list[RunRecord]:
 class PipelineRunner:
     """Executes the full pipeline for single questions.
 
-    Catalogs are introspected once per database path and cached, and each
-    catalog memoises its rendered schema texts, so the full schema is
+    Every command's run inputs come from the config: at construction the
+    runner loads config.fewshot_store_path and config.descriptions_path, and
+    catalog_for, the only catalog cache, introspects each database path once.
+    Each catalog memoises its rendered schema texts, so the full schema is
     rendered once per database and format for the runner's life.  The runner
     owns one CallThrottle for the whole run: config.max_in_flight caps the
     model calls in flight across every question it serves, however many
@@ -456,17 +442,23 @@ class PipelineRunner:
         self,
         config: PipelineConfig,
         chat_backend: ChatBackend,
-        embedding_backend: EmbeddingBackend | None = None,
-        fewshot_store: FewShotStore | None = None,
-        descriptions: Mapping[str, Mapping[str, Mapping[str, str]]] | None = None,
         record_timing: bool = True,
     ):
         self.config = config
         self.chat_backend = chat_backend
-        self.embedding_backend = embedding_backend or HashEmbeddingBackend()
-        self.fewshot_store = fewshot_store
-        self.descriptions = descriptions or {}
         self.record_timing = record_timing
+        store_path = config.fewshot_store_path
+        self.fewshot_store = FewShotStore.load(store_path) if store_path else None
+        width = self.fewshot_store.embeddings.shape[1] if self.fewshot_store else None
+        if width not in (None, LlmGateway.embedding_backend.dim):
+            raise ConfigError(
+                f"few-shot store {store_path} holds {width}-dim embeddings, but questions "
+                f"embed to {LlmGateway.embedding_backend.dim} dims, so it cannot be queried"
+            )
+        self.descriptions: dict[str, Mapping[str, Mapping[str, str]]] = (
+            json.loads(Path(config.descriptions_path).read_text(encoding="utf-8"))
+            if config.descriptions_path else {}
+        )
         self.throttle = CallThrottle(config.max_in_flight)
         self._catalogs: dict[str, SchemaCatalog] = {}
         self._catalog_lock = threading.Lock()
@@ -482,12 +474,7 @@ class PipelineRunner:
 
     def gateway(self) -> LlmGateway:
         """A fresh gateway and ledger around the runner's throttle."""
-        return LlmGateway(
-            chat_backend=self.chat_backend,
-            embedding_backend=self.embedding_backend,
-            ledger=CostLedger(),
-            throttle=self.throttle,
-        )
+        return LlmGateway(self.chat_backend, ledger=CostLedger(), throttle=self.throttle)
 
     def catalog_for(self, db_id: str, db_path: str) -> SchemaCatalog:
         """The database's catalog, introspected once per path.
@@ -500,7 +487,12 @@ class PipelineRunner:
             cached = self._catalogs.get(db_path)
         if cached is not None:
             return cached
-        catalog = introspect_for(self.config, db_path, self.descriptions.get(db_id))
+        catalog = introspect(
+            db_path,
+            sample_k=self.config.sample_k,
+            category_threshold=self.config.category_threshold,
+            descriptions=self.descriptions.get(db_id),
+        )
         with self._catalog_lock:
             return self._catalogs.setdefault(db_path, catalog)
 
@@ -798,9 +790,6 @@ def run_benchmark(
     items: Sequence[BenchmarkItem],
     chat_backend: ChatBackend,
     *,
-    embedding_backend: EmbeddingBackend | None = None,
-    fewshot_store: FewShotStore | None = None,
-    descriptions: Mapping[str, Mapping[str, Mapping[str, str]]] | None = None,
     out_path: str | Path | None = None,
     workers: int | None = None,
     record_timing: bool = True,
@@ -809,20 +798,14 @@ def run_benchmark(
 ) -> tuple[list[RunRecord], Report]:
     """Run the pipeline over a dataset with a worker pool.
 
-    workers questions are in flight at once, and config.max_in_flight caps
-    the model calls in flight across all of them.  Records stream to
+    The PipelineRunner it builds loads the few-shot store and descriptions
+    the config names.  workers questions are in flight at once, and
+    config.max_in_flight caps the model calls in flight across all of them.  Records stream to
     out_path as JSONL in dataset order regardless of completion order.  A
     question that raises is recorded as an errored record; the run never
     aborts on per-item failures.
     """
-    runner = PipelineRunner(
-        config,
-        chat_backend,
-        embedding_backend=embedding_backend,
-        fewshot_store=fewshot_store,
-        descriptions=descriptions,
-        record_timing=record_timing,
-    )
+    runner = PipelineRunner(config, chat_backend, record_timing=record_timing)
     pool_size = max(1, workers if workers is not None else config.workers)
     results: list[RunRecord | None] = [None] * len(items)
     out_fh = open(out_path, "w", encoding="utf-8") if out_path is not None else None
@@ -1032,8 +1015,6 @@ def sweep(
     cap: int = DEFAULT_COMBO_CAP,
     subset_fraction: float | None = None,
     seed: int = 0,
-    fewshot_store: FewShotStore | None = None,
-    embedding_backend: EmbeddingBackend | None = None,
 ) -> list[ComboResult]:
     """Evaluate every size-n multiset of (format, level) under regular voting.
 
@@ -1062,10 +1043,7 @@ def sweep(
 
     per_item: list[list[tuple[str, bool]]] = []
     skipped = 0
-    with PipelineRunner(
-        config, chat_backend, embedding_backend=embedding_backend,
-        fewshot_store=fewshot_store,
-    ) as runner:
+    with PipelineRunner(config, chat_backend) as runner:
         for item in chosen_items:
             executions: dict[str, ExecutionResult] = {}
             try:
@@ -1088,30 +1066,26 @@ def sweep(
 
 
 def build_fewshot_store(
+    runner: PipelineRunner,
     items: Sequence[BenchmarkItem],
     embedder,
     fmt: RepresentationFormat = RepresentationFormat.COMPACT_TAGGED,
-    config: PipelineConfig | None = None,
     batch_size: int = 64,
 ) -> FewShotStore:
     """Embed dataset questions into a retrieval store of solved examples.
 
-    embedder is anything with embed(texts) -> unit vectors.  Each database
-    path is introspected once, as a runner with the same config (default:
-    PipelineConfig.default()) introspects it, without descriptions, and its
-    schema text rendered once in the given format.
+    embedder is anything with embed(texts) -> unit vectors.  Schema texts
+    are the runner's catalogs rendered in the given format, so they carry
+    its config's value samples, category lists and descriptions, and each
+    database is introspected and rendered once.  The runner makes no model
+    call here.
     """
-    config = config or PipelineConfig.default()
-    catalogs: dict[str, SchemaCatalog] = {}
-    for item in items:
-        if item.db_path not in catalogs:
-            catalogs[item.db_path] = introspect_for(config, item.db_path)
     examples = [
         FewShotExample(
             question=item.question,
             sql=item.gold_sql,
             db_id=item.db_id,
-            schema_text=render(catalogs[item.db_path], fmt),
+            schema_text=render(runner.catalog_for(item.db_id, item.db_path), fmt),
         )
         for item in items
     ]

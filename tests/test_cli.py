@@ -1,13 +1,15 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ensql import cli
 from ensql.catalog import introspect
 from ensql.cli import main
 from ensql.formats import RepresentationFormat, render
 from ensql.gateway import RecordingChatBackend
-from ensql.generation import FewShotStore
+from ensql.generation import FewShotExample, FewShotStore, load_generation_system_prompt
 from ensql.harness import load_dataset, read_records, run_benchmark
 from ensql.config import PipelineConfig
 
@@ -30,6 +32,28 @@ def cli_env(tmp_path_factory):
         "fixture": str(fixture),
         "db": str(dataset / "dev_databases" / "toy_shop" / "toy_shop.sqlite"),
     }
+
+
+@pytest.fixture(scope="module")
+def described_env(cli_env, tmp_path_factory):
+    """A config naming column descriptions, and a fixture that run recorded with it.
+
+    The scripted model stands in for --live, so the recording goes through
+    the command's own input loading.
+    """
+    root = tmp_path_factory.mktemp("described")
+    descriptions = root / "descriptions.json"
+    descriptions.write_text(
+        json.dumps({"toy_shop": {"users": {"name": "customer full name"}}}), encoding="utf-8"
+    )
+    config = root / "config.json"
+    config.write_text(json.dumps({"descriptions_path": str(descriptions)}), encoding="utf-8")
+    fixture = root / "fixture.jsonl"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_live_backend", lambda: ScriptedBackend(ToyScript()))
+        assert main(["run", "--dataset", cli_env["dataset"], "--live", "--workers", "1",
+                     "--config", str(config), "--record", str(fixture)]) == 0
+    return {"config": str(config), "fixture": str(fixture)}
 
 
 class TestArgumentErrors:
@@ -164,6 +188,16 @@ class TestLinkEval:
         assert f"questions scored: {len(TOY_BENCH)} (skipped 0)" in stdout
         assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
 
+    def test_replays_a_run_fixture_recorded_with_descriptions(self, cli_env, described_env,
+                                                              capsys, caplog):
+        with caplog.at_level("WARNING"):
+            rc = main(["link-eval", "--dataset", cli_env["dataset"],
+                       "--config", described_env["config"],
+                       "--replay", described_env["fixture"],
+                       "--format", "commented_tuples", "--model", "gpt-4o"])
+        assert rc == 0
+        assert f"questions scored: {len(TOY_BENCH)} (skipped 0)" in capsys.readouterr().out
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
 
     def test_replay_miss_fails_loudly(self, cli_env, capsys):
         # run never asked the default linker (gpt-4o) about the DDL schema
@@ -239,6 +273,18 @@ class TestBuildFewshotStore:
             "compact_tagged", "--config", str(config), "--sample-k", "3")
         capsys.readouterr()
 
+    def test_config_may_name_the_store_being_built(self, cli_env, tmp_path, capsys):
+        # the old store at --out has a width no query matches; building over it
+        # must not load it
+        out = tmp_path / "store.jsonl"
+        FewShotStore([FewShotExample("q", "SELECT 1", "toy_shop", "")], np.eye(1, 3)).save(out)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fewshot_store_path": str(out)}), encoding="utf-8")
+        assert main(["build-fewshot-store", "--dataset", cli_env["dataset"], "--limit", "2",
+                     "--config", str(config), "--out", str(out)]) == 0
+        assert "wrote 2 examples" in capsys.readouterr().out
+        assert FewShotStore.load(out).embeddings.shape == (2, 64)
+
     def test_embedding_model_requires_live(self, cli_env, tmp_path, capsys):
         rc = main(["build-fewshot-store", "--dataset", cli_env["dataset"],
                    "--out", str(tmp_path / "s.jsonl"),
@@ -271,3 +317,56 @@ class TestSweep:
         assert rc == 0
         assert "6 combinations of size 2" in capsys.readouterr().out
         assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
+
+    def test_replays_a_run_fixture_recorded_with_descriptions(self, cli_env, described_env,
+                                                              capsys, caplog):
+        with caplog.at_level("WARNING"):
+            rc = main(["sweep", "--dataset", cli_env["dataset"],
+                       "--config", described_env["config"],
+                       "--replay", described_env["fixture"],
+                       "--formats", "commented_tuples", "--levels", "none,full_filtering"])
+        assert rc == 0
+        assert "6 combinations of size 5" in capsys.readouterr().out
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
+
+
+class TestFewShotStorePlumbing:
+    @pytest.fixture()
+    def store(self, cli_env, tmp_path, capsys):
+        out = tmp_path / "store.jsonl"
+        assert main(["build-fewshot-store", "--dataset", cli_env["dataset"],
+                     "--limit", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        return out
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_store_examples_reach_every_generation_prompt(self, cli_env, store, via, tmp_path,
+                                                          monkeypatch, capsys):
+        backend = ScriptedBackend(ToyScript())
+        monkeypatch.setattr(cli, "_live_backend", lambda: backend)
+        if via == "flag":
+            source = ["--fewshot-store", str(store)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"fewshot_store_path": str(store)}), encoding="utf-8")
+            source = ["--config", str(config)]
+        assert main(["run", "--dataset", cli_env["dataset"], "--limit", "2", "--live",
+                     *source]) == 0
+        capsys.readouterr()
+        # fewshot_k is 3, so each prompt shows the whole three-example store
+        shots = {f"```sql\n{example.sql}\n```" for example in FewShotStore.load(store).examples}
+        system = load_generation_system_prompt()
+        prompts = [r.messages for r in backend.requests if r.messages[0]["content"] == system]
+        assert len(prompts) == 2 * 5
+        for messages in prompts:
+            assert {m["content"] for m in messages if m["role"] == "assistant"} == shots
+
+    def test_store_of_another_width_is_refused(self, cli_env, tmp_path, capsys):
+        wide = tmp_path / "wide.jsonl"
+        FewShotStore([FewShotExample("q", "SELECT 1", "toy_shop", "")],
+                     np.eye(1, 1536)).save(wide)
+        rc = main(["run", "--dataset", cli_env["dataset"], "--replay", cli_env["fixture"],
+                   "--fewshot-store", str(wide)])
+        assert rc == 1
+        assert (f"error: few-shot store {wide} holds 1536-dim embeddings, but questions "
+                "embed to 64 dims" in capsys.readouterr().err)

@@ -796,7 +796,10 @@ class TestSweep:
 class TestBuildFewshotStore:
     def test_store_from_items(self, toy_dataset):
         items = load_dataset(toy_dataset, limit=3)
-        store = build_fewshot_store(items, HashEmbeddingBackend())
+        backend = ScriptedBackend(ToyScript())
+        with PipelineRunner(PipelineConfig.default(), backend) as runner:
+            store = build_fewshot_store(runner, items, HashEmbeddingBackend())
+        assert backend.requests == []
         assert len(store) == 3
         assert store.embeddings.shape == (3, 64)
         assert store.examples[0].question == TOY_BENCH[0]["question"]
@@ -809,10 +812,27 @@ class TestBuildFewshotStore:
         items = load_dataset(toy_dataset, limit=1)
         fmt = RepresentationFormat.COMMENTED_TUPLES
         config = dataclasses.replace(PipelineConfig.default(), category_threshold=3)
-        store = build_fewshot_store(items, HashEmbeddingBackend(), fmt, config)
         with PipelineRunner(config, ScriptedBackend(ToyScript())) as runner:
+            store = build_fewshot_store(runner, items, HashEmbeddingBackend(), fmt)
             expected = render(runner.catalog_for(items[0].db_id, items[0].db_path), fmt)
         assert store.examples[0].schema_text == expected
         assert "'Alice'" not in expected
-        default = build_fewshot_store(items, HashEmbeddingBackend(), fmt)
+        with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+            default = build_fewshot_store(runner, items, HashEmbeddingBackend(), fmt)
         assert "Value examples: ['Alice', 'Bob', 'Cara', 'Dan']" in default.examples[0].schema_text
+
+    def test_schema_texts_carry_the_config_descriptions(self, toy_dataset, tmp_path):
+        descriptions = tmp_path / "descriptions.json"
+        descriptions.write_text(
+            json.dumps({"toy_shop": {"users": {"name": "customer full name"}}}),
+            encoding="utf-8",
+        )
+        config = dataclasses.replace(
+            PipelineConfig.default(), descriptions_path=str(descriptions)
+        )
+        items = load_dataset(toy_dataset, limit=1)
+        with PipelineRunner(config, ScriptedBackend(ToyScript())) as runner:
+            store = build_fewshot_store(
+                runner, items, HashEmbeddingBackend(), RepresentationFormat.COMMENTED_TUPLES
+            )
+        assert "customer full name" in store.examples[0].schema_text
