@@ -19,7 +19,7 @@ from pathlib import Path
 from .catalog import FilterLevel
 from .formats import RepresentationFormat
 from .generation import CandidateSpec
-from .selection import DEFAULT_ESCALATION_RULES, MissingPolicyError, confidence_policy
+from .selection import DEFAULT_ESCALATION_RULES
 
 DEFAULT_GENERATOR_MODEL = "gemini-1.5-flash"
 DEFAULT_JUDGE_MODEL = "gemini-1.5-flash"
@@ -160,10 +160,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"no confidence rules for {n} candidates; add a confidence_rules entry"
             )
-        try:
-            confidence_policy([n], n, self.confidence_rules)
-        except MissingPolicyError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def default_linker(self) -> str:
         """The first linker model of the slate, else DEFAULT_LINKER_PRIMARY."""

@@ -69,16 +69,6 @@ class TokenUsage:
     input_tokens: int = 0
     output_tokens: int = 0
 
-    def __add__(self, other: "TokenUsage") -> "TokenUsage":
-        return TokenUsage(
-            self.input_tokens + other.input_tokens,
-            self.output_tokens + other.output_tokens,
-        )
-
-    @property
-    def total_tokens(self) -> int:
-        return self.input_tokens + self.output_tokens
-
 
 @dataclass(frozen=True)
 class ChatRequest:
@@ -518,10 +508,10 @@ class LlmGateway:
         self.ledger.record(request.model, stage, response.usage)
         return response
 
-    def embed(self, texts: Sequence[str], stage: str = STAGE_EMBEDDING) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
             return []
         with self.throttle.semaphore:
             vectors = self.embedding_backend.embed(texts)
-        self.ledger.record("embedding", stage, TokenUsage(), calls=len(texts))
+        self.ledger.record("embedding", STAGE_EMBEDDING, TokenUsage(), calls=len(texts))
         return vectors

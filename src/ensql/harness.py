@@ -947,6 +947,18 @@ class ComboResult:
     ex: float
 
 
+def _check_combinations(pool_size: int, n: int, cap: int) -> None:
+    """Refuse a combination size below 1 or more than cap multisets."""
+    if n < 1:
+        raise SweepError("combination size must be at least 1")
+    total = math.comb(pool_size + n - 1, n)
+    if total > cap:
+        raise SweepError(
+            f"{total} combinations of {pool_size} pool entries exceed the cap of "
+            f"{cap}; raise the cap explicitly to run this sweep"
+        )
+
+
 def rank_combinations(
     per_item: Sequence[Sequence[tuple[str, bool]]],
     n: int,
@@ -966,14 +978,7 @@ def rank_combinations(
     pool_size = len(per_item[0])
     if any(len(row) != pool_size for row in per_item):
         raise SweepError("per-item results are ragged")
-    if n < 1:
-        raise SweepError("combination size must be at least 1")
-    total = math.comb(pool_size + n - 1, n)
-    if total > cap:
-        raise SweepError(
-            f"{total} combinations of {pool_size} pool entries exceed the cap of "
-            f"{cap}; raise the cap explicitly to run this sweep"
-        )
+    _check_combinations(pool_size, n, cap)
     results = []
     for combo in itertools.combinations_with_replacement(range(pool_size), n):
         correct = 0
@@ -1020,13 +1025,15 @@ def sweep(
 
     Runs run's candidate stage with the pool as its slate (the filtering
     entries of a format share one linker run), so its requests are run's,
-    then scores all combinations offline.  Items whose reference query
-    fails are skipped before any model call.  subset_fraction with seed
-    draws a deterministic random subset of items first.
+    then scores all combinations offline.  A combination size below 1 or
+    over cap is refused, and items whose reference query fails are skipped,
+    before any model call.  subset_fraction with seed draws a deterministic
+    random subset of items first.
     """
     pool = [(fmt, level) for fmt in formats for level in levels]
     if not pool:
         raise SweepError("sweep needs at least one format and one level")
+    _check_combinations(len(pool), n, cap)
     labels = [f"{fmt.value}+{level.value}" for fmt, level in pool]
     # the filtering entries of a format share one linker model, so one run
     link_model = linker_model or config.default_linker()

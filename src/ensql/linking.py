@@ -5,12 +5,11 @@ of table name -> relevant column names.  That prediction drives catalog
 filtering (see catalog.apply_filter) and is scored against gold linkings
 derived from reference SQL.
 
-Gold derivation uses a small purpose-built SQLite identifier resolver: it
-tokenizes the query, maps FROM/JOIN items to catalog tables (tracking
-aliases, CTEs, and subquery aliases), then resolves qualified names, bare
-columns by unique ownership, and * expansion over the referenced tables.
-Queries it cannot resolve raise so callers can exclude them explicitly
-rather than silently mis-score.
+Gold derivation leaves name resolution to SQLite: the reference query is
+compiled, never run, against an empty in-memory copy of the schema, and the
+compiled program's opened tables and the authorizer's column reads are the
+gold linking.  Queries SQLite rejects, or that do anything but read, raise
+so callers can exclude them explicitly rather than silently mis-score.
 """
 from __future__ import annotations
 
@@ -18,11 +17,13 @@ import functools
 import json
 import logging
 import re
+import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .catalog import SchemaCatalog
+from .catalog import SchemaCatalog, _quote_ident
+from .selection import _READ_ONLY_ACTIONS
 
 log = logging.getLogger(__name__)
 
@@ -51,7 +52,7 @@ class MalformedMapping(LinkingParseError):
 
 
 class LinkingResolutionError(Exception):
-    """Reference SQL contains an identifier the resolver cannot place."""
+    """Reference SQL that SQLite cannot compile as one read-only query."""
 
 
 @dataclass
@@ -209,11 +210,10 @@ def _as_sets(entry: object) -> tuple[set[str], set[tuple[str, str]]]:
     if isinstance(entry, LinkingPrediction):
         return entry.tables(), entry.columns()
     if isinstance(entry, Mapping):
-        return LinkingPrediction(
+        prediction = LinkingPrediction(
             {str(t): [str(c) for c in cols] for t, cols in entry.items()}
-        ).tables(), LinkingPrediction(
-            {str(t): [str(c) for c in cols] for t, cols in entry.items()}
-        ).columns()
+        )
+        return prediction.tables(), prediction.columns()
     raise TypeError(f"cannot score {type(entry).__name__} as a linking")
 
 
@@ -248,352 +248,71 @@ def linking_metrics(
 
 # -- gold linking derivation ---------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<space>\s+)
-    | (?P<line_comment>--[^\n]*)
-    | (?P<block_comment>/\*.*?\*/)
-    | (?P<string>'(?:[^']|'')*')
-    | (?P<dquote>"(?:[^"]|"")*")
-    | (?P<backtick>`(?:[^`]|``)*`)
-    | (?P<bracket>\[[^\]]*\])
-    | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+)
-    | (?P<word>[A-Za-z_][A-Za-z_0-9$]*)
-    | (?P<op><>|<=|>=|==|!=|\|\||[*.,()=<>+\-/%;?:|&~])
-    """,
-    re.VERBOSE | re.DOTALL,
+# a join's USING list: SQLite compares those columns without consulting the
+# authorizer, so their names are read from the query text.  Comments and
+# quoted text are matched whole, so a USING inside them is skipped.
+_USING_RE = re.compile(
+    r"""--[^\n]*|/\*.*?\*/|'(?:[^']|'')*'|"(?:[^"]|"")*"|\busing\s*\(([^)]*)\)""",
+    re.IGNORECASE | re.DOTALL,
 )
-
-_KEYWORDS = frozenset(
-    """
-    abort action add after all alter analyze and as asc attach autoincrement
-    before begin between by cascade case cast check collate column commit
-    conflict constraint create cross current current_date current_time
-    current_timestamp database default deferrable deferred delete desc detach
-    distinct do drop each else end escape except exclude exclusive exists
-    explain fail false filter first following for foreign from full glob group
-    groups having if ignore immediate in index indexed initially inner insert
-    instead intersect into is isnull join key last left like limit match
-    materialized natural no not nothing notnull null nulls of offset on or
-    order others outer over partition plan pragma preceding primary query
-    raise range recursive references regexp reindex release rename replace
-    restrict returning right rollback row rows savepoint select set table
-    temp temporary then ties to transaction trigger true unbounded union
-    unique update using vacuum values view virtual when where window with
-    without
-    """.split()
-)
-
-_IMPLICIT_COLUMNS = frozenset({"rowid", "oid", "_rowid_"})
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident, string, number, punct
-    text: str  # identifier text with quoting removed
-    quoted: bool = False
-
-    @property
-    def norm(self) -> str:
-        return self.text.lower()
-
-    def is_keyword(self) -> bool:
-        return self.kind == "ident" and not self.quoted and self.norm in _KEYWORDS
-
-
-def _tokenize(sql: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(sql):
-        match = _TOKEN_RE.match(sql, pos)
-        if match is None:
-            raise LinkingResolutionError(
-                f"cannot tokenize SQL at offset {pos}: {sql[pos:pos + 20]!r}"
-            )
-        pos = match.end()
-        kind = match.lastgroup
-        text = match.group()
-        if kind in ("space", "line_comment", "block_comment"):
-            continue
-        if kind == "string":
-            tokens.append(_Token("string", text[1:-1].replace("''", "'")))
-        elif kind == "dquote":
-            tokens.append(_Token("ident", text[1:-1].replace('""', '"'), quoted=True))
-        elif kind == "backtick":
-            tokens.append(_Token("ident", text[1:-1].replace("``", "`"), quoted=True))
-        elif kind == "bracket":
-            tokens.append(_Token("ident", text[1:-1], quoted=True))
-        elif kind == "number":
-            tokens.append(_Token("number", text))
-        elif kind == "word":
-            tokens.append(_Token("ident", text))
-        else:
-            tokens.append(_Token("punct", text))
-    return tokens
-
-
-def _skip_parens(tokens: Sequence[_Token], i: int) -> int:
-    """Given i at '(', return the index just past the matching ')'."""
-    depth = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.kind == "punct" and tok.text == "(":
-            depth += 1
-        elif tok.kind == "punct" and tok.text == ")":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-        i += 1
-    raise LinkingResolutionError("unbalanced parentheses in SQL")
-
-
-def _collect_cte_names(tokens: Sequence[_Token]) -> set[str]:
-    names: set[str] = set()
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.is_keyword() and tok.norm == "with":
-            i += 1
-            if i < len(tokens) and tokens[i].is_keyword() and tokens[i].norm == "recursive":
-                i += 1
-            while i < len(tokens) and tokens[i].kind == "ident" and not tokens[i].is_keyword():
-                names.add(tokens[i].norm)
-                i += 1
-                if i < len(tokens) and tokens[i].kind == "punct" and tokens[i].text == "(":
-                    i = _skip_parens(tokens, i)  # optional column list
-                if i < len(tokens) and tokens[i].is_keyword() and tokens[i].norm == "as":
-                    i += 1
-                    if i < len(tokens) and tokens[i].is_keyword() and tokens[i].norm == "materialized":
-                        i += 1
-                    if i < len(tokens) and tokens[i].kind == "punct" and tokens[i].text == "(":
-                        i = _skip_parens(tokens, i)
-                if i < len(tokens) and tokens[i].kind == "punct" and tokens[i].text == ",":
-                    i += 1
-                    continue
-                break
-        else:
-            i += 1
-    return names
-
-
-def _is_plain_ident(tok: _Token) -> bool:
-    return tok.kind == "ident" and not tok.is_keyword()
-
-
-def _collect_table_refs(
-    tokens: Sequence[_Token], catalog: SchemaCatalog, cte_names: set[str]
-) -> tuple[dict[str, str], dict[str, str], set[str]]:
-    """Find base-table references and aliases after FROM/JOIN keywords.
-
-    Returns (referenced tables by lowercase name -> canonical name,
-    alias -> canonical table name, opaque alias names).  Opaque names cover
-    CTEs and subquery aliases: qualified references through them are
-    ignored rather than resolved.
-    """
-    refs: dict[str, str] = {}
-    aliases: dict[str, str] = {}
-    opaque: set[str] = set(cte_names)
-
-    def parse_item(i: int) -> int:
-        if i >= len(tokens):
-            return i
-        tok = tokens[i]
-        if tok.kind == "punct" and tok.text == "(":
-            i = _skip_parens(tokens, i)
-            return parse_alias(i, None)
-        if not _is_plain_ident(tok):
-            return i
-        name = tok
-        i += 1
-        # attached-database qualification: db.table
-        if (
-            i + 1 < len(tokens)
-            and tokens[i].kind == "punct"
-            and tokens[i].text == "."
-            and _is_plain_ident(tokens[i + 1])
-        ):
-            name = tokens[i + 1]
-            i += 2
-        if name.norm in cte_names:
-            return parse_alias(i, None)
-        table = catalog.table(name.text)
-        if table is None:
-            raise LinkingResolutionError(
-                f"unknown table {name.text!r} in reference SQL for {catalog.db_id}"
-            )
-        refs[table.name.lower()] = table.name
-        aliases[table.name.lower()] = table.name
-        return parse_alias(i, table.name)
-
-    def parse_alias(i: int, table_name: str | None) -> int:
-        alias: _Token | None = None
-        if i < len(tokens) and tokens[i].is_keyword() and tokens[i].norm == "as":
-            if i + 1 < len(tokens) and _is_plain_ident(tokens[i + 1]):
-                alias = tokens[i + 1]
-                i += 2
-        elif i < len(tokens) and _is_plain_ident(tokens[i]):
-            alias = tokens[i]
-            i += 1
-        if alias is not None:
-            if table_name is None:
-                opaque.add(alias.norm)
-            else:
-                aliases[alias.norm] = table_name
-        # comma right after an item continues the FROM list
-        if i < len(tokens) and tokens[i].kind == "punct" and tokens[i].text == ",":
-            return parse_item(i + 1)
-        return i
-
-    # advance one token at a time instead of trusting parse_item's return
-    # index: a FROM item can be a parenthesized subquery whose own FROM/JOIN
-    # clauses must be scanned too.  parse_item is idempotent, so revisiting
-    # tokens it already consumed is harmless.
-    for i, tok in enumerate(tokens):
-        if tok.is_keyword() and tok.norm in ("from", "join"):
-            parse_item(i + 1)
-    return refs, aliases, opaque
 
 
 def derive_gold_linking(gold_sql: str, catalog: SchemaCatalog) -> GoldLinking:
     """Resolve the tables and columns a reference query actually touches.
 
-    Tables are the base tables named after FROM/JOIN (CTEs and subquery
-    aliases excluded).  Columns are every resolvable column reference:
-    qualified names through table aliases, bare names owned by exactly one
-    referenced table, USING join columns, and * / alias.* expansion.
-    count(*) style stars expand nothing.  Unresolvable or ambiguous
-    identifiers raise LinkingResolutionError so the caller can exclude the
-    question instead of scoring a guess.
+    SQLite resolves the names: the query is compiled as EXPLAIN against an
+    empty in-memory copy of the catalog's tables, never run.  Tables are the
+    ones the compiled program opens (CTEs and subqueries excluded); columns
+    are the catalog columns SQLite's authorizer reports as read, including
+    * / alias.* expansion, plus each USING column for every opened table
+    that has it.  count(*) style reads and the implicit rowid add no column.
+    A query SQLite rejects (unknown or ambiguous names, syntax errors), one
+    that does anything but read, or more than one statement raises
+    LinkingResolutionError so the caller can exclude the question instead
+    of scoring a guess.
     """
-    tokens = _tokenize(gold_sql)
-    cte_names = _collect_cte_names(tokens)
-    refs, aliases, opaque = _collect_table_refs(tokens, catalog, cte_names)
+    reads: set[tuple[str, str]] = set()
 
-    columns: set[tuple[str, str]] = set()
-    ignored: set[str] = set()  # output aliases: SELECT expr AS name
+    def authorize(action: int, table: str | None, column: str | None, *_details) -> int:
+        if action not in _READ_ONLY_ACTIONS:
+            return sqlite3.SQLITE_DENY
+        if action == sqlite3.SQLITE_READ and column:
+            reads.add((table, column))
+        return sqlite3.SQLITE_OK
 
-    def add_column(table_name: str, column_text: str) -> None:
-        table = catalog.table(table_name)
-        assert table is not None
-        col = table.column(column_text)
-        if col is None:
-            raise LinkingResolutionError(
-                f"column {column_text!r} not in table {table.name!r}"
-            )
-        columns.add((table.name, col.name))
+    conn = sqlite3.connect(":memory:")
+    try:
+        for table in catalog.tables:
+            column_list = ", ".join(_quote_ident(c.name) for c in table.columns)
+            conn.execute(f"CREATE TABLE {_quote_ident(table.name)} ({column_list})")
+        names_by_root = dict(
+            conn.execute("SELECT rootpage, name FROM sqlite_master WHERE type = 'table'")
+        )
+        conn.set_authorizer(authorize)
+        program = conn.execute("EXPLAIN " + gold_sql).fetchall()
+    except (sqlite3.Error, sqlite3.Warning) as exc:
+        raise LinkingResolutionError(
+            f"cannot resolve reference SQL for {catalog.db_id}: {exc}"
+        ) from exc
+    finally:
+        conn.close()
 
-    def expand_table(table_name: str) -> None:
-        table = catalog.table(table_name)
-        assert table is not None
-        for col in table.columns:
-            columns.add((table.name, col.name))
-
-    i = 0
-    n = len(tokens)
-    prev: _Token | None = None
-    while i < n:
-        tok = tokens[i]
-        nxt = tokens[i + 1] if i + 1 < n else None
-        # output alias definitions: AS name (FROM-item aliases were already
-        # captured and resolve through the alias map anyway)
-        if tok.is_keyword() and tok.norm == "as" and nxt is not None and _is_plain_ident(nxt):
-            ignored.add(nxt.norm)
-            prev = nxt
-            i += 2
-            continue
-        # collation names are not columns
-        if tok.is_keyword() and tok.norm == "collate" and nxt is not None:
-            prev = nxt
-            i += 2
-            continue
-        # USING (a, b): the named columns belong to every table that has them
-        if tok.is_keyword() and tok.norm == "using" and nxt is not None and nxt.text == "(":
-            j = i + 2
-            while j < n and not (tokens[j].kind == "punct" and tokens[j].text == ")"):
-                if _is_plain_ident(tokens[j]):
-                    for canonical in refs.values():
-                        table = catalog.table(canonical)
-                        if table is not None and table.column(tokens[j].text) is not None:
-                            columns.add((canonical, table.column(tokens[j].text).name))
-                j += 1
-            prev = tokens[j] if j < n else tok
-            i = j + 1
-            continue
-        if tok.kind == "punct" and tok.text == "*":
-            before = prev
-            if before is None or (
-                before.is_keyword() and before.norm in ("select", "distinct", "all")
-            ) or (before.kind == "punct" and before.text == ","):
-                for canonical in refs.values():
-                    expand_table(canonical)
-            prev = tok
-            i += 1
-            continue
-        if _is_plain_ident(tok) or (tok.kind == "ident" and tok.quoted):
-            # qualified reference: name.name or name.*
-            if nxt is not None and nxt.kind == "punct" and nxt.text == ".":
-                tail = tokens[i + 2] if i + 2 < n else None
-                qualifier = tok.norm
-                if tail is not None and tail.kind == "punct" and tail.text == "*":
-                    if qualifier in aliases:
-                        expand_table(aliases[qualifier])
-                    elif qualifier not in opaque:
-                        raise LinkingResolutionError(
-                            f"unknown qualifier {tok.text!r} in reference SQL"
-                        )
-                    prev = tail
-                    i += 3
-                    continue
-                if tail is not None and tail.kind == "ident":
-                    if qualifier in aliases:
-                        add_column(aliases[qualifier], tail.text)
-                    elif qualifier not in opaque:
-                        raise LinkingResolutionError(
-                            f"unknown qualifier {tok.text!r} in reference SQL"
-                        )
-                    prev = tail
-                    i += 3
-                    continue
-            if tok.is_keyword():
-                prev = tok
-                i += 1
-                continue
-            # bare identifier: skip function names, aliases, table mentions,
-            # output aliases, and implicit rowid spellings
-            if nxt is not None and nxt.kind == "punct" and nxt.text == "(" and not tok.quoted:
-                prev = tok
-                i += 1
-                continue
-            norm = tok.norm
-            if norm in ignored or norm in opaque or norm in aliases or norm in refs:
-                prev = tok
-                i += 1
-                continue
-            if norm in _IMPLICIT_COLUMNS:
-                prev = tok
-                i += 1
-                continue
-            owners = [
-                canonical
-                for canonical in refs.values()
-                if catalog.table(canonical) is not None
-                and catalog.table(canonical).column(tok.text) is not None
-            ]
-            if len(owners) == 1:
-                add_column(owners[0], tok.text)
-            elif len(owners) > 1:
-                raise LinkingResolutionError(
-                    f"ambiguous column {tok.text!r}: owned by {sorted(owners)}"
-                )
-            else:
-                raise LinkingResolutionError(
-                    f"cannot resolve identifier {tok.text!r} in reference SQL"
-                )
-            prev = tok
-            i += 1
-            continue
-        prev = tok
-        i += 1
-
-    tables = frozenset(refs.values())
-    return GoldLinking(tables=tables, columns=frozenset(columns))
+    # EXPLAIN rows: addr, opcode, p1, p2 (root page), p3 (database), ...
+    opened = {
+        names_by_root[root]
+        for _, opcode, _, root, database, *_ in program
+        if opcode == "OpenRead" and database == 0 and root in names_by_root
+    }
+    # SQLite reports the declared names, so the implicit rowid and reads of
+    # its own schema tables fall outside the catalog's columns
+    columns = reads & {(t.name, c.name) for t in catalog.tables for c in t.columns}
+    for match in _USING_RE.finditer(gold_sql):
+        if match.group(1) is None:
+            continue  # a comment or quoted text
+        for name in match.group(1).split(","):
+            name = name.strip().strip('"`[]')
+            for table_name in opened:
+                column = catalog.table(table_name).column(name)
+                if column is not None:
+                    columns.add((table_name, column.name))
+    return GoldLinking(tables=frozenset(opened), columns=frozenset(columns))

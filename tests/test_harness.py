@@ -792,6 +792,27 @@ class TestSweep:
                 n=1,
             )
 
+    @pytest.mark.parametrize("n, cap, message", [
+        pytest.param(3, 3, "4 combinations of 2 pool entries exceed the cap of 3",
+                     id="over_cap"),
+        pytest.param(0, harness.DEFAULT_COMBO_CAP, "at least 1", id="zero_size"),
+    ])
+    def test_bad_combination_request_makes_no_model_call(
+        self, toy_dataset, n, cap, message
+    ):
+        backend = ScriptedBackend(_sweep_script())
+        with pytest.raises(SweepError, match=message):
+            sweep(
+                PipelineConfig.default(),
+                load_dataset(toy_dataset, limit=3),
+                backend,
+                formats=[RepresentationFormat.COMPACT_TAGGED, RepresentationFormat.DDL],
+                levels=[FilterLevel.NO_FILTERING],
+                n=n,
+                cap=cap,
+            )
+        assert backend.requests == []
+
 
 class TestBuildFewshotStore:
     def test_store_from_items(self, toy_dataset):

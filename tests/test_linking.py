@@ -270,9 +270,72 @@ class TestGoldDerivation:
         assert got.tables == {"users"}
         assert got.columns == {("users", "name")}
 
+    @pytest.mark.parametrize("sql, tables, columns", [
+        pytest.param(
+            "SELECT name FROM users WHERE user_id IN "
+            "(SELECT user_id FROM orders WHERE quantity > 2)",
+            {"users", "orders"},
+            {("users", "name"), ("users", "user_id"),
+             ("orders", "user_id"), ("orders", "quantity")},
+            id="in_subquery_scopes_its_own_names",
+        ),
+        pytest.param(
+            "SELECT name FROM users UNION SELECT name FROM products",
+            {"users", "products"},
+            {("users", "name"), ("products", "name")},
+            id="union_arms_resolve_separately",
+        ),
+        pytest.param(
+            'SELECT email FROM users WHERE name = "Alice"',
+            {"users"},
+            {("users", "email"), ("users", "name")},
+            id="double_quoted_string_literal",
+        ),
+        pytest.param(
+            "SELECT total FROM (SELECT SUM(quantity) AS total FROM orders)",
+            {"orders"},
+            {("orders", "quantity")},
+            id="subquery_output_alias",
+        ),
+        pytest.param(
+            "SELECT name FROM main.users",
+            {"users"},
+            {("users", "name")},
+            id="schema_qualified_table",
+        ),
+        pytest.param(
+            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r) "
+            "SELECT n FROM r",
+            set(),
+            set(),
+            id="unbounded_recursive_cte_is_compiled_not_run",
+        ),
+    ])
+    def test_sqlite_resolves(self, toy_catalog, sql, tables, columns):
+        got = gold(sql, toy_catalog)
+        assert got.tables == tables
+        assert got.columns == columns
+
+    @pytest.mark.parametrize("sql", [
+        pytest.param("DELETE FROM users", id="write"),
+        pytest.param("SELECT 1; SELECT 2", id="two_statements"),
+    ])
+    def test_refused(self, toy_catalog, sql):
+        with pytest.raises(LinkingResolutionError, match="toy_shop"):
+            gold(sql, toy_catalog)
+
 
 class TestPrediction:
     def test_tables_and_columns_accessors(self):
         prediction = LinkingPrediction({"Users": ["Name", "email"], "orders": []})
         assert prediction.tables() == {"users", "orders"}
         assert prediction.columns() == {("users", "name"), ("users", "email")}
+
+
+def test_using_inside_quoted_text_is_not_a_join(toy_catalog):
+    got = gold(
+        "SELECT name FROM users -- joins using (email)\n"
+        "WHERE name = 'using (created_at)'",
+        toy_catalog,
+    )
+    assert got.columns == {("users", "name")}
