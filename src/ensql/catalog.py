@@ -317,7 +317,7 @@ def introspect(
                     fks.append(ForeignKeyDef(table_name, row[3], row[2], ""))
                 else:
                     fks.append(ForeignKeyDef(table_name, row[3], row[2], to_col))
-        resolved = _resolve_implicit_fk_targets(db_id, tables, fks)
+        resolved = _resolve_fk_targets(db_id, tables, fks)
         catalog = SchemaCatalog(db_id=db_id, tables=tuple(tables), foreign_keys=resolved)
         catalog.validate()
         return catalog
@@ -336,23 +336,29 @@ def _lower_descriptions(
     }
 
 
-def _resolve_implicit_fk_targets(
+def _resolve_fk_targets(
     db_id: str, tables: Sequence[TableDef], fks: Iterable[ForeignKeyDef]
 ) -> tuple[ForeignKeyDef, ...]:
+    """The foreign keys whose parent column exists, implicit targets filled in.
+
+    SQLite accepts a key whose parent table or column is missing, and an
+    implicit target resolves only to a one-column primary key; every other
+    key is dropped with a warning.
+    """
     by_name = {t.name.lower(): t for t in tables}
     out = []
     for fk in fks:
-        if fk.to_column:
-            out.append(fk)
-            continue
         target = by_name.get(fk.to_table.lower())
-        if target is None or len(target.primary_key) != 1:
+        if target is not None and not fk.to_column and len(target.primary_key) == 1:
+            fk = replace(fk, to_column=target.primary_key[0])
+        if target is None or not fk.to_column or target.column(fk.to_column) is None:
             log.warning(
                 "%s: dropping unresolvable foreign key %s.%s -> %s",
-                db_id, fk.from_table, fk.from_column, fk.to_table,
+                db_id, fk.from_table, fk.from_column,
+                f"{fk.to_table}.{fk.to_column}" if fk.to_column else fk.to_table,
             )
             continue
-        out.append(replace(fk, to_column=target.primary_key[0]))
+        out.append(fk)
     return tuple(out)
 
 

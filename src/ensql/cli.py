@@ -184,18 +184,17 @@ def cmd_link_eval(args: argparse.Namespace) -> int:
     predictions, golds = [], []
     skipped = 0
     with _resolve_backend(args) as backend, PipelineRunner(config, backend) as runner:
-        gateway = runner.gateway()
         for item in items:
+            gateway = runner.gateway(item.question_id)
             catalog = runner.catalog_for(item.db_id, item.db_path)
             try:
                 gold = derive_gold_linking(item.gold_sql, catalog)
             except LinkingResolutionError as exc:
-                log.warning("question %s: cannot resolve reference SQL (%s); skipped",
-                            item.question_id, exc)
+                gateway.warn("cannot resolve reference SQL (%s); skipped", exc)
                 skipped += 1
                 continue
             request = linker_request(fmt, model, catalog, item, config.max_tokens)
-            prediction = link(f"{fmt.value}:{model}", request, item, gateway)
+            prediction = link(f"{fmt.value}:{model}", request, gateway)
             # a failed linker run scores as an empty prediction
             predictions.append(prediction or LinkingPrediction({}))
             golds.append(gold)

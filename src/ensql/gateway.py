@@ -485,6 +485,10 @@ class LlmGateway:
     throttle share its cap and pool but keep their own ledgers; without a
     throttle, the gateway gets a private CallThrottle() at its default cap.
     Questions embed offline, to embedding_backend.dim entries.
+
+    A gateway serves one question, question_id, and owns what a failed
+    call means for it (attempt) and the prefix that names it in warnings
+    (warn).
     """
 
     embedding_backend = HashEmbeddingBackend()
@@ -494,10 +498,16 @@ class LlmGateway:
         chat_backend: ChatBackend,
         ledger: CostLedger | None = None,
         throttle: CallThrottle | None = None,
+        question_id: str = "?",
     ):
         self.chat_backend = chat_backend
         self.ledger = ledger or CostLedger()
         self.throttle = throttle or CallThrottle()
+        self.question_id = question_id
+
+    def warn(self, message: str, *args) -> None:
+        """Log a warning, as with log.warning, prefixed with the question."""
+        log.warning("question %s: " + message, self.question_id, *args)
 
     def submit(self, fn: Callable, /, *args, **kwargs) -> Future:
         return self.throttle.submit(fn, *args, **kwargs)
@@ -507,6 +517,22 @@ class LlmGateway:
             response = self.chat_backend.complete(request)
         self.ledger.record(request.model, stage, response.usage)
         return response
+
+    def attempt(
+        self, request: ChatRequest, stage: str, what: str
+    ) -> ChatResponse | GatewayError:
+        """complete(), with a failed call warned about and returned, not raised.
+
+        The warning reads "<what> failed: <error>".  A replay miss still
+        raises, since it is a fixture fault, not a model failure.
+        """
+        try:
+            return self.complete(request, stage)
+        except ReplayMissError:
+            raise
+        except GatewayError as exc:
+            self.warn("%s failed: %s", what, exc)
+            return exc
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:

@@ -22,14 +22,7 @@ import numpy as np
 
 from .catalog import FilterLevel, SchemaCatalog, apply_filter
 from .formats import RepresentationFormat, render
-from .gateway import (
-    ChatRequest,
-    GatewayError,
-    LlmGateway,
-    ReplayMissError,
-    STAGE_GENERATION,
-    TokenUsage,
-)
+from .gateway import ChatRequest, GatewayError, LlmGateway, STAGE_GENERATION, TokenUsage
 from .linking import LinkingPrediction, format_user_turn
 from .selection import ExecStatus, ExecutionResult
 
@@ -245,7 +238,6 @@ def _failed_candidate(
 
 
 def slot_request(
-    index: int,
     spec: CandidateSpec,
     model: str,
     question: str,
@@ -254,51 +246,29 @@ def slot_request(
     catalog: SchemaCatalog,
     fewshots: Sequence[FewShotExample] = (),
     max_tokens: int = 2048,
-    question_id: str = "?",
 ) -> ChatRequest:
-    """The generation request, for model, of the slot at index in the slate.
+    """The generation request, for model, of the slot spec.
 
     prediction is the output of the slot's linker run, None when that run
-    failed; a filtering slot without one falls back to the unfiltered
-    schema with a warning.
+    failed; a filtering slot without one falls back to the unfiltered schema.
     """
     filtered = catalog
-    if spec.filter_level is not FilterLevel.NO_FILTERING:
-        if prediction is None:
-            log.warning(
-                "question %s: spec %d: linker output %r unavailable; using the full schema",
-                question_id, index, spec.linker_run,
-            )
-        else:
-            filtered = apply_filter(catalog, prediction, spec.filter_level)
+    if spec.filter_level is not FilterLevel.NO_FILTERING and prediction is not None:
+        filtered = apply_filter(catalog, prediction, spec.filter_level)
     schema_text = render(filtered, spec.format)
     messages = build_generation_prompt(schema_text, question, hint, fewshots)
-    return ChatRequest(
-        model=model,
-        messages=tuple(messages),
-        temperature=0.0,
-        max_tokens=max_tokens,
-    )
+    return ChatRequest(model=model, messages=tuple(messages), max_tokens=max_tokens)
 
 
-def generate_slot(
-    index: int, request: ChatRequest, gateway: LlmGateway, question_id: str = "?"
-) -> SqlCandidate:
+def generate_slot(index: int, request: ChatRequest, gateway: LlmGateway) -> SqlCandidate:
     """Make the generation call of the slot at index and extract its candidate.
 
-    Backend failures and missing code blocks yield error candidates; only a
-    replay miss raises, since it is a fixture fault, not a model failure.
+    Failed calls (see LlmGateway.attempt) and missing code blocks yield
+    error candidates.
     """
-    try:
-        response = gateway.complete(request, stage=STAGE_GENERATION)
-    except ReplayMissError:
-        raise
-    except GatewayError as exc:
-        log.warning(
-            "question %s: spec %d: generation call failed: %s",
-            question_id, index, exc,
-        )
-        return _failed_candidate(index, "", TokenUsage(), "BackendError", str(exc))
+    response = gateway.attempt(request, STAGE_GENERATION, f"spec {index}: generation call")
+    if isinstance(response, GatewayError):
+        return _failed_candidate(index, "", TokenUsage(), "BackendError", str(response))
     try:
         sql = extract_sql(response.text)
     except NoCodeBlockError as exc:

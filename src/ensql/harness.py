@@ -36,7 +36,6 @@ from .gateway import (
     LLM_STAGES,
     LlmGateway,
     PriceTable,
-    ReplayMissError,
     STAGE_LINKING,
     TokenUsage,
     UsageRow,
@@ -390,10 +389,14 @@ def _selection_from_dict(doc: dict | None) -> SelectionOutcome | None:
     )
 
 
+def _record_line(record: RunRecord) -> str:
+    """One JSONL line of a records file."""
+    return json.dumps(record.to_dict(), ensure_ascii=False) + "\n"
+
+
 def write_records(records: Iterable[RunRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
+        fh.writelines(map(_record_line, records))
 
 
 def read_records(path: str | Path) -> list[RunRecord]:
@@ -472,9 +475,12 @@ class PipelineRunner:
     def close(self) -> None:
         self.throttle.close()
 
-    def gateway(self) -> LlmGateway:
-        """A fresh gateway and ledger around the runner's throttle."""
-        return LlmGateway(self.chat_backend, ledger=CostLedger(), throttle=self.throttle)
+    def gateway(self, question_id: str = "?") -> LlmGateway:
+        """A fresh gateway and ledger for one question, around the runner's throttle."""
+        return LlmGateway(
+            self.chat_backend, ledger=CostLedger(), throttle=self.throttle,
+            question_id=question_id,
+        )
 
     def catalog_for(self, db_id: str, db_path: str) -> SchemaCatalog:
         """The database's catalog, introspected once per path.
@@ -529,7 +535,7 @@ class PipelineRunner:
 
     def run_item(self, item: BenchmarkItem) -> RunRecord:
         started = time.monotonic()
-        gateway = self.gateway()
+        gateway = self.gateway(item.question_id)
         config = self.config
         executions: dict[str, ExecutionResult] = {}
         candidates = self.candidates(item, gateway, config.specs, executions)
@@ -540,15 +546,14 @@ class PipelineRunner:
             try:
                 gold = scorable_reference(self.execute(item.gold_sql, item.db_path, executions))
             except GoldExecutionError as exc:
-                log.warning(
-                    "question %s: reference query failed (%s); excluded from accuracy",
-                    item.question_id, exc.gold.error_text,
+                gateway.warn(
+                    "reference query failed (%s); excluded from accuracy", exc.gold.error_text
                 )
             else:
                 gold_ok = True
                 candidate_ex = [int(matches(c.execution, gold)) for c in candidates]
 
-        judge = PairwiseJudge(gateway, config.judge_model, question_id=item.question_id)
+        judge = PairwiseJudge(gateway, config.judge_model)
         outcome = select(
             candidates,
             question=item.question,
@@ -584,32 +589,22 @@ def linker_request(
 ) -> ChatRequest:
     """The request of one linker run: the schema rendered in fmt, for model."""
     messages = build_linking_prompt(render(catalog, fmt), item.question, item.hint)
-    return ChatRequest(
-        model=model, messages=tuple(messages), temperature=0.0, max_tokens=max_tokens
-    )
+    return ChatRequest(model=model, messages=tuple(messages), max_tokens=max_tokens)
 
 
-def link(
-    run_id: str, request: ChatRequest, item: BenchmarkItem, gateway: LlmGateway
-) -> LinkingPrediction | None:
+def link(run_id: str, request: ChatRequest, gateway: LlmGateway) -> LinkingPrediction | None:
     """Make one linker call and parse its prediction; run_id labels warnings.
 
-    A failed call or an unparseable reply comes back as None; only a replay
-    miss raises, since it is a fixture fault, not a model failure.
+    A failed call (see LlmGateway.attempt) or an unparseable reply comes
+    back as None.
     """
-    try:
-        response = gateway.complete(request, stage=STAGE_LINKING)
-    except ReplayMissError:
-        raise
-    except GatewayError as exc:
-        log.warning("question %s: linker run %s failed: %s", item.question_id, run_id, exc)
+    response = gateway.attempt(request, STAGE_LINKING, f"linker run {run_id}")
+    if isinstance(response, GatewayError):
         return None
     try:
         return parse_linking_response(response.text)
     except LinkingParseError as exc:
-        log.warning(
-            "question %s: linker run %s unparseable: %s", item.question_id, run_id, exc
-        )
+        gateway.warn("linker run %s unparseable: %s", run_id, exc)
         return None
 
 
@@ -639,7 +634,7 @@ def generate_candidates(
         gateway.submit(
             link, run_id,
             linker_request(spec.format, spec.linker_model, catalog, item, max_tokens),
-            item, gateway,
+            gateway,
         ): run_id
         for run_id, spec in linker_runs.items()
     }
@@ -660,14 +655,17 @@ def generate_candidates(
             waiting = spec.linker_run is not None and spec.linker_run not in predictions
             if waiting or index in slots:
                 continue
+            prediction = predictions.get(spec.linker_run or "")
+            if spec.linker_run is not None and prediction is None:
+                gateway.warn(
+                    "spec %d: linker output %r unavailable; using the full schema",
+                    index, spec.linker_run,
+                )
             request = slot_request(
-                index, spec, model, item.question, item.hint,
-                predictions.get(spec.linker_run or ""), catalog, fewshots, max_tokens,
-                item.question_id,
+                spec, model, item.question, item.hint, prediction, catalog, fewshots,
+                max_tokens,
             )
-            slots[index] = gateway.submit(
-                generate_slot, index, request, gateway, item.question_id
-            )
+            slots[index] = gateway.submit(generate_slot, index, request, gateway)
 
     start_ready_slots()
     for future in as_completed(inputs):
@@ -698,21 +696,6 @@ class Report:
     cost_usd_avg: Decimal
     cost_usd_total: Decimal
     escalated: int
-
-    def to_dict(self) -> dict:
-        return {
-            "items": self.items,
-            "scored": self.scored,
-            "gold_failures": self.gold_failures,
-            "failed": self.failed,
-            "ex": self.ex,
-            "calls_typical": self.calls_typical,
-            "calls_avg": self.calls_avg,
-            "tokens_k_avg": self.tokens_k_avg,
-            "cost_usd_avg": str(self.cost_usd_avg),
-            "cost_usd_total": str(self.cost_usd_total),
-            "escalated": self.escalated,
-        }
 
     def render_text(self) -> str:
         typical = (
@@ -818,9 +801,7 @@ def run_benchmark(
             results[position] = record
             while next_flush < len(results) and results[next_flush] is not None:
                 if out_fh is not None:
-                    out_fh.write(
-                        json.dumps(results[next_flush].to_dict(), ensure_ascii=False) + "\n"
-                    )
+                    out_fh.write(_record_line(results[next_flush]))
                     out_fh.flush()
                 if progress is not None:
                     progress(results[next_flush])
@@ -1052,6 +1033,7 @@ def sweep(
     skipped = 0
     with PipelineRunner(config, chat_backend) as runner:
         for item in chosen_items:
+            gateway = runner.gateway(item.question_id)
             executions: dict[str, ExecutionResult] = {}
             try:
                 gold = scorable_reference(runner.execute(item.gold_sql, item.db_path, executions))
@@ -1059,7 +1041,7 @@ def sweep(
                 log.warning("sweep: skipping %s (reference failed)", item.question_id)
                 skipped += 1
                 continue
-            candidates = runner.candidates(item, runner.gateway(), specs, executions)
+            candidates = runner.candidates(item, gateway, specs, executions)
             per_item.append(
                 [(c.execution.group_key(), matches(c.execution, gold)) for c in candidates]
             )

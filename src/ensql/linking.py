@@ -7,8 +7,8 @@ derived from reference SQL.
 
 Gold derivation leaves name resolution to SQLite: the reference query is
 compiled, never run, against an empty in-memory copy of the schema, and the
-compiled program's opened tables and the authorizer's column reads are the
-gold linking.  Queries SQLite rejects, or that do anything but read, raise
+compiled program's opened tables and the columns it reads (reported by the
+authorizer or read by the program itself) are the gold linking.  Queries SQLite rejects, or that do anything but read, raise
 so callers can exclude them explicitly rather than silently mis-score.
 """
 from __future__ import annotations
@@ -248,14 +248,6 @@ def linking_metrics(
 
 # -- gold linking derivation ---------------------------------------------------
 
-# a join's USING list: SQLite compares those columns without consulting the
-# authorizer, so their names are read from the query text.  Comments and
-# quoted text are matched whole, so a USING inside them is skipped.
-_USING_RE = re.compile(
-    r"""--[^\n]*|/\*.*?\*/|'(?:[^']|'')*'|"(?:[^"]|"")*"|\busing\s*\(([^)]*)\)""",
-    re.IGNORECASE | re.DOTALL,
-)
-
 
 def derive_gold_linking(gold_sql: str, catalog: SchemaCatalog) -> GoldLinking:
     """Resolve the tables and columns a reference query actually touches.
@@ -264,8 +256,9 @@ def derive_gold_linking(gold_sql: str, catalog: SchemaCatalog) -> GoldLinking:
     empty in-memory copy of the catalog's tables, never run.  Tables are the
     ones the compiled program opens (CTEs and subqueries excluded); columns
     are the catalog columns SQLite's authorizer reports as read, including
-    * / alias.* expansion, plus each USING column for every opened table
-    that has it.  count(*) style reads and the implicit rowid add no column.
+    * / alias.* expansion, plus those the program reads from a table cursor,
+    which covers the columns a USING or NATURAL join compares.  count(*)
+    style reads and the implicit rowid add no column.
     A query SQLite rejects (unknown or ambiguous names, syntax errors), one
     that does anything but read, or more than one statement raises
     LinkingResolutionError so the caller can exclude the question instead
@@ -297,22 +290,23 @@ def derive_gold_linking(gold_sql: str, catalog: SchemaCatalog) -> GoldLinking:
     finally:
         conn.close()
 
-    # EXPLAIN rows: addr, opcode, p1, p2 (root page), p3 (database), ...
-    opened = {
-        names_by_root[root]
-        for _, opcode, _, root, database, *_ in program
+    # EXPLAIN rows: addr, opcode, p1 (cursor), p2 (root page for OpenRead,
+    # column position for Column), p3 (database), ...
+    tables_by_cursor = {
+        cursor: names_by_root[root]
+        for _, opcode, cursor, root, database, *_ in program
         if opcode == "OpenRead" and database == 0 and root in names_by_root
     }
     # SQLite reports the declared names, so the implicit rowid and reads of
     # its own schema tables fall outside the catalog's columns
     columns = reads & {(t.name, c.name) for t in catalog.tables for c in t.columns}
-    for match in _USING_RE.finditer(gold_sql):
-        if match.group(1) is None:
-            continue  # a comment or quoted text
-        for name in match.group(1).split(","):
-            name = name.strip().strip('"`[]')
-            for table_name in opened:
-                column = catalog.table(table_name).column(name)
-                if column is not None:
-                    columns.add((table_name, column.name))
-    return GoldLinking(tables=frozenset(opened), columns=frozenset(columns))
+    # a join's USING or NATURAL columns are compared without consulting the
+    # authorizer; the program's own reads name them by position
+    columns.update(
+        (table, catalog.table(table).columns[position].name)
+        for _, opcode, cursor, position, *_ in program
+        if opcode == "Column" and (table := tables_by_cursor.get(cursor)) is not None
+    )
+    return GoldLinking(
+        tables=frozenset(tables_by_cursor.values()), columns=frozenset(columns)
+    )

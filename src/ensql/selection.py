@@ -40,13 +40,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .gateway import (
-    ChatRequest,
-    GatewayError,
-    LlmGateway,
-    ReplayMissError,
-    STAGE_SELECTION,
-)
+from .gateway import ChatRequest, GatewayError, LlmGateway, STAGE_SELECTION
 
 if TYPE_CHECKING:  # import only for annotations; generation imports us at runtime
     from .generation import SqlCandidate
@@ -412,23 +406,16 @@ def parse_judge_reply(text: str) -> str | None:
     return match.group(1).upper() if match else None
 
 
+# a verdict is one letter
+_JUDGE_MAX_TOKENS = 8
+
+
 class PairwiseJudge:
-    """Asks a model to pick the better of two candidates for a question.
+    """Asks a model to pick the better of two candidates for a question."""
 
-    question_id only labels the judge's warnings.
-    """
-
-    def __init__(
-        self,
-        gateway: LlmGateway,
-        model: str,
-        max_tokens: int = 8,
-        question_id: str = "?",
-    ):
+    def __init__(self, gateway: LlmGateway, model: str):
         self.gateway = gateway
         self.model = model
-        self.max_tokens = max_tokens
-        self.question_id = question_id
 
     def request(
         self,
@@ -449,29 +436,17 @@ class PairwiseJudge:
         return ChatRequest(
             model=self.model,
             messages=({"role": "user", "content": content},),
-            temperature=0.0,
-            max_tokens=self.max_tokens,
+            max_tokens=_JUDGE_MAX_TOKENS,
         )
 
     def verdict(self, request: ChatRequest) -> str | None:
-        """Return "A", "B", or None when the call fails or is unparseable.
-
-        A replay miss raises, since it is a fixture fault, not a judge
-        failure.
-        """
-        try:
-            response = self.gateway.complete(request, stage=STAGE_SELECTION)
-        except ReplayMissError:
-            raise
-        except GatewayError as exc:
-            log.warning("question %s: judge call failed: %s", self.question_id, exc)
+        """Return "A", "B", or None when the call failed or the reply is unparseable."""
+        response = self.gateway.attempt(request, STAGE_SELECTION, "judge call")
+        if isinstance(response, GatewayError):
             return None
         verdict = parse_judge_reply(response.text)
         if verdict is None:
-            log.warning(
-                "question %s: unparseable judge reply: %r",
-                self.question_id, response.text[:200],
-            )
+            self.gateway.warn("unparseable judge reply: %r", response.text[:200])
         return verdict
 
 
@@ -586,10 +561,8 @@ def select(
         )
 
     if not ok_groups:
-        log.warning(
-            "question %s: every candidate failed; returning the first as low confidence",
-            judge.question_id if judge is not None else "?",
-        )
+        warn = judge.gateway.warn if judge is not None else log.warning
+        warn("every candidate failed; returning the first as low confidence")
         return outcome(0, Confidence.LOW, SelectionMethod.PAIRWISE_LLM, 0)
 
     decision = confidence_policy(distribution, len(candidates), rules)

@@ -123,6 +123,27 @@ class TestIntrospect:
         fks = introspect(path).foreign_keys
         assert fks == (ForeignKeyDef("child", "pid", "parent", "pid"),)
 
+    @pytest.mark.parametrize("reference", [
+        pytest.param("missing(id)", id="missing_table"),
+        pytest.param("a(missing)", id="missing_column"),
+    ])
+    def test_dangling_fk_is_dropped(self, tmp_path, caplog, reference):
+        path = tmp_path / "dangling.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            f"""
+            CREATE TABLE a (id INTEGER PRIMARY KEY);
+            CREATE TABLE b (id INTEGER PRIMARY KEY,
+                            a_id INTEGER REFERENCES a(id),
+                            other_id INTEGER REFERENCES {reference});
+            """
+        )
+        conn.close()
+        with caplog.at_level("WARNING"):
+            catalog = introspect(path)
+        assert catalog.foreign_keys == (ForeignKeyDef("b", "a_id", "a", "id"),)
+        assert "dropping unresolvable foreign key b.other_id" in caplog.text
+
     def test_introspect_output_validates(self, toy_db):
         introspect(toy_db).validate()
 

@@ -413,6 +413,27 @@ class TestLlmGateway:
         assert rows[("m", STAGE_SELECTION)].calls == 1
         assert rows[("m", STAGE_GENERATION)].output_tokens > 0
 
+    def test_attempt_returns_a_failed_call_with_one_warning(self, caplog):
+        def script(request):
+            raise GatewayError("linker down")
+
+        gateway = LlmGateway(ScriptedBackend(script), question_id="q7")
+        with caplog.at_level("WARNING"):
+            result = gateway.attempt(REQUEST, STAGE_LINKING, "linker run x")
+        assert isinstance(result, GatewayError)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("question q7: linker run x failed:")
+        assert gateway.ledger.rows() == []
+
+    def test_attempt_raises_a_replay_miss(self):
+        def script(request):
+            raise ReplayMissError("0" * 64, request.model)
+
+        gateway = LlmGateway(ScriptedBackend(script), question_id="q7")
+        with pytest.raises(ReplayMissError):
+            gateway.attempt(REQUEST, STAGE_LINKING, "linker run x")
+
     def test_embed_records_one_call_per_text(self):
         gateway = LlmGateway(ScriptedBackend(lambda req: "x"), ledger=CostLedger())
         vectors = gateway.embed(["a", "b", "c"])

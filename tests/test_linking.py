@@ -310,6 +310,20 @@ class TestGoldDerivation:
             set(),
             id="unbounded_recursive_cte_is_compiled_not_run",
         ),
+        pytest.param(
+            "SELECT name FROM users NATURAL JOIN orders",
+            {"users", "orders"},
+            {("users", "name"), ("users", "user_id"), ("orders", "user_id")},
+            id="natural_join_compares_shared_columns",
+        ),
+        pytest.param(
+            "SELECT * FROM users NATURAL JOIN orders",
+            {"users", "orders"},
+            {("users", "user_id"), ("users", "name"), ("users", "email"),
+             ("users", "created_at"), ("orders", "order_id"), ("orders", "user_id"), ("orders", "product_id"),
+             ("orders", "quantity"), ("orders", "order_date")},
+            id="natural_join_star",
+        ),
     ])
     def test_sqlite_resolves(self, toy_catalog, sql, tables, columns):
         got = gold(sql, toy_catalog)
