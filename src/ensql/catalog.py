@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import logging
 import sqlite3
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 log = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 
 class CatalogError(Exception):
@@ -84,10 +87,14 @@ class ColumnDef:
     """One column: declared type, constraints, and display metadata.
 
     value_examples are up to k distinct non-null values rendered as text,
-    in first-seen row order.  category_values is the complete distinct
-    value list for low-cardinality text columns (None when the column is
-    not categorical); some renderers show the full category list where
-    others show the capped sample.
+    in first-seen order: the order of a scan of the table itself (rowid
+    order, or primary-key order for a WITHOUT ROWID table), never of an
+    index.  Values compare by binary collation whatever the column's
+    declared collation, then by rendered text, so 'A' and 'a' are two
+    values and '1', 1 and 1.0 are one.  category_values is the complete
+    distinct value list for low-cardinality text columns (None when the
+    column is not categorical); some renderers show the full category list
+    where others show the capped sample.
     """
 
     name: str
@@ -214,6 +221,45 @@ def _is_text_type(sql_type: str) -> bool:
     return any(tok in upper for tok in ("CHAR", "CLOB", "TEXT"))
 
 
+def connect_read_only(db_path: str | Path) -> sqlite3.Connection:
+    """Open a SQLite file read-only, through a percent-encoded file: URI.
+
+    Built from the path rather than pasted into a URI, so a '#', '?' or '%'
+    in a directory name stays part of the path: pasted, '#' and '?' end the
+    path and drop mode=ro, so SQLite opens (or creates) another file
+    read-write.
+    """
+    return sqlite3.connect(Path(db_path).resolve().as_uri() + "?mode=ro", uri=True)
+
+
+# how sqlite3's strict decoder reports invalid UTF-8 (Python 3.10-3.13)
+_DECODE_ERROR = "Could not decode to UTF-8"
+
+
+def _decode_replacing(raw: bytes) -> str:
+    return raw.decode("utf-8", "replace")
+
+
+def _read_decoded(conn: sqlite3.Connection, read: Callable[[], _T]) -> _T:
+    """read() under sqlite3's strict UTF-8 decoder, or, when it meets
+    invalid UTF-8, read() again with the invalid bytes replaced by U+FFFD.
+
+    The strict decoder is sqlite3's built-in C code, so valid text costs no
+    Python call per cell; only a read that holds invalid UTF-8 pays for a
+    second pass.
+    """
+    try:
+        return read()
+    except sqlite3.OperationalError as exc:
+        if not str(exc).startswith(_DECODE_ERROR):
+            raise
+    conn.text_factory = _decode_replacing
+    try:
+        return read()
+    finally:
+        conn.text_factory = str
+
+
 def _render_value(value: object) -> str | None:
     """Render a sampled cell for display; None means unrenderable (blobs)."""
     if isinstance(value, bytes):
@@ -235,8 +281,14 @@ def introspect(
     db_id is the file stem.  Tables come back in sqlite_master order with
     internal sqlite_* tables skipped; columns in table_info order.  Each
     column carries up to sample_k distinct non-null example values in
-    first-seen row order.  Text columns whose full distinct value count is
-    at most category_threshold also carry the complete category list.
+    first-seen order, which is table-scan order (rowid order, or
+    primary-key order for a WITHOUT ROWID table), never an index's.  Values
+    compare by binary collation, whatever collation the column declares,
+    and then by rendered text (see ColumnDef).  Text columns whose full
+    distinct value count is at most category_threshold also carry the
+    complete category list.  SQLite finds each column's distinct values,
+    and reading stops once the samples (and, for text, the category list)
+    are settled.  Invalid UTF-8 is shown with U+FFFD in its place.
 
     descriptions optionally maps table -> column -> human description
     (matched case-insensitively), for corpora that ship column glossaries.
@@ -249,30 +301,28 @@ def introspect(
     if not path.is_file():
         raise UnreadableDatabaseError(db_id, f"unreadable database file: {path}")
     try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        conn = connect_read_only(path)
     except sqlite3.Error as exc:
         raise UnreadableDatabaseError(db_id, f"cannot open {path}: {exc}") from exc
-    conn.text_factory = lambda raw: raw.decode("utf-8", "replace")
     try:
         try:
-            master = conn.execute(
+            master = _read_decoded(conn, lambda: conn.execute(
                 "SELECT name FROM sqlite_master"
                 " WHERE type = 'table' AND name NOT LIKE 'sqlite\\_%' ESCAPE '\\'"
                 " ORDER BY rowid"
-            ).fetchall()
+            ).fetchall())
         except sqlite3.DatabaseError as exc:
             raise MalformedDatabaseError(db_id, f"not a database: {exc}") from exc
         desc_map = _lower_descriptions(descriptions)
         tables: list[TableDef] = []
         fks: list[ForeignKeyDef] = []
         for (table_name,) in master:
+            quoted = _quote_ident(table_name)
             try:
-                info = conn.execute(
-                    f"PRAGMA table_info({_quote_ident(table_name)})"
-                ).fetchall()
-                fk_rows = conn.execute(
-                    f"PRAGMA foreign_key_list({_quote_ident(table_name)})"
-                ).fetchall()
+                info, fk_rows = _read_decoded(conn, lambda: (
+                    conn.execute(f"PRAGMA table_info({quoted})").fetchall(),
+                    conn.execute(f"PRAGMA foreign_key_list({quoted})").fetchall(),
+                ))
                 samples, categories = _sample_table(
                     conn, table_name, [r[1] for r in info], [r[2] for r in info],
                     sample_k, category_threshold,
@@ -362,6 +412,38 @@ def _resolve_fk_targets(
     return tuple(out)
 
 
+def _scan_order(conn: sqlite3.Connection, table_name: str) -> str:
+    """The FROM-clause suffix that makes SQLite read a table in its own order.
+
+    NOT INDEXED keeps a rowid table in rowid order.  A WITHOUT ROWID table
+    ignores NOT INDEXED and may be read through a covering index, so it is
+    pinned to its primary-key index, which is the table itself: the one
+    'pk' index whose columns include no rowid.
+    """
+    quoted = _quote_ident(table_name)
+    for _, index, _, origin, *_ in conn.execute(f"PRAGMA index_list({quoted})").fetchall():
+        if origin != "pk":
+            continue
+        xinfo = conn.execute(f"PRAGMA index_xinfo({_quote_ident(index)})").fetchall()
+        if all(cid != -1 for _, cid, *_ in xinfo):
+            return f"INDEXED BY {_quote_ident(index)}"
+    return "NOT INDEXED"
+
+
+def _first_rendered(conn: sqlite3.Connection, sql: str, wanted: int) -> list[str]:
+    """The first `wanted` distinct renderings of sql's values, blobs skipped."""
+    rendered: dict[str, None] = {}
+    if wanted > 0:
+        with closing(conn.execute(sql)) as cursor:
+            for (value,) in cursor:
+                text = _render_value(value)
+                if text is not None:
+                    rendered[text] = None
+                    if len(rendered) == wanted:
+                        break
+    return list(rendered)
+
+
 def _sample_table(
     conn: sqlite3.Connection,
     table_name: str,
@@ -370,46 +452,33 @@ def _sample_table(
     sample_k: int,
     category_threshold: int,
 ) -> tuple[list[list[str]], list[tuple[str, ...] | None]]:
-    """One pass over the table collecting per-column samples and categories.
+    """Per-column samples and categories, each column's distinct values found by SQLite.
 
     Returns (samples, categories) indexed by column position.  categories[i]
     is None for non-text columns and for text columns whose distinct count
-    exceeds the threshold.
+    exceeds the threshold.  SQLite yields a column's distinct non-null
+    values lazily, by binary collation and in table-scan order; Python
+    renders them and merges values that render alike ('1', 1 and 1.0).
+    Reading a column stops after sample_k renderings, or for a text column
+    once there are enough to tell whether it is a category.
     """
-    n = len(column_names)
-    samples: list[list[str]] = [[] for _ in range(n)]
-    seen: list[set[str]] = [set() for _ in range(n)]
-    cats: list[list[str] | None] = [
-        [] if _is_text_type(t or "") else None for t in column_types
-    ]
-    cat_seen: list[set[str]] = [set() for _ in range(n)]
-    if n == 0:
-        return samples, [None] * n
-    select = ", ".join(_quote_ident(c) for c in column_names)
-    cursor = conn.execute(f"SELECT {select} FROM {_quote_ident(table_name)}")
-    for row in cursor:
-        for i, value in enumerate(row):
-            if value is None:
-                continue
-            rendered = _render_value(value)
-            if rendered is None:
-                continue
-            if len(samples[i]) < sample_k and rendered not in seen[i]:
-                samples[i].append(rendered)
-                seen[i].add(rendered)
-            bucket = cats[i]
-            if bucket is not None and rendered not in cat_seen[i]:
-                bucket.append(rendered)
-                cat_seen[i].add(rendered)
-                if len(bucket) > category_threshold:
-                    cats[i] = None
-        # category lists need a full scan while any survive; without them the
-        # pass can stop as soon as every sample bucket is full
-        if all(c is None for c in cats) and all(
-            len(s) >= sample_k for s in samples
-        ):
-            break
-    return samples, [None if c is None else tuple(c) for c in cats]
+    scan_order = _read_decoded(conn, lambda: _scan_order(conn, table_name))
+    source = f"{_quote_ident(table_name)} {scan_order}"
+    samples: list[list[str]] = []
+    categories: list[tuple[str, ...] | None] = []
+    for name, sql_type in zip(column_names, column_types):
+        is_text = _is_text_type(sql_type or "")
+        wanted = max(sample_k, category_threshold + 1) if is_text else sample_k
+        column = _quote_ident(name)
+        sql = (
+            f"SELECT DISTINCT {column} COLLATE BINARY FROM {source}"
+            f" WHERE {column} IS NOT NULL"
+        )
+        values = _read_decoded(conn, lambda: _first_rendered(conn, sql, wanted))
+        samples.append(values[:sample_k])
+        is_category = is_text and len(values) <= category_threshold
+        categories.append(tuple(values) if is_category else None)
+    return samples, categories
 
 
 def apply_filter(

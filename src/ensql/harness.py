@@ -464,7 +464,8 @@ class PipelineRunner:
         )
         self.throttle = CallThrottle(config.max_in_flight)
         self._catalogs: dict[str, SchemaCatalog] = {}
-        self._catalog_lock = threading.Lock()
+        self._catalog_locks: dict[str, threading.Lock] = {}
+        self._catalog_locks_lock = threading.Lock()
 
     def __enter__(self) -> "PipelineRunner":
         return self
@@ -485,22 +486,25 @@ class PipelineRunner:
     def catalog_for(self, db_id: str, db_path: str) -> SchemaCatalog:
         """The database's catalog, introspected once per path.
 
-        db_id only picks the database's descriptions: two databases that
-        share a db_id at different paths get their own catalogs, and so
-        their own rendered schema texts.
+        Questions that ask for a path while it is being introspected wait
+        for that one introspection, each path under its own lock, so
+        different paths do not wait on each other.  db_id only picks the
+        database's descriptions: two databases that share a db_id at
+        different paths get their own catalogs, and so their own rendered
+        schema texts.
         """
-        with self._catalog_lock:
-            cached = self._catalogs.get(db_path)
-        if cached is not None:
-            return cached
-        catalog = introspect(
-            db_path,
-            sample_k=self.config.sample_k,
-            category_threshold=self.config.category_threshold,
-            descriptions=self.descriptions.get(db_id),
-        )
-        with self._catalog_lock:
-            return self._catalogs.setdefault(db_path, catalog)
+        with self._catalog_locks_lock:
+            path_lock = self._catalog_locks.setdefault(db_path, threading.Lock())
+        with path_lock:
+            catalog = self._catalogs.get(db_path)
+            if catalog is None:
+                catalog = self._catalogs[db_path] = introspect(
+                    db_path,
+                    sample_k=self.config.sample_k,
+                    category_threshold=self.config.category_threshold,
+                    descriptions=self.descriptions.get(db_id),
+                )
+        return catalog
 
     def execute(
         self, sql: str, db_path: str, executions: dict[str, ExecutionResult]

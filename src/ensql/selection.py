@@ -34,12 +34,14 @@ import re
 import sqlite3
 import time
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from .catalog import _read_decoded, connect_read_only
 from .gateway import ChatRequest, GatewayError, LlmGateway, STAGE_SELECTION
 
 if TYPE_CHECKING:  # import only for annotations; generation imports us at runtime
@@ -198,13 +200,6 @@ def _read_only(action: int, *_details) -> int:
 # canonicalized, so one batch is the grain of the time budget
 _FETCH_BATCH = 512
 
-# how sqlite3's strict decoder reports invalid UTF-8 (Python 3.10-3.13)
-_DECODE_ERROR = "Could not decode to UTF-8"
-
-
-def _decode_replacing(raw: bytes) -> str:
-    return raw.decode("utf-8", "replace")
-
 
 def _stream(
     conn: sqlite3.Connection,
@@ -214,15 +209,15 @@ def _stream(
     deadline: float,
 ) -> tuple[str, int, str] | None:
     """(signature, row count, preview) of sql's rows, None past the deadline."""
-    cursor = conn.execute(sql)
     canonicalizer = _Canonicalizer(precision)
     head: list[tuple] = []
-    while batch := cursor.fetchmany(_FETCH_BATCH):
-        if len(head) < preview_limit:
-            head += batch[:preview_limit - len(head)]
-        canonicalizer.feed(batch)
-        if time.monotonic() > deadline:
-            return None
+    with closing(conn.execute(sql)) as cursor:
+        while batch := cursor.fetchmany(_FETCH_BATCH):
+            if len(head) < preview_limit:
+                head += batch[:preview_limit - len(head)]
+            canonicalizer.feed(batch)
+            if time.monotonic() > deadline:
+                return None
     row_count = len(canonicalizer.rows)
     signature = canonicalizer.digest()
     preview = _preview(head, row_count)
@@ -270,16 +265,12 @@ def execute_candidate(
 
     conn = None
     try:
-        conn = sqlite3.connect(f"file:{Path(db_path)}?mode=ro", uri=True)
+        conn = connect_read_only(db_path)
         conn.set_authorizer(_read_only)
         conn.set_progress_handler(_watchdog, 5000)
-        try:
-            streamed = _stream(conn, sql, precision, preview_limit, deadline)
-        except sqlite3.OperationalError as exc:
-            if not str(exc).startswith(_DECODE_ERROR):
-                raise
-            conn.text_factory = _decode_replacing
-            streamed = _stream(conn, sql, precision, preview_limit, deadline)
+        streamed = _read_decoded(
+            conn, lambda: _stream(conn, sql, precision, preview_limit, deadline)
+        )
         if streamed is not None:  # None: the deadline passed between batches
             signature, row_count, preview = streamed
             return _result(

@@ -2,8 +2,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# property tests draw the same examples on every run and keep no example
+# database, so the suite stays reproducible and its cost fixed
+settings.register_profile(
+    "ensql",
+    derandomize=True,
+    database=None,
+    max_examples=40,
+    deadline=None,
+)
+settings.load_profile("ensql")
 
 from ensql.catalog import ColumnDef, ForeignKeyDef, SchemaCatalog, TableDef
 

@@ -1,6 +1,7 @@
 import sqlite3
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ensql.catalog import (
     CatalogError,
@@ -11,9 +12,15 @@ from ensql.catalog import (
     SchemaCatalog,
     TableDef,
     UnreadableDatabaseError,
+    _is_text_type,
+    _quote_ident,
+    _render_value,
+    _sample_table,
     apply_filter,
+    connect_read_only,
     introspect,
 )
+from ensql.selection import ExecStatus, execute_candidate
 
 
 class TestFilterLevel:
@@ -154,6 +161,187 @@ class TestIntrospect:
         conn.close()
         catalog = introspect(path)
         assert catalog.table("notes").primary_key == ()
+
+    def test_invalid_utf8_samples_are_replaced(self, tmp_path):
+        path = tmp_path / "notes.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE notes (id INTEGER PRIMARY KEY, body TEXT, tag BLOB)")
+        conn.execute(
+            "INSERT INTO notes VALUES (1, 'plain', 'a'), (2, CAST(x'ff61' AS TEXT), 'b'),"
+            " (3, 'café', CAST(x'fe' AS TEXT)), (4, CAST(x'fe61' AS TEXT), 'c')"
+        )
+        conn.commit()
+        conn.close()
+        notes = introspect(path, sample_k=3).table("notes")
+        body = notes.column("body")
+        # two invalid byte strings that render alike are one value
+        assert body.value_examples == ("plain", "\ufffda", "café")
+        assert body.category_values == ("plain", "\ufffda", "café")
+        assert notes.column("tag").value_examples == ("a", "b", "\ufffd")
+        assert notes.column("tag").category_values is None
+
+    def test_without_rowid_samples_follow_the_primary_key(self, tmp_path):
+        # a secondary index that covers every column is not the scan order
+        path = tmp_path / "keyed.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            """
+            CREATE TABLE keyed (id INTEGER PRIMARY KEY, label TEXT) WITHOUT ROWID;
+            CREATE INDEX keyed_label ON keyed (label);
+            INSERT INTO keyed VALUES (3, 'a'), (1, 'z'), (2, 'm');
+            """
+        )
+        conn.close()
+        keyed = introspect(path, sample_k=2).table("keyed")
+        assert keyed.column("id").value_examples == ("1", "2")
+        assert keyed.column("label").value_examples == ("z", "m")
+        assert keyed.column("label").category_values == ("z", "m", "a")
+
+
+def _reference_sample_table(
+    conn, table_name, column_names, column_types, sample_k, category_threshold
+):
+    # the original one-pass row loop, kept verbatim as the oracle
+    n = len(column_names)
+    samples: list[list[str]] = [[] for _ in range(n)]
+    seen: list[set[str]] = [set() for _ in range(n)]
+    cats: list[list[str] | None] = [
+        [] if _is_text_type(t or "") else None for t in column_types
+    ]
+    cat_seen: list[set[str]] = [set() for _ in range(n)]
+    if n == 0:
+        return samples, [None] * n
+    select = ", ".join(_quote_ident(c) for c in column_names)
+    cursor = conn.execute(f"SELECT {select} FROM {_quote_ident(table_name)}")
+    for row in cursor:
+        for i, value in enumerate(row):
+            if value is None:
+                continue
+            rendered = _render_value(value)
+            if rendered is None:
+                continue
+            if len(samples[i]) < sample_k and rendered not in seen[i]:
+                samples[i].append(rendered)
+                seen[i].add(rendered)
+            bucket = cats[i]
+            if bucket is not None and rendered not in cat_seen[i]:
+                bucket.append(rendered)
+                cat_seen[i].add(rendered)
+                if len(bucket) > category_threshold:
+                    cats[i] = None
+        # category lists need a full scan while any survive; without them the
+        # pass can stop as soon as every sample bucket is full
+        if all(c is None for c in cats) and all(
+            len(s) >= sample_k for s in samples
+        ):
+            break
+    return samples, [None if c is None else tuple(c) for c in cats]
+
+
+# a cell is (SQL expression, parameter): invalid UTF-8 is bound as a blob and
+# cast to text, which keeps its bytes
+_CELLS = st.one_of(
+    st.just(("?", None)),
+    st.tuples(st.just("?"), st.integers(-3, 30) | st.sampled_from([2**63 - 1, -(2**53)])),
+    st.tuples(st.just("?"), st.sampled_from([1.0, -0.0, 0.0, 2.5, -3.0, 1e20, 0.1, float("inf")])),
+    st.tuples(st.just("?"), st.sampled_from(["1", "1.0", "A", "a", "x", "x ", "X", "", " é"])),
+    st.tuples(st.just("?"), st.text("aAxX 1.", max_size=3)),
+    st.tuples(st.just("?"), st.sampled_from([b"", b"\x00", b"1"])),
+    st.tuples(st.just("CAST(? AS TEXT)"), st.sampled_from([b"\xff", b"\xfe", b"a\xff", b"\xff "])),
+)
+_TYPES = ["TEXT", "VARCHAR(8)", "INTEGER", "REAL", "NUMERIC", "BLOB", ""]
+_COLLATIONS = ["", " COLLATE NOCASE", " COLLATE RTRIM"]
+
+
+@st.composite
+def _sampled_tables(draw):
+    """A table of mixed cells, the DDL that makes it, and indexes to add."""
+    width = draw(st.integers(1, 4))
+    columns = [f"c{i}" for i in range(width)]
+    decls = [
+        f"{name} {draw(st.sampled_from(_TYPES))}{draw(st.sampled_from(_COLLATIONS))}"
+        for name in columns
+    ]
+    without_rowid = draw(st.booleans())
+    # k orders the rows of a WITHOUT ROWID table; text keys sort "10" < "2"
+    keys = draw(st.permutations(range(draw(st.integers(0, 40)))))
+    key_type = draw(st.sampled_from(["INTEGER", "TEXT"]))
+    ddl = (
+        f"CREATE TABLE t (k {key_type}{' PRIMARY KEY' if without_rowid else ''}, "
+        + ", ".join(decls) + (") WITHOUT ROWID" if without_rowid else ")")
+    )
+    rows = [[("?", key)] + [draw(_CELLS) for _ in columns] for key in keys]
+    indexes = draw(st.lists(
+        st.lists(st.sampled_from(columns + ["k"]), min_size=1, unique=True), max_size=2
+    ))
+    if draw(st.booleans()):
+        indexes.append(draw(st.permutations(["k"] + columns)))  # covers every column
+    collate = draw(st.sampled_from(["", " COLLATE NOCASE"]))
+    index_ddl = [
+        f"CREATE INDEX i{n} ON t (" + ", ".join(c + collate for c in cols) + ")"
+        for n, cols in enumerate(indexes)
+    ]
+    return ddl, rows, index_ddl
+
+
+class TestSampleTableOracle:
+    """_sample_table gives the original row loop's samples and categories."""
+
+    @settings(max_examples=150)
+    @given(
+        table=_sampled_tables(),
+        sample_k=st.integers(0, 5),
+        category_threshold=st.integers(0, 25),
+    )
+    def test_matches_the_row_loop(self, table, sample_k, category_threshold):
+        ddl, rows, index_ddl = table
+        conn = sqlite3.connect(":memory:")
+        try:
+            conn.execute(ddl)
+            for row in rows:
+                conn.execute(
+                    "INSERT INTO t VALUES (" + ", ".join(expr for expr, _ in row) + ")",
+                    [value for _, value in row],
+                )
+            info = conn.execute("PRAGMA table_info(t)").fetchall()
+            names, types = [r[1] for r in info], [r[2] for r in info]
+            # the row loop read in the planner's order, which for a WITHOUT
+            # ROWID table can be a covering index's, so it runs before any
+            # secondary index exists: _sample_table keeps table order
+            conn.text_factory = lambda raw: raw.decode("utf-8", "replace")
+            expected = _reference_sample_table(
+                conn, "t", names, types, sample_k, category_threshold
+            )
+            conn.text_factory = str
+            for statement in index_ddl:
+                conn.execute(statement)
+            got = _sample_table(conn, "t", names, types, sample_k, category_threshold)
+            assert got == expected
+            assert conn.text_factory is str
+        finally:
+            conn.close()
+
+
+@pytest.mark.parametrize("directory", ["x#y", "a?b", "%41", "with space"])
+def test_paths_that_are_not_uri_safe_open_read_only(tmp_path, directory):
+    path = tmp_path / directory / "shop.sqlite"
+    path.parent.mkdir()
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE items (id INTEGER PRIMARY KEY, name TEXT)")
+    conn.execute("INSERT INTO items VALUES (1, 'pen')")
+    conn.commit()
+    conn.close()
+    before = sorted(tmp_path.rglob("*"))
+    assert introspect(path).table_names() == ("items",)
+    result = execute_candidate("SELECT name FROM items", str(path))
+    assert result.status is ExecStatus.OK and result.preview == "1 row(s): ('pen',)"
+    ro = connect_read_only(path)
+    try:
+        with pytest.raises(sqlite3.OperationalError, match="readonly"):
+            ro.execute("CREATE TABLE stray (x)")
+    finally:
+        ro.close()
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestValidate:

@@ -3,6 +3,8 @@ import json
 import re
 import sqlite3
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 
 import pytest
@@ -468,6 +470,57 @@ class TestPipelineRunner:
         assert [c.table_names() for c in catalogs] == [("alpha",), ("beta",)]
         texts = [render(c, RepresentationFormat.DDL) for c in catalogs]
         assert "CREATE TABLE beta" in texts[1] and "alpha" not in texts[1]
+
+    def test_racing_questions_introspect_a_path_once(self, toy_db, monkeypatch):
+        calls = []
+        original = harness.introspect
+
+        def counting(db_path, **kwargs):
+            calls.append(db_path)
+            time.sleep(0.05)  # long enough for the other question to arrive
+            return original(db_path, **kwargs)
+
+        monkeypatch.setattr(harness, "introspect", counting)
+        barrier = threading.Barrier(2)
+        catalogs = []
+
+        def ask():
+            barrier.wait(timeout=5)
+            catalogs.append(runner.catalog_for("toy_shop", toy_db))
+
+        with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+            threads = [threading.Thread(target=ask) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        assert calls == [toy_db]
+        assert len(catalogs) == 2 and catalogs[0] is catalogs[1]
+
+    def test_paths_are_introspected_independently(self, tmp_path, toy_db, monkeypatch):
+        # the first path's introspection waits until the second one is done
+        other = tmp_path / "other.sqlite"
+        build_toy_db(other)
+        other_done = threading.Event()
+        original = harness.introspect
+
+        def ordered(db_path, **kwargs):
+            if db_path == toy_db:
+                assert other_done.wait(timeout=2), "the other path waited on this one"
+            catalog = original(db_path, **kwargs)
+            if db_path == str(other):
+                other_done.set()
+            return catalog
+
+        monkeypatch.setattr(harness, "introspect", ordered)
+        with PipelineRunner(
+            PipelineConfig.default(), ScriptedBackend(ToyScript())
+        ) as runner, ThreadPoolExecutor(max_workers=1) as pool:
+            first = pool.submit(runner.catalog_for, "toy_shop", toy_db)
+            time.sleep(0.05)  # the first path's introspection has begun by now
+            runner.catalog_for("other", str(other))
+            assert first.result(timeout=10).table_names() == ("users", "products", "orders")
 
     def test_full_schema_rendered_once_per_format(self, items, monkeypatch):
         config = PipelineConfig.default()

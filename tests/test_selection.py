@@ -4,11 +4,14 @@ import json
 import math
 import random
 import sqlite3
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from ensql import selection
+from ensql import catalog, selection
 from ensql.gateway import CostLedger, LlmGateway
 from ensql.generation import SqlCandidate
 from ensql.selection import (
@@ -135,6 +138,86 @@ class TestNormalizeResultOracle:
         rows = [(i % 7, f"v{i}", i / 3) for i in range(200)]
         monkeypatch.setattr(selection, "_CELL_MEMO_LIMIT", 5)
         assert normalize_result(rows) == _reference_normalize_result(rows)
+
+
+_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**63), 2**63 - 1),
+    st.floats(),
+    st.text(max_size=4),
+    st.binary(max_size=3),
+)
+_ROWS = st.integers(0, 3).flatmap(
+    lambda width: st.lists(st.tuples(*[_CELLS] * width), max_size=30)
+)
+
+
+def _cut(rows, cuts):
+    """rows split at the given positions, as feed batches."""
+    bounds = [0, *sorted(cuts), len(rows)]
+    return [rows[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+class TestCanonicalizationProperties:
+    @given(rows=_ROWS, data=st.data())
+    def test_digest_ignores_row_order_and_batching(self, rows, data):
+        shuffled = data.draw(st.permutations(rows))
+        cuts = data.draw(st.lists(st.integers(0, len(rows)), max_size=5))
+        canonicalizer = selection._Canonicalizer(6)
+        for batch in _cut(shuffled, cuts):
+            canonicalizer.feed(batch)
+        assert canonicalizer.digest() == normalize_result(rows)
+
+    @given(
+        rows=st.lists(st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=3), max_size=20),
+        data=st.data(),
+    )
+    def test_ints_equal_whole_floats(self, rows, data):
+        as_floats = [
+            tuple(float(v) if data.draw(st.booleans()) else v for v in row) for row in rows
+        ]
+        assert normalize_result(as_floats) == normalize_result(rows)
+
+    @given(rows=_ROWS, data=st.data())
+    def test_null_never_equals_empty_string(self, rows, data):
+        nulls = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v is None]
+        assume(nulls)
+        i, j = data.draw(st.sampled_from(nulls))
+        swapped = list(rows)
+        swapped[i] = rows[i][:j] + ("",) + rows[i][j + 1:]
+        assert normalize_result(swapped) != normalize_result(rows)
+
+    @given(
+        pool=st.lists(_CELLS, min_size=1, max_size=8),
+        rng=st.randoms(use_true_random=False),
+        row_count=st.integers(selection._FETCH_BATCH + 1, selection._FETCH_BATCH + 80),
+        data=st.data(),
+    )
+    def test_execution_matches_a_plain_fetch(self, pool, rng, row_count, data):
+        # invalid UTF-8 before and after the first batch boundary
+        bad_rows = {
+            data.draw(st.integers(0, selection._FETCH_BATCH - 1)),
+            data.draw(st.integers(selection._FETCH_BATCH, row_count - 1)),
+        }
+        with tempfile.TemporaryDirectory() as directory:
+            path = str(Path(directory) / "cells.sqlite")
+            conn = sqlite3.connect(path)
+            conn.execute("CREATE TABLE t (a, b)")
+            for i in range(row_count):
+                cells = (rng.choice(pool), rng.choice(pool))
+                if i in bad_rows:
+                    conn.execute("INSERT INTO t VALUES (CAST(? AS TEXT), ?)", (b"x\xff", cells[1]))
+                else:
+                    conn.execute("INSERT INTO t VALUES (?, ?)", cells)
+            conn.commit()
+            conn.text_factory = lambda raw: raw.decode("utf-8", "replace")
+            rows = conn.execute("SELECT a, b FROM t").fetchall()
+            conn.close()
+            result = execute_candidate("SELECT a, b FROM t", path)
+        assert result.ok
+        assert result.row_count == row_count
+        assert result.signature == normalize_result(rows)
 
 
 class TestExecuteCandidate:
@@ -300,7 +383,7 @@ class TestBoundedStreaming:
         assert valid.preview == "3 row(s): (1, 'plain'); (3, 'café'); (4, None)"
         assert passes == [str]
         execute_candidate("SELECT body FROM notes WHERE id = 2", notes_db)
-        assert passes[1:] == [str, selection._decode_replacing]
+        assert passes[1:] == [str, catalog._decode_replacing]
 
     def test_invalid_cell_after_the_first_batch_restarts_cleanly(self, notes_db, monkeypatch):
         assert selection._FETCH_BATCH < _BAD_ROW < _LONG_ROWS
