@@ -23,9 +23,7 @@ from .gateway import (
     ENV_API_KEY,
     ENV_BASE_URL,
     GatewayError,
-    HashEmbeddingBackend,
     HttpChatBackend,
-    HttpEmbeddingBackend,
     PriceTable,
     RecordingChatBackend,
     ReplayChatBackend,
@@ -56,8 +54,8 @@ from .linking import (
 log = logging.getLogger(__name__)
 
 
-def _add_backend_args(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_backend_args(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--live", action="store_true",
         help=f"call the HTTP API (needs {ENV_API_KEY}; {ENV_BASE_URL} overrides the endpoint)",
@@ -214,19 +212,10 @@ def cmd_link_eval(args: argparse.Namespace) -> int:
 
 def cmd_build_fewshot_store(args: argparse.Namespace) -> int:
     items = load_dataset(args.dataset, args.split, args.db_root, args.limit)
-    if args.embedding_model:
-        if not args.live:
-            print("error: --embedding-model needs --live", file=sys.stderr)
-            return 1
-        embedder = HttpEmbeddingBackend(args.embedding_model, _live_backend())
-    else:
-        embedder = HashEmbeddingBackend()
     # the store being built is this command's output, never its input
     config = dataclasses.replace(_load_config(args), fewshot_store_path=None)
     with PipelineRunner(config, ChatBackend()) as runner:
-        store = build_fewshot_store(
-            runner, items, embedder, RepresentationFormat.parse(args.format)
-        )
+        store = build_fewshot_store(runner, items, RepresentationFormat.parse(args.format))
     store.save(args.out)
     print(f"wrote {len(store)} examples to {args.out}")
     return 0
@@ -323,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_link.set_defaults(func=cmd_link_eval)
 
     p_store = sub.add_parser("build-fewshot-store",
-                             help="embed dataset questions into a retrieval store")
+                             help="embed dataset questions into a retrieval store "
+                                  "(offline: no model call)")
     _add_dataset_args(p_store)
-    _add_backend_args(p_store, required=False)
     p_store.add_argument("--out", required=True, help="store file to write")
     p_store.add_argument("--format", default="compact_tagged",
                          help="schema format stored with each example")
@@ -334,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "schema texts")
     p_store.add_argument("--sample-k", type=int,
                          help="value examples per column (default from config)")
-    p_store.add_argument("--embedding-model",
-                         help="HTTP embedding model (default: local hash embeddings)")
     p_store.set_defaults(func=cmd_build_fewshot_store)
 
     p_sweep = sub.add_parser("sweep",

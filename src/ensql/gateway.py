@@ -1,4 +1,4 @@
-"""LLM gateway: chat and embedding backends plus priced usage accounting.
+"""LLM gateway: chat backends plus priced usage accounting.
 
 Two interchangeable chat transports: a live HTTP client speaking the
 OpenAI-style chat-completions protocol, and a replay client that serves
@@ -7,7 +7,8 @@ recording wrapper captures live traffic into that fixture format, so any
 benchmark run can be replayed byte-for-byte later.
 
 All token usage flows through a CostLedger; dollar costs are computed with
-decimal arithmetic so per-call costs sum exactly.
+decimal arithmetic so per-call costs sum exactly.  HashEmbeddingBackend
+embeds questions for few-shot retrieval offline, with no model call.
 """
 from __future__ import annotations
 
@@ -33,8 +34,9 @@ STAGE_GENERATION = "generation"
 STAGE_SELECTION = "selection"
 STAGE_EMBEDDING = "embedding"
 
-# stages whose calls count as LLM calls in reports (embeddings are tracked
-# but reported separately)
+# stages whose calls count as LLM calls in reports; STAGE_EMBEDDING is no
+# longer recorded and stays only because records written before few-shot
+# retrieval moved off the gateway carry an embedding usage row
 LLM_STAGES = (STAGE_LINKING, STAGE_GENERATION, STAGE_SELECTION)
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
@@ -149,8 +151,8 @@ class HttpChatBackend(ChatBackend):
         self._session = session or requests.Session()
         self._sleep = sleep
 
-    def _post(self, path: str, payload: dict) -> dict:
-        url = f"{self.base_url}{path}"
+    def _post(self, payload: dict) -> dict:
+        url = f"{self.base_url}/chat/completions"
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -184,7 +186,7 @@ class HttpChatBackend(ChatBackend):
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        doc = self._post("/chat/completions", payload)
+        doc = self._post(payload)
         try:
             text = doc["choices"][0]["message"]["content"] or ""
         except (KeyError, IndexError, TypeError) as exc:
@@ -279,14 +281,7 @@ class RecordingChatBackend(ChatBackend):
             os.replace(partial, self.path)
 
 
-class EmbeddingBackend:
-    """Interface for text embedding; vectors come back unit-normalized."""
-
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        raise NotImplementedError
-
-
-class HashEmbeddingBackend(EmbeddingBackend):
+class HashEmbeddingBackend:
     """Deterministic offline embeddings seeded by the text digest.
 
     Not semantically meaningful, but stable across processes and platforms:
@@ -307,29 +302,6 @@ class HashEmbeddingBackend(EmbeddingBackend):
             vec = np.random.default_rng(seed).standard_normal(self.dim)
             out.append(vec / np.linalg.norm(vec))
         return out
-
-
-class HttpEmbeddingBackend(EmbeddingBackend):
-    """Live embeddings through the OpenAI-style /embeddings endpoint."""
-
-    def __init__(self, model: str, http: HttpChatBackend):
-        self.model = model
-        self._http = http
-
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        if not texts:
-            return []
-        doc = self._http._post("/embeddings", {"model": self.model, "input": list(texts)})
-        try:
-            rows = sorted(doc["data"], key=lambda r: r["index"])
-            vectors = [np.asarray(r["embedding"], dtype=float) for r in rows]
-        except (KeyError, TypeError) as exc:
-            raise TransportError(f"malformed embedding response: {doc!r}") from exc
-        if len(vectors) != len(texts):
-            raise TransportError(
-                f"embedding response has {len(vectors)} rows for {len(texts)} inputs"
-            )
-        return [v / np.linalg.norm(v) for v in vectors]
 
 
 @dataclass
@@ -458,9 +430,10 @@ class CallThrottle:
 
     One throttle serves a whole run: every gateway built around it shares
     its semaphore, so max_in_flight bounds concurrent backend calls across
-    all questions, and its pool, sized the same, runs the model-call tasks
-    those questions submit.  Pool threads start on demand and exit when the
-    throttle is closed or garbage-collected, so closing is optional.
+    all questions, and its pool, sized the same, runs only the model calls
+    those questions submit (prompts and few-shot retrieval stay on their
+    threads).  Pool threads start on demand and exit when the throttle is
+    closed or garbage-collected, so closing is optional.
     """
 
     def __init__(self, max_in_flight: int = 8):
@@ -484,14 +457,11 @@ class LlmGateway:
     submit() hands a task to the throttle's pool.  Gateways that share one
     throttle share its cap and pool but keep their own ledgers; without a
     throttle, the gateway gets a private CallThrottle() at its default cap.
-    Questions embed offline, to embedding_backend.dim entries.
 
     A gateway serves one question, question_id, and owns what a failed
     call means for it (attempt) and the prefix that names it in warnings
     (warn).
     """
-
-    embedding_backend = HashEmbeddingBackend()
 
     def __init__(
         self,
@@ -533,11 +503,3 @@ class LlmGateway:
         except GatewayError as exc:
             self.warn("%s failed: %s", what, exc)
             return exc
-
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        if not texts:
-            return []
-        with self.throttle.semaphore:
-            vectors = self.embedding_backend.embed(texts)
-        self.ledger.record("embedding", STAGE_EMBEDDING, TokenUsage(), calls=len(texts))
-        return vectors

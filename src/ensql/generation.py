@@ -22,13 +22,24 @@ import numpy as np
 
 from .catalog import FilterLevel, SchemaCatalog, apply_filter
 from .formats import RepresentationFormat, render
-from .gateway import ChatRequest, GatewayError, LlmGateway, STAGE_GENERATION, TokenUsage
+from .gateway import (
+    ChatRequest,
+    GatewayError,
+    HashEmbeddingBackend,
+    LlmGateway,
+    STAGE_GENERATION,
+    TokenUsage,
+)
 from .linking import LinkingPrediction, format_user_turn
 from .selection import ExecStatus, ExecutionResult
 
 log = logging.getLogger(__name__)
 
 _ASSETS = Path(__file__).parent / "assets"
+
+# embeds questions both when a few-shot store is built and when it is queried;
+# it is local and makes no model call
+QUESTION_EMBEDDER = HashEmbeddingBackend()
 
 
 class NoCodeBlockError(Exception):
@@ -152,10 +163,11 @@ def retrieve_fewshots(
 ) -> list[FewShotExample]:
     """Top-k examples by cosine similarity to the question.
 
-    embedder is anything with embed(texts) -> unit vectors (an
-    EmbeddingBackend or an LlmGateway).  Ties and near-ties resolve by
-    store order, so retrieval is deterministic.  k of zero or an empty
-    store returns []; k beyond the store size returns everything.
+    embedder is anything with embed(texts) -> unit vectors, normally
+    QUESTION_EMBEDDER, the one the store was built with.  Ties and
+    near-ties resolve by store order, so retrieval is deterministic.  k of
+    zero or an empty store returns []; k beyond the store size returns
+    everything.
     """
     if k <= 0 or not len(store):
         return []

@@ -41,6 +41,7 @@ from .gateway import (
     UsageRow,
 )
 from .generation import (
+    QUESTION_EMBEDDER,
     CandidateSpec,
     FewShotExample,
     FewShotStore,
@@ -453,10 +454,10 @@ class PipelineRunner:
         store_path = config.fewshot_store_path
         self.fewshot_store = FewShotStore.load(store_path) if store_path else None
         width = self.fewshot_store.embeddings.shape[1] if self.fewshot_store else None
-        if width not in (None, LlmGateway.embedding_backend.dim):
+        if width not in (None, QUESTION_EMBEDDER.dim):
             raise ConfigError(
                 f"few-shot store {store_path} holds {width}-dim embeddings, but questions "
-                f"embed to {LlmGateway.embedding_backend.dim} dims, so it cannot be queried"
+                f"embed to {QUESTION_EMBEDDER.dim} dims, so it cannot be queried"
             )
         self.descriptions: dict[str, Mapping[str, Mapping[str, str]]] = (
             json.loads(Path(config.descriptions_path).read_text(encoding="utf-8"))
@@ -626,15 +627,16 @@ def generate_candidates(
 
     model generates every slot; a slot's index is its position in specs.
     Slots that share a format and linker model share one linker run, and
-    runs start in the order of their first slots.  Linker runs, few-shot
-    retrieval and the specs that filter nothing start at once; a filtering
-    spec starts as soon as its own linker run resolves, and falls back to
-    the full schema when that run failed.  This thread builds every prompt
-    and hands only the calls to the gateway's pool; it alone waits on
-    futures, so no pool thread ever blocks on another task.
+    runs start in the order of their first slots.  Linker runs and the
+    specs that filter nothing start at once; a filtering spec starts as soon
+    as its own linker run resolves, and falls back to the full schema when
+    that run failed.  This thread retrieves the few-shots (no model call)
+    while the linker calls are in flight, builds every prompt and hands
+    only the calls to the gateway's pool; it alone waits on futures, so no
+    pool thread ever blocks on another task.
     """
     linker_runs = {spec.linker_run: spec for spec in specs if spec.linker_run is not None}
-    inputs: dict[Future, str | None] = {  # linker run id; None for few-shots
+    inputs: dict[Future, str] = {  # linker run id
         gateway.submit(
             link, run_id,
             linker_request(spec.format, spec.linker_model, catalog, item, max_tokens),
@@ -642,19 +644,14 @@ def generate_candidates(
         ): run_id
         for run_id, spec in linker_runs.items()
     }
-    fewshots: Sequence[FewShotExample] | None = ()
-    if fewshot_store is not None and fewshot_k > 0:
-        fewshots = None
-        retrieval = gateway.submit(
-            retrieve_fewshots, item.question, fewshot_store, gateway, fewshot_k
-        )
-        inputs[retrieval] = None
+    fewshots = (
+        retrieve_fewshots(item.question, fewshot_store, QUESTION_EMBEDDER, fewshot_k)
+        if fewshot_store is not None else []
+    )
     predictions: dict[str, LinkingPrediction | None] = {}
     slots: dict[int, Future] = {}
 
     def start_ready_slots() -> None:
-        if fewshots is None:
-            return
         for index, spec in enumerate(specs):
             waiting = spec.linker_run is not None and spec.linker_run not in predictions
             if waiting or index in slots:
@@ -673,11 +670,7 @@ def generate_candidates(
 
     start_ready_slots()
     for future in as_completed(inputs):
-        run_id = inputs[future]
-        if run_id is None:
-            fewshots = future.result()
-        else:
-            predictions[run_id] = future.result()
+        predictions[inputs[future]] = future.result()
         start_ready_slots()
     return [slots[index].result() for index in range(len(specs))]
 
@@ -1061,13 +1054,11 @@ def sweep(
 def build_fewshot_store(
     runner: PipelineRunner,
     items: Sequence[BenchmarkItem],
-    embedder,
     fmt: RepresentationFormat = RepresentationFormat.COMPACT_TAGGED,
-    batch_size: int = 64,
 ) -> FewShotStore:
     """Embed dataset questions into a retrieval store of solved examples.
 
-    embedder is anything with embed(texts) -> unit vectors.  Schema texts
+    Questions embed with QUESTION_EMBEDDER, as queries do.  Schema texts
     are the runner's catalogs rendered in the given format, so they carry
     its config's value samples, category lists and descriptions, and each
     database is introspected and rendered once.  The runner makes no model
@@ -1082,9 +1073,6 @@ def build_fewshot_store(
         )
         for item in items
     ]
-    vectors = []
-    for start in range(0, len(examples), batch_size):
-        batch = [e.question for e in examples[start:start + batch_size]]
-        vectors.extend(embedder.embed(batch))
+    vectors = QUESTION_EMBEDDER.embed([e.question for e in examples])
     matrix = np.vstack(vectors) if vectors else np.zeros((0, 0))
     return FewShotStore(examples, matrix)

@@ -212,6 +212,9 @@ def _stream(
     canonicalizer = _Canonicalizer(precision)
     head: list[tuple] = []
     with closing(conn.execute(sql)) as cursor:
+        # no columns: empty text, only a comment, or a statement such as REINDEX
+        if cursor.description is None:
+            raise sqlite3.ProgrammingError("not a query: the statement returns no columns")
         while batch := cursor.fetchmany(_FETCH_BATCH):
             if len(head) < preview_limit:
                 head += batch[:preview_limit - len(head)]
@@ -244,7 +247,8 @@ def execute_candidate(
     holding invalid UTF-8 is fetched again, under the same deadline, with
     invalid bytes replaced by U+FFFD.
     Never raises for query-level problems: syntax errors, missing tables,
-    and unopenable databases come back as Error results, and queries that
+    unopenable databases and statements that return no columns (empty
+    text, a lone comment) come back as Error results, and queries that
     exceed timeout_s are interrupted and come back as Timeout results with
     the budget recorded.
     """

@@ -285,12 +285,18 @@ class TestBuildFewshotStore:
         assert "wrote 2 examples" in capsys.readouterr().out
         assert FewShotStore.load(out).embeddings.shape == (2, 64)
 
-    def test_embedding_model_requires_live(self, cli_env, tmp_path, capsys):
-        rc = main(["build-fewshot-store", "--dataset", cli_env["dataset"],
-                   "--out", str(tmp_path / "s.jsonl"),
-                   "--embedding-model", "text-embedding-3-small"])
-        assert rc == 1
-        assert "--embedding-model needs --live" in capsys.readouterr().err
+    @pytest.mark.parametrize("flags", [["--record", "FIXTURE"], ["--replay", "FIXTURE"],
+                                       ["--live"]], ids=["record", "replay", "live"])
+    def test_backend_flags_are_rejected(self, cli_env, tmp_path, flags, capsys):
+        # the store embeds locally, so the command has no model to reach
+        fixture, out = tmp_path / "fixture.jsonl", tmp_path / "store.jsonl"
+        flags = [str(fixture) if flag == "FIXTURE" else flag for flag in flags]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["build-fewshot-store", "--dataset", cli_env["dataset"], "--out", str(out),
+                  *flags])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not fixture.exists() and not out.exists()
 
 
 class TestSweep:
@@ -360,6 +366,32 @@ class TestFewShotStorePlumbing:
         assert len(prompts) == 2 * 5
         for messages in prompts:
             assert {m["content"] for m in messages if m["role"] == "assistant"} == shots
+
+    def test_retrieval_is_no_metered_call(self, cli_env, store, tmp_path, monkeypatch,
+                                          capsys, caplog):
+        monkeypatch.setattr(cli, "_live_backend", lambda: ScriptedBackend(ToyScript()))
+        out = tmp_path / "records.jsonl"
+        with caplog.at_level("WARNING"):
+            assert main(["run", "--dataset", cli_env["dataset"], "--limit", "2", "--live",
+                         "--fewshot-store", str(store), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
+        usage = {
+            record.question_id: [
+                (row.model, row.stage, row.calls, row.input_tokens, row.output_tokens)
+                for row in record.usage
+            ]
+            for record in read_records(out)
+        }
+        # only the linker and generation calls, with the few-shots in their prompts
+        assert usage == {
+            "1": [("gemini-1.5-flash", "generation", 5, 6877, 45),
+                  ("gemini-1.5-pro", "linking", 1, 539, 43),
+                  ("gpt-4o", "linking", 2, 1150, 86)],
+            "2": [("gemini-1.5-flash", "generation", 5, 6881, 44),
+                  ("gemini-1.5-pro", "linking", 1, 540, 43),
+                  ("gpt-4o", "linking", 2, 1152, 86)],
+        }
 
     def test_store_of_another_width_is_refused(self, cli_env, tmp_path, capsys):
         wide = tmp_path / "wide.jsonl"

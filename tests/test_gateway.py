@@ -16,7 +16,6 @@ from ensql.gateway import (
     GatewayError,
     HashEmbeddingBackend,
     HttpChatBackend,
-    HttpEmbeddingBackend,
     LLM_STAGES,
     LlmGateway,
     PriceTable,
@@ -279,46 +278,6 @@ class TestHashEmbeddingBackend:
             HashEmbeddingBackend(dim=1)
 
 
-class TestHttpEmbeddingBackend:
-    def test_rows_resorted_by_index(self):
-        doc = {
-            "data": [
-                {"index": 1, "embedding": [0.0, 2.0]},
-                {"index": 0, "embedding": [3.0, 0.0]},
-            ]
-        }
-        session = FakeSession([FakeResponse(200, doc)])
-        http = HttpChatBackend(
-            base_url="https://fake.test/v1", api_key="k",
-            session=session, sleep=lambda s: None,
-        )
-        backend = HttpEmbeddingBackend("embed-model", http=http)
-        vectors = backend.embed(["first", "second"])
-        np.testing.assert_allclose(vectors[0], [1.0, 0.0])
-        np.testing.assert_allclose(vectors[1], [0.0, 1.0])
-        assert session.calls[0]["url"].endswith("/embeddings")
-
-    def test_row_count_mismatch(self):
-        doc = {"data": [{"index": 0, "embedding": [1.0, 0.0]}]}
-        session = FakeSession([FakeResponse(200, doc)])
-        http = HttpChatBackend(
-            base_url="https://fake.test/v1", api_key="k",
-            session=session, sleep=lambda s: None,
-        )
-        backend = HttpEmbeddingBackend("embed-model", http=http)
-        with pytest.raises(TransportError, match="2 inputs"):
-            backend.embed(["a", "b"])
-
-    def test_empty_input_no_call(self):
-        session = FakeSession([])
-        http = HttpChatBackend(
-            base_url="https://fake.test/v1", api_key="k",
-            session=session, sleep=lambda s: None,
-        )
-        assert HttpEmbeddingBackend("embed-model", http=http).embed([]) == []
-        assert session.calls == []
-
-
 class TestCostLedger:
     def test_record_and_rows_sorted(self):
         ledger = CostLedger()
@@ -433,16 +392,6 @@ class TestLlmGateway:
         gateway = LlmGateway(ScriptedBackend(script), question_id="q7")
         with pytest.raises(ReplayMissError):
             gateway.attempt(REQUEST, STAGE_LINKING, "linker run x")
-
-    def test_embed_records_one_call_per_text(self):
-        gateway = LlmGateway(ScriptedBackend(lambda req: "x"), ledger=CostLedger())
-        vectors = gateway.embed(["a", "b", "c"])
-        assert len(vectors) == 3
-        rows = gateway.ledger.rows()
-        assert rows == [
-            type(rows[0])("embedding", STAGE_EMBEDDING, 3, 0, 0)
-        ]
-        assert gateway.embed([]) == []
 
     def test_gateways_sharing_a_throttle_share_its_cap_not_their_ledgers(self):
         lock = threading.Lock()

@@ -42,7 +42,6 @@ from ensql.harness import (
     sweep,
     write_records,
 )
-from ensql.gateway import HashEmbeddingBackend
 from ensql.selection import (
     Confidence,
     ExecStatus,
@@ -157,6 +156,12 @@ class TestExecutionAccuracy:
 
     def test_failing_prediction_scores_zero(self, toy_db):
         assert execution_accuracy("SELECT nope FROM users", "SELECT 1", toy_db) == 0
+
+    @pytest.mark.parametrize("prediction", ["", ";", "-- cannot answer", "/* none */"])
+    def test_a_prediction_with_no_columns_misses_an_empty_reference(self, toy_db, prediction):
+        reference = "SELECT name FROM users WHERE user_id = -1"
+        assert execution_accuracy(reference, reference, toy_db) == 1
+        assert execution_accuracy(prediction, reference, toy_db) == 0
 
     def test_failing_reference_raises(self, toy_db):
         with pytest.raises(GoldExecutionError, match="reference query failed"):
@@ -872,7 +877,7 @@ class TestBuildFewshotStore:
         items = load_dataset(toy_dataset, limit=3)
         backend = ScriptedBackend(ToyScript())
         with PipelineRunner(PipelineConfig.default(), backend) as runner:
-            store = build_fewshot_store(runner, items, HashEmbeddingBackend())
+            store = build_fewshot_store(runner, items)
         assert backend.requests == []
         assert len(store) == 3
         assert store.embeddings.shape == (3, 64)
@@ -887,12 +892,12 @@ class TestBuildFewshotStore:
         fmt = RepresentationFormat.COMMENTED_TUPLES
         config = dataclasses.replace(PipelineConfig.default(), category_threshold=3)
         with PipelineRunner(config, ScriptedBackend(ToyScript())) as runner:
-            store = build_fewshot_store(runner, items, HashEmbeddingBackend(), fmt)
+            store = build_fewshot_store(runner, items, fmt)
             expected = render(runner.catalog_for(items[0].db_id, items[0].db_path), fmt)
         assert store.examples[0].schema_text == expected
         assert "'Alice'" not in expected
         with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
-            default = build_fewshot_store(runner, items, HashEmbeddingBackend(), fmt)
+            default = build_fewshot_store(runner, items, fmt)
         assert "Value examples: ['Alice', 'Bob', 'Cara', 'Dan']" in default.examples[0].schema_text
 
     def test_schema_texts_carry_the_config_descriptions(self, toy_dataset, tmp_path):
@@ -907,6 +912,6 @@ class TestBuildFewshotStore:
         items = load_dataset(toy_dataset, limit=1)
         with PipelineRunner(config, ScriptedBackend(ToyScript())) as runner:
             store = build_fewshot_store(
-                runner, items, HashEmbeddingBackend(), RepresentationFormat.COMMENTED_TUPLES
+                runner, items, RepresentationFormat.COMMENTED_TUPLES
             )
         assert "customer full name" in store.examples[0].schema_text

@@ -6,10 +6,11 @@ import random
 import sqlite3
 import tempfile
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ensql import catalog, selection
 from ensql.gateway import CostLedger, LlmGateway
@@ -294,6 +295,14 @@ class TestExecuteCandidate:
         assert result.status is ExecStatus.ERROR
         assert "not authorized" in result.error_text
 
+    @pytest.mark.parametrize("statement", [
+        "", ";", "-- cannot answer", "/* none */ ;", "REINDEX NOCASE", "REINDEX BINARY",
+    ])
+    def test_a_statement_with_no_columns_is_an_error(self, toy_db, statement):
+        result = execute_candidate(statement, toy_db)
+        assert result.group_key() == "error:ProgrammingError"
+        assert "returns no columns" in result.error_text
+
     def test_recursive_ctes_and_functions_still_run(self, toy_db):
         result = execute_candidate(
             "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r WHERE n < 4) "
@@ -308,6 +317,101 @@ class TestExecuteCandidate:
             toy_db,
         )
         assert joined.preview == "1 row(s): ('Alice', 3)"
+
+
+# statements a candidate must never run, drawn from writes, schema changes,
+# other files, settings, transaction control and maintenance; {dir} stands
+# for the database's directory
+_VALUES = st.sampled_from(["1", "-2", "'x'", "NULL", "x'00'", "(SELECT max(a) FROM t)"])
+_NEW_NAMES = st.sampled_from(["fresh", "t2", "main.fresh", "temp.t2"])
+_TEMP = st.sampled_from(["", "TEMP ", "TEMPORARY "])
+_FILES = st.sampled_from(["other.sqlite", "copy.db", "x"]).map(lambda name: f"'{{dir}}/{name}'")
+_WRITES = st.one_of(
+    st.builds("INSERT INTO t (b) VALUES ({})".format, _VALUES),
+    st.builds("REPLACE INTO t VALUES (1, {})".format, _VALUES),
+    st.builds("UPDATE t SET b = {}".format, _VALUES),
+    st.builds("DELETE FROM t WHERE a = {}".format, _VALUES),
+    st.builds("INSERT INTO t (b) SELECT {} FROM t RETURNING a".format, _VALUES),
+)
+_SCHEMA_CHANGES = st.one_of(
+    st.builds("CREATE {}TABLE {} (x)".format, _TEMP, _NEW_NAMES),
+    st.builds("CREATE {}TABLE {} AS SELECT * FROM t".format, _TEMP, _NEW_NAMES),
+    st.builds("CREATE {}VIEW {} AS SELECT a FROM t".format, _TEMP, _NEW_NAMES),
+    st.builds("CREATE {}TRIGGER {} AFTER INSERT ON t BEGIN DELETE FROM t; END".format,
+              _TEMP, _NEW_NAMES),
+    st.builds("CREATE INDEX {} ON t (a)".format, _NEW_NAMES),
+    st.sampled_from([
+        "DROP TABLE t", "DROP INDEX t_b", "DROP VIEW v", "DROP TRIGGER tr",
+        "ALTER TABLE t ADD COLUMN c", "ALTER TABLE t RENAME TO t9",
+        "ALTER TABLE t RENAME COLUMN b TO c", "ALTER TABLE t DROP COLUMN b",
+    ]),
+)
+_OTHER_FILES = st.one_of(
+    st.builds("ATTACH DATABASE {} AS {}".format, _FILES, st.sampled_from(["other", "aux"])),
+    st.builds("VACUUM INTO {}".format, _FILES),
+    st.sampled_from(["VACUUM", "VACUUM main", "ATTACH ':memory:' AS m", "DETACH other"]),
+)
+_PRAGMAS = st.builds(
+    "PRAGMA {} = {}".format,
+    st.sampled_from([
+        "user_version", "main.application_id", "schema_version", "journal_mode",
+        "query_only", "writable_schema", "foreign_keys", "locking_mode", "synchronous",
+    ]),
+    st.sampled_from(["0", "1", "7", "OFF", "WAL", "DELETE", "EXCLUSIVE"]),
+)
+_TRANSACTIONS = st.sampled_from([
+    "BEGIN", "BEGIN IMMEDIATE", "BEGIN EXCLUSIVE TRANSACTION", "COMMIT", "END",
+    "ROLLBACK", "SAVEPOINT s", "RELEASE s", "RELEASE SAVEPOINT s", "ROLLBACK TO s",
+])
+_MAINTENANCE = st.sampled_from([
+    "REINDEX", "REINDEX NOCASE", "REINDEX BINARY", "REINDEX RTRIM", "REINDEX t",
+    "REINDEX t_b", "REINDEX main.t_b", "ANALYZE", "ANALYZE t", "ANALYZE main",
+])
+_STATEMENTS = st.one_of(
+    _WRITES, _SCHEMA_CHANGES, _OTHER_FILES, _PRAGMAS, _TRANSACTIONS, _MAINTENANCE
+)
+
+# alone, after a query, before a query, behind a WITH clause, after a comment
+_PLACEMENTS = (
+    "{}",
+    "SELECT 1; {}",
+    "{}; SELECT 1",
+    "WITH w AS (SELECT 1) {}",
+    "-- a note\n{}",
+)
+
+
+def _guarded_db(directory: Path) -> Path:
+    """A database with every kind of schema object, alone in directory."""
+    path = directory / "guarded.sqlite"
+    with closing(sqlite3.connect(path)) as conn:
+        conn.executescript("""
+            CREATE TABLE t (a INTEGER PRIMARY KEY, b TEXT);
+            CREATE INDEX t_b ON t (b COLLATE NOCASE);
+            CREATE VIEW v AS SELECT b FROM t;
+            CREATE TRIGGER tr AFTER UPDATE ON t BEGIN SELECT 1; END;
+            INSERT INTO t (b) VALUES ('x'), ('Y'), (NULL);
+        """)
+    return path
+
+
+class TestReadOnlyProperty:
+    # the profile's 40 examples draw only REINDEX NOCASE among the collation
+    # names, which fails here because it must rebuild t_b; 100 draw one that
+    # runs, as a statement that returns no columns
+    @settings(max_examples=100)
+    @given(statement=_STATEMENTS)
+    def test_no_statement_runs(self, statement):
+        with tempfile.TemporaryDirectory() as directory:
+            db = _guarded_db(Path(directory))
+            statement = statement.replace("{dir}", directory)
+            digest = hashlib.sha256(db.read_bytes()).hexdigest()
+            for placement in _PLACEMENTS:
+                sql = placement.format(statement)
+                result = execute_candidate(sql, db)
+                assert result.status is ExecStatus.ERROR, (sql, result)
+                assert hashlib.sha256(db.read_bytes()).hexdigest() == digest, sql
+                assert [p.name for p in db.parent.iterdir()] == [db.name], sql
 
 
 def _slow_cells(monkeypatch, seconds):
