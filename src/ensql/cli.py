@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -29,8 +30,11 @@ from .gateway import (
     ReplayChatBackend,
 )
 from .harness import (
+    DEFAULT_COMBO_CAP,
+    SKIPPED,
     BenchmarkItem,
     DatasetError,
+    Failed,
     SweepError,
     aggregate_records,
     bounds_analysis,
@@ -41,10 +45,12 @@ from .harness import (
     load_dataset,
     read_records,
     run_benchmark,
+    run_questions,
     sweep,
     PipelineRunner,
 )
 from .linking import (
+    GoldLinking,
     LinkingPrediction,
     LinkingResolutionError,
     derive_gold_linking,
@@ -106,12 +112,6 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _price_table(config: PipelineConfig) -> PriceTable:
-    if config.price_table_path:
-        return PriceTable.load(config.price_table_path)
-    return PriceTable.default()
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     items = load_dataset(args.dataset, args.split, args.db_root, args.limit)
@@ -126,7 +126,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             out_path=args.out,
             workers=args.workers,
             record_timing=not args.replay,
-            price_table=_price_table(config),
+            price_table=PriceTable.load(config.price_table_path)
+            if config.price_table_path else PriceTable.default(),
         )
     print(report.render_text())
     if args.out:
@@ -174,40 +175,55 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+def _name_failure(failed: list[Failed], outcome: object) -> None:
+    """A run_questions progress hook: keep a Failed outcome and name it on stderr."""
+    if isinstance(outcome, Failed):
+        failed.append(outcome)
+        print(f"error: {outcome.error} (question {outcome.item.question_id})", file=sys.stderr)
+
+
+def _exit_status(failed: list[Failed]) -> int:
+    """0, or 1 after a questions-failed line when any question failed."""
+    if failed:
+        print(f"questions failed: {len(failed)}")
+    return int(bool(failed))
+
+
 def cmd_link_eval(args: argparse.Namespace) -> int:
     config = _load_config(args)
     fmt = RepresentationFormat.parse(args.format)
     model = args.model or config.default_linker()
     items = load_dataset(args.dataset, args.split, args.db_root, args.limit)
-    predictions, golds = [], []
-    skipped = 0
-    with _resolve_backend(args) as backend, PipelineRunner(config, backend) as runner:
-        for item in items:
-            gateway = runner.gateway(item.question_id)
-            catalog = runner.catalog_for(item.db_id, item.db_path)
-            try:
-                gold = derive_gold_linking(item.gold_sql, catalog)
-            except LinkingResolutionError as exc:
-                gateway.warn("cannot resolve reference SQL (%s); skipped", exc)
-                skipped += 1
-                continue
-            request = linker_request(fmt, model, catalog, item, config.max_tokens)
-            prediction = link(f"{fmt.value}:{model}", request, gateway)
-            # a failed linker run scores as an empty prediction
-            predictions.append(prediction or LinkingPrediction({}))
-            golds.append(gold)
 
-    if not predictions:
+    def score(item: BenchmarkItem) -> tuple[LinkingPrediction, GoldLinking] | str:
+        gateway = runner.gateway(item.question_id)
+        catalog = runner.catalog_for(item.db_id, item.db_path)
+        try:
+            gold = derive_gold_linking(item.gold_sql, catalog)
+        except LinkingResolutionError as exc:
+            gateway.warn("cannot resolve reference SQL (%s); skipped", exc)
+            return SKIPPED
+        request = linker_request(fmt, model, catalog, item, config.max_tokens)
+        # a failed linker run scores as an empty prediction
+        return link(f"{fmt.value}:{model}", request, gateway) or LinkingPrediction({}), gold
+
+    failed: list[Failed] = []
+    with _resolve_backend(args) as backend, PipelineRunner(config, backend) as runner:
+        outcomes = run_questions(
+            items, score, config.workers, functools.partial(_name_failure, failed)
+        )
+    scored = [outcome for outcome in outcomes if isinstance(outcome, tuple)]
+    if not scored:
         print("error: no scorable questions", file=sys.stderr)
         return 1
-    metrics = linking_metrics(predictions, golds)
+    metrics = linking_metrics(*zip(*scored))
     print(f"model {model}, schema format {fmt.value}")
-    print(f"questions scored: {len(predictions)} (skipped {skipped})")
+    print(f"questions scored: {len(scored)} (skipped {outcomes.count(SKIPPED)})")
     print(f"tables : precision {metrics.table_precision:.4f}  "
           f"recall {metrics.table_recall:.4f}  f1 {metrics.table_f1:.4f}")
     print(f"columns: precision {metrics.column_precision:.4f}  "
           f"recall {metrics.column_recall:.4f}  f1 {metrics.column_f1:.4f}")
-    return 0
+    return _exit_status(failed)
 
 
 def cmd_build_fewshot_store(args: argparse.Namespace) -> int:
@@ -232,6 +248,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.levels else list(FilterLevel)
     )
     items = load_dataset(args.dataset, args.split, args.db_root, args.limit)
+    failed: list[Failed] = []
     with _resolve_backend(args) as backend:
         results = sweep(
             config, items, backend, formats, levels, args.n,
@@ -239,12 +256,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cap=args.max_combos,
             subset_fraction=args.subset,
             seed=args.seed,
+            progress=functools.partial(_name_failure, failed),
         )
     shown = results[: args.top] if args.top else results
     print(f"{len(results)} combinations of size {args.n}; top {len(shown)}:")
     for result in shown:
         print(f"  ex {result.ex:.4f}  {', '.join(result.labels)}")
-    return 0
+    return _exit_status(failed)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -333,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--formats", help="comma-separated formats (default: all)")
     p_sweep.add_argument("--levels", help="comma-separated filter levels (default: all)")
     p_sweep.add_argument("--n", type=int, default=5, help="candidates per combination")
-    p_sweep.add_argument("--max-combos", type=int, default=2000,
+    p_sweep.add_argument("--max-combos", type=int, default=DEFAULT_COMBO_CAP,
                          help="refuse sweeps larger than this many combinations")
     p_sweep.add_argument("--subset", type=float,
                          help="score a random fraction of the dataset")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import json
-import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,8 +31,6 @@ from .gateway import (
 )
 from .linking import LinkingPrediction, format_user_turn
 from .selection import ExecStatus, ExecutionResult
-
-log = logging.getLogger(__name__)
 
 _ASSETS = Path(__file__).parent / "assets"
 
@@ -167,13 +164,10 @@ def retrieve_fewshots(
     QUESTION_EMBEDDER, the one the store was built with.  Ties and
     near-ties resolve by store order, so retrieval is deterministic.  k of
     zero or an empty store returns []; k beyond the store size returns
-    everything.
+    everything (PipelineRunner reports that once, when it loads the store).
     """
     if k <= 0 or not len(store):
         return []
-    if k > len(store):
-        log.warning("requested %d few-shots but the store has %d", k, len(store))
-        k = len(store)
     query = embedder.embed([question])[0]
     scores = store.embeddings @ query
     order = np.argsort(-scores, kind="stable")[:k]

@@ -4,7 +4,8 @@ Runs the full engine over BIRD/SPIDER-style datasets, streams one JSON
 record per question to disk in dataset order, and aggregates execution
 accuracy alongside call, token, and dollar accounting.  Also home to the
 selection-quality analyses (accuracy bounds, accuracy by vote count) and
-the representation-combination sweep.
+the representation-combination sweep.  run_questions is the one loop over
+a dataset; run_benchmark, sweep and link-eval each hand it a step.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ import statistics
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -156,14 +158,10 @@ def load_dataset(
             )
             skipped += 1
             continue
-        db_path = None
-        for db_dir in db_dirs:
-            candidate = db_dir / db_id / f"{db_id}.sqlite"
-            if candidate.is_file():
-                db_path = candidate
-                break
+        db_files = [db_dir / db_id / f"{db_id}.sqlite" for db_dir in db_dirs]
+        db_path = next((path for path in db_files if path.is_file()), None)
         if db_path is None:
-            searched = ", ".join(str(d / db_id / f"{db_id}.sqlite") for d in db_dirs)
+            searched = ", ".join(map(str, db_files))
             raise DatasetError(f"database file for {db_id!r} not found; searched {searched}")
         items.append(
             BenchmarkItem(
@@ -272,16 +270,7 @@ class RunRecord:
             "selection": _selection_to_dict(self.selection),
             "candidate_ex": list(self.candidate_ex),
             "ex": self.ex,
-            "usage": [
-                {
-                    "model": u.model,
-                    "stage": u.stage,
-                    "calls": u.calls,
-                    "input_tokens": u.input_tokens,
-                    "output_tokens": u.output_tokens,
-                }
-                for u in self.usage
-            ],
+            "usage": [asdict(u) for u in self.usage],
             "wall_ms": self.wall_ms,
             "error": self.error,
         }
@@ -299,13 +288,8 @@ class RunRecord:
             candidate_ex=[int(x) for x in doc["candidate_ex"]],
             ex=int(doc["ex"]),
             usage=[
-                UsageRow(
-                    model=u["model"],
-                    stage=u["stage"],
-                    calls=int(u["calls"]),
-                    input_tokens=int(u["input_tokens"]),
-                    output_tokens=int(u["output_tokens"]),
-                )
+                UsageRow(u["model"], u["stage"], int(u["calls"]), int(u["input_tokens"]),
+                         int(u["output_tokens"]))
                 for u in doc["usage"]
             ],
             wall_ms=float(doc.get("wall_ms", 0.0)),
@@ -324,14 +308,8 @@ class RunRecord:
 def _candidate_to_dict(candidate: SqlCandidate) -> dict:
     execution = None
     if candidate.execution is not None:
-        # elapsed_ms is intentionally dropped: it varies run to run
-        execution = {
-            "status": candidate.execution.status.value,
-            "signature": candidate.execution.signature,
-            "row_count": candidate.execution.row_count,
-            "error_text": candidate.execution.error_text,
-            "preview": candidate.execution.preview,
-        }
+        execution = {**asdict(candidate.execution), "status": candidate.execution.status.value}
+        del execution["elapsed_ms"]  # intentionally dropped: it varies run to run
     return {
         "spec_index": candidate.spec_index,
         "sql": candidate.sql,
@@ -365,15 +343,8 @@ def _candidate_from_dict(doc: dict) -> SqlCandidate:
 def _selection_to_dict(selection: SelectionOutcome | None) -> dict | None:
     if selection is None:
         return None
-    return {
-        "chosen_index": selection.chosen_index,
-        "chosen_sql": selection.chosen_sql,
-        "distribution": list(selection.distribution),
-        "confidence": selection.confidence.value,
-        "method": selection.method.value,
-        "pairwise_calls": selection.pairwise_calls,
-        "chosen_votes": selection.chosen_votes,
-    }
+    return {**asdict(selection), "distribution": list(selection.distribution),
+            "confidence": selection.confidence.value, "method": selection.method.value}
 
 
 def _selection_from_dict(doc: dict | None) -> SelectionOutcome | None:
@@ -438,8 +409,10 @@ class PipelineRunner:
     question, so a distinct SQL text runs once per question, the reference
     included.  A question's model calls follow its dependency graph (see
     generate_candidates), and an escalated tournament submits all its
-    comparisons together.  The pool threads exit when the runner is closed
-    or garbage-collected.
+    comparisons together.  It serves one question per call; run_questions
+    walks the dataset.  A few-shot store smaller than config.fewshot_k is
+    reported once, at load.  The pool threads exit when the runner is
+    closed or garbage-collected.
     """
 
     def __init__(
@@ -459,6 +432,9 @@ class PipelineRunner:
                 f"few-shot store {store_path} holds {width}-dim embeddings, but questions "
                 f"embed to {QUESTION_EMBEDDER.dim} dims, so it cannot be queried"
             )
+        if self.fewshot_store and len(self.fewshot_store) < config.fewshot_k:
+            log.warning("fewshot_k is %d, but the store %s holds only %d examples",
+                        config.fewshot_k, store_path, len(self.fewshot_store))
         self.descriptions: dict[str, Mapping[str, Mapping[str, str]]] = (
             json.loads(Path(config.descriptions_path).read_text(encoding="utf-8"))
             if config.descriptions_path else {}
@@ -746,9 +722,8 @@ def aggregate_records(
             )
     cost_avg = total_cost / len(worked) if worked else Decimal(0)
     escalated = sum(
-        1
+        r.selection is not None and r.selection.method is SelectionMethod.PAIRWISE_LLM
         for r in worked
-        if r.selection is not None and r.selection.method is SelectionMethod.PAIRWISE_LLM
     )
     return Report(
         items=len(records),
@@ -765,6 +740,47 @@ def aggregate_records(
     )
 
 
+# a step's outcome for a question it leaves out, such as an unscorable one
+SKIPPED = "skipped"
+
+
+@dataclass(frozen=True)
+class Failed:
+    """A question whose step raised: the outcome run_questions gives it."""
+
+    item: BenchmarkItem
+    error: Exception
+
+
+def run_questions(
+    items: Sequence[BenchmarkItem],
+    step: Callable[[BenchmarkItem], object],
+    workers: int,
+    progress: Callable[[object], None] | None = None,
+) -> list:
+    """step(item) for every item, workers at once; the outcomes in dataset order.
+
+    The one loop over a dataset.  A step returns a value or SKIPPED; a step
+    that raises is logged, and its outcome is Failed.  progress gets each
+    outcome in dataset order once it and all before it are in.
+    """
+
+    def guarded(item: BenchmarkItem) -> object:
+        try:
+            return step(item)
+        except Exception as exc:  # per-question isolation: fail it and go on
+            log.exception("question %s failed", item.question_id)
+            return Failed(item, exc)
+
+    outcomes = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for outcome in pool.map(guarded, items):
+            if progress is not None:
+                progress(outcome)
+            outcomes.append(outcome)
+    return outcomes
+
+
 def run_benchmark(
     config: PipelineConfig,
     items: Sequence[BenchmarkItem],
@@ -776,68 +792,37 @@ def run_benchmark(
     price_table: PriceTable | None = None,
     progress: Callable[[RunRecord], None] | None = None,
 ) -> tuple[list[RunRecord], Report]:
-    """Run the pipeline over a dataset with a worker pool.
+    """Run the pipeline over a dataset: run_questions with run_item as the step.
 
     The PipelineRunner it builds loads the few-shot store and descriptions
     the config names.  workers questions are in flight at once, and
-    config.max_in_flight caps the model calls in flight across all of them.  Records stream to
-    out_path as JSONL in dataset order regardless of completion order.  A
-    question that raises is recorded as an errored record; the run never
-    aborts on per-item failures.
+    config.max_in_flight caps the model calls in flight across all of them.
+    Records stream to out_path as JSONL in dataset order regardless of
+    completion order.  A question that raises is recorded as an errored
+    record; the run never aborts on per-item failures.
     """
-    runner = PipelineRunner(config, chat_backend, record_timing=record_timing)
-    pool_size = max(1, workers if workers is not None else config.workers)
-    results: list[RunRecord | None] = [None] * len(items)
-    out_fh = open(out_path, "w", encoding="utf-8") if out_path is not None else None
-    flush_lock = threading.Lock()
-    next_flush = 0
+    records: list[RunRecord] = []
 
-    def settle(position: int, record: RunRecord) -> None:
-        nonlocal next_flush
-        with flush_lock:
-            results[position] = record
-            while next_flush < len(results) and results[next_flush] is not None:
-                if out_fh is not None:
-                    out_fh.write(_record_line(results[next_flush]))
-                    out_fh.flush()
-                if progress is not None:
-                    progress(results[next_flush])
-                next_flush += 1
-
-    try:
-        if pool_size == 1:
-            for position, item in enumerate(items):
-                settle(position, _run_one_guarded(runner, item))
-        else:
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                futures = {
-                    pool.submit(_run_one_guarded, runner, item): position
-                    for position, item in enumerate(items)
-                }
-                for future in as_completed(futures):
-                    settle(futures[future], future.result())
-    finally:
-        runner.close()
+    def settle(record: RunRecord | Failed) -> None:
+        if isinstance(record, Failed):
+            item, error = record.item, record.error
+            record = RunRecord(item.question_id, item.db_id, item.question, item.gold_sql,
+                               gold_ok=False, error=f"{type(error).__name__}: {error}")
         if out_fh is not None:
-            out_fh.close()
+            out_fh.write(_record_line(record))
+            out_fh.flush()
+        if progress is not None:
+            progress(record)
+        records.append(record)
 
-    records = [r for r in results if r is not None]
-    return records, aggregate_records(records, price_table)
-
-
-def _run_one_guarded(runner: PipelineRunner, item: BenchmarkItem) -> RunRecord:
-    try:
-        return runner.run_item(item)
-    except Exception as exc:  # per-item isolation: record and continue
-        log.exception("question %s failed", item.question_id)
-        return RunRecord(
-            question_id=item.question_id,
-            db_id=item.db_id,
-            question=item.question,
-            gold_sql=item.gold_sql,
-            gold_ok=False,
-            error=f"{type(exc).__name__}: {exc}",
+    with PipelineRunner(config, chat_backend, record_timing=record_timing) as runner, (
+        open(out_path, "w", encoding="utf-8") if out_path is not None else nullcontext()
+    ) as out_fh:
+        run_questions(
+            items, runner.run_item,
+            max(1, workers if workers is not None else config.workers), progress=settle,
         )
+    return records, aggregate_records(records, price_table)
 
 
 # -- selection-quality analyses ----------------------------------------------------
@@ -854,26 +839,34 @@ class BoundsRow:
     upper: float  # some candidate correct: a perfect selector would score
 
 
+def _scored_groups(
+    records: Sequence[RunRecord], key: Callable[[RunRecord], int | None]
+) -> list[tuple[int, list[RunRecord]]]:
+    """Scored records grouped by key, in key order; a key of None leaves one out."""
+    groups: dict[int, list[RunRecord]] = {}
+    for record in records:
+        value = None if record.error or not record.gold_ok else key(record)
+        if value is not None:
+            groups.setdefault(value, []).append(record)
+    return sorted(groups.items())
+
+
+def _share(group: Sequence[RunRecord], score: Callable[[RunRecord], int]) -> float:
+    return sum(map(score, group)) / len(group)
+
+
 def bounds_analysis(records: Sequence[RunRecord]) -> list[BoundsRow]:
     """Upper/lower accuracy bounds, grouped by candidate count."""
-    buckets: dict[int, list[RunRecord]] = {}
-    for record in records:
-        if record.error or not record.gold_ok or not record.candidate_ex:
-            continue
-        buckets.setdefault(len(record.candidate_ex), []).append(record)
-    rows = []
-    for count in sorted(buckets):
-        group = buckets[count]
-        rows.append(
-            BoundsRow(
-                candidate_count=count,
-                items=len(group),
-                ex=sum(r.ex for r in group) / len(group),
-                lower=sum(all(r.candidate_ex) for r in group) / len(group),
-                upper=sum(any(r.candidate_ex) for r in group) / len(group),
-            )
+    return [
+        BoundsRow(
+            candidate_count=count,
+            items=len(group),
+            ex=_share(group, lambda r: r.ex),
+            lower=_share(group, lambda r: all(r.candidate_ex)),
+            upper=_share(group, lambda r: any(r.candidate_ex)),
         )
-    return rows
+        for count, group in _scored_groups(records, lambda r: len(r.candidate_ex) or None)
+    ]
 
 
 @dataclass(frozen=True)
@@ -892,23 +885,17 @@ def ex_by_vote(records: Sequence[RunRecord]) -> list[VoteBucket]:
     At the bucket where votes equal the candidate count all candidates
     agreed, so realized accuracy equals the upper bound there.
     """
-    buckets: dict[int, list[RunRecord]] = {}
-    for record in records:
-        if record.error or not record.gold_ok or record.selection is None:
-            continue
-        buckets.setdefault(record.selection.chosen_votes, []).append(record)
-    rows = []
-    for votes in sorted(buckets):
-        group = buckets[votes]
-        rows.append(
-            VoteBucket(
-                votes=votes,
-                items=len(group),
-                ex=sum(r.ex for r in group) / len(group),
-                upper=sum(any(r.candidate_ex) for r in group) / len(group),
-            )
+    return [
+        VoteBucket(
+            votes=votes,
+            items=len(group),
+            ex=_share(group, lambda r: r.ex),
+            upper=_share(group, lambda r: any(r.candidate_ex)),
         )
-    return rows
+        for votes, group in _scored_groups(
+            records, lambda r: None if r.selection is None else r.selection.chosen_votes
+        )
+    ]
 
 
 # -- representation sweep ----------------------------------------------------------
@@ -998,6 +985,7 @@ def sweep(
     cap: int = DEFAULT_COMBO_CAP,
     subset_fraction: float | None = None,
     seed: int = 0,
+    progress: Callable[[object], None] | None = None,
 ) -> list[ComboResult]:
     """Evaluate every size-n multiset of (format, level) under regular voting.
 
@@ -1006,7 +994,9 @@ def sweep(
     then scores all combinations offline.  A combination size below 1 or
     over cap is refused, and items whose reference query fails are skipped,
     before any model call.  subset_fraction with seed draws a deterministic
-    random subset of items first.
+    random subset of items first.  Items run through run_questions, whose
+    progress hook gets each outcome: a (group key, correct) row per pool
+    entry, SKIPPED or Failed.
     """
     pool = [(fmt, level) for fmt in formats for level in levels]
     if not pool:
@@ -1026,26 +1016,22 @@ def sweep(
         keep = max(1, round(len(chosen_items) * subset_fraction))
         chosen_items = random.Random(seed).sample(chosen_items, keep)
 
-    per_item: list[list[tuple[str, bool]]] = []
-    skipped = 0
-    with PipelineRunner(config, chat_backend) as runner:
-        for item in chosen_items:
-            gateway = runner.gateway(item.question_id)
-            executions: dict[str, ExecutionResult] = {}
-            try:
-                gold = scorable_reference(runner.execute(item.gold_sql, item.db_path, executions))
-            except GoldExecutionError:
-                log.warning("sweep: skipping %s (reference failed)", item.question_id)
-                skipped += 1
-                continue
-            candidates = runner.candidates(item, gateway, specs, executions)
-            per_item.append(
-                [(c.execution.group_key(), matches(c.execution, gold)) for c in candidates]
-            )
+    def score(item: BenchmarkItem) -> list[tuple[str, bool]] | str:
+        executions: dict[str, ExecutionResult] = {}
+        try:
+            gold = scorable_reference(runner.execute(item.gold_sql, item.db_path, executions))
+        except GoldExecutionError:
+            log.warning("sweep: skipping %s (reference failed)", item.question_id)
+            return SKIPPED
+        candidates = runner.candidates(item, runner.gateway(item.question_id), specs, executions)
+        return [(c.execution.group_key(), matches(c.execution, gold)) for c in candidates]
 
+    with PipelineRunner(config, chat_backend) as runner:
+        outcomes = run_questions(chosen_items, score, config.workers, progress)
+    skipped = outcomes.count(SKIPPED)
     if skipped:
         log.warning("sweep: skipped %d items with failing reference queries", skipped)
-    return rank_combinations(per_item, n, labels, cap=cap)
+    return rank_combinations([o for o in outcomes if isinstance(o, list)], n, labels, cap=cap)
 
 
 # -- few-shot store construction ----------------------------------------------------

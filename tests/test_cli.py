@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,63 @@ class TestSweep:
         assert rc == 0
         assert "6 combinations of size 5" in capsys.readouterr().out
         assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
+
+
+# the commands that walk a dataset with run_questions, each with a line of its
+# output on the toy dataset: link-eval and a sweep that run's fixture serves
+DATASET_COMMANDS = {
+    "link-eval": (["link-eval"], f"questions scored: {len(TOY_BENCH)} (skipped 0)"),
+    "sweep": (["sweep", "--formats", "compact_tagged", "--levels",
+               "none,table_only,full_filtering", "--n", "2", "--linker-model", "gpt-4o"],
+              "6 combinations of size 2"),
+}
+
+
+class TestDatasetLoop:
+    @pytest.fixture(scope="class")
+    def broken_dataset(self, tmp_path_factory):
+        """The toy dataset with a third question on a file that is not SQLite."""
+        root = write_toy_dataset(tmp_path_factory.mktemp("broken"))
+        bad = root / "dev_databases" / "bad"
+        bad.mkdir()
+        (bad / "bad.sqlite").write_bytes(b"not a database " * 100)
+        questions = json.loads((root / "dev.json").read_text(encoding="utf-8"))
+        # the reference reads no table, so it runs even on that file, and sweep
+        # does not skip the question
+        questions.insert(2, {"question_id": 99, "db_id": "bad",
+                             "question": TOY_BENCH[0]["question"], "SQL": "SELECT 1"})
+        (root / "dev.json").write_text(json.dumps(questions), encoding="utf-8")
+        return str(root)
+
+    @pytest.mark.parametrize("command", DATASET_COMMANDS)
+    def test_an_unreadable_database_fails_only_its_question(
+        self, cli_env, broken_dataset, command, capsys
+    ):
+        argv, line = DATASET_COMMANDS[command]
+        argv = [*argv, "--replay", cli_env["fixture"]]
+        assert main([*argv, "--dataset", cli_env["dataset"]]) == 0
+        scored = capsys.readouterr().out
+        assert line in scored
+        assert main([*argv, "--dataset", broken_dataset]) == 1
+        out, err = capsys.readouterr()
+        # the other questions score as they do without it
+        assert out == scored + "questions failed: 1\n"
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert re.fullmatch(r"error: .*not a database.* \(question 99\)", errors[0])
+
+    @pytest.mark.parametrize("command", DATASET_COMMANDS)
+    def test_workers_do_not_change_the_output(self, cli_env, command, tmp_path, capsys):
+        argv, line = DATASET_COMMANDS[command]
+        outputs = []
+        for workers in (1, 4):
+            config = tmp_path / f"workers{workers}.json"
+            config.write_text(json.dumps({"workers": workers}), encoding="utf-8")
+            assert main([*argv, "--dataset", cli_env["dataset"], "--replay", cli_env["fixture"],
+                         "--config", str(config)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert line in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestFewShotStorePlumbing:

@@ -135,12 +135,13 @@ class TestRetrieveFewshots:
         store, backend = _store(["a", "b"])
         assert retrieve_fewshots("a", store, backend, k=0) == []
 
-    def test_k_clamped_with_warning(self, caplog):
+    def test_k_clamped_to_the_store_size(self, caplog):
+        # the runner reports a small store once per run, not once per question
         store, backend = _store(["a", "b"])
         with caplog.at_level("WARNING"):
             shots = retrieve_fewshots("a", store, backend, k=10)
         assert len(shots) == 2
-        assert "few-shots" in caplog.text
+        assert caplog.text == ""
 
     def test_empty_store(self):
         backend = HashEmbeddingBackend()

@@ -646,8 +646,9 @@ class TestExecutionMemo:
             levels=[FilterLevel.NO_FILTERING], n=2,
         )
         assert {r.ex for r in results} == {1.0}
-        # every slot answers with the reference text: one execution per item
-        assert [sql for sql, _, _ in executions] == [item.gold_sql for item in items]
+        # every slot answers with the reference text: one execution per item,
+        # in whatever order the sweep's workers reach them
+        assert sorted(sql for sql, _, _ in executions) == sorted(item.gold_sql for item in items)
 
     def test_repeated_timeouts_cost_one_budget(self, toy_db, executions, monkeypatch):
         slow = (
@@ -735,6 +736,24 @@ class TestRunBenchmark:
         digests = [json.loads(line)["digest"] for line in fixtures[0].splitlines()]
         assert digests == sorted(digests)
         assert replayed[0] == replayed[1]
+
+    def test_a_store_smaller_than_fewshot_k_is_reported_once(self, toy_dataset, tmp_path,
+                                                             caplog):
+        items = load_dataset(toy_dataset)
+        store = tmp_path / "store.jsonl"
+        with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+            build_fewshot_store(runner, items[:2]).save(store)
+        config = dataclasses.replace(
+            PipelineConfig.default(), fewshot_store_path=str(store), fewshot_k=3
+        )
+        with caplog.at_level("WARNING"):
+            _, report = run_benchmark(config, items, ScriptedBackend(ToyScript()),
+                                      workers=2, record_timing=False)
+        assert report.items == len(TOY_BENCH) and report.failed == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [
+            f"fewshot_k is 3, but the store {store} holds only 2 examples"
+        ]
 
 
 def _sweep_script(linker_models=None):

@@ -12,6 +12,7 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ensql.config import DEFAULT_LINKER_SECONDARY, PipelineConfig
 from ensql.gateway import (
@@ -147,6 +148,54 @@ class TestRunWideCap:
         while threading.active_count() > baseline and time.monotonic() < deadline:
             time.sleep(0.01)
         assert threading.active_count() <= baseline
+
+
+DEFAULT_SPECS = PipelineConfig.default().specs
+# slates smaller than the default's five slots escalate when no group has a majority
+SMALL_SLATE_RULES = {
+    1: frozenset(),
+    2: frozenset({(1, 1)}),
+    3: frozenset({(1, 1, 1)}),
+    4: frozenset({(2, 2), (2, 1, 1), (1, 1, 1, 1)}),
+}
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("records")
+
+
+@given(
+    slate=st.lists(st.sampled_from(DEFAULT_SPECS), min_size=1, max_size=len(DEFAULT_SPECS),
+                   unique=True),
+    positions=st.lists(st.integers(0, len(TOY_BENCH) - 1), min_size=1, max_size=3),
+    workers=st.integers(1, 4),
+    max_in_flight=st.integers(1, 8),
+    delays_ms=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+)
+def test_records_and_the_cap_hold_under_any_schedule(
+    items, out_dir, slate, positions, workers, max_in_flight, delays_ms
+):
+    # each request always waits the same scripted delay, whichever thread sends it
+    def delay(request: ChatRequest) -> float:
+        digest = hashlib.sha256(repr(request.messages).encode()).digest()
+        return delays_ms[digest[0] % len(delays_ms)] / 1000
+
+    config = replace(config_with(max_in_flight), specs=slate, confidence_rules=SMALL_SLATE_RULES)
+    config.validate()
+    chosen = [items[p] for p in positions]
+    lines = []
+    for run_workers, backend in (
+        (1, TimedBackend(ScriptedBackend(ToyScript()), lambda request: 0.0)),
+        (workers, TimedBackend(ScriptedBackend(ToyScript()), delay)),
+    ):
+        out = out_dir / f"workers{run_workers}.jsonl"
+        _, report = run_benchmark(config, chosen, backend, out_path=out, workers=run_workers,
+                                  record_timing=False)
+        assert report.failed == 0
+        assert backend.in_flight_peak <= max_in_flight
+        lines.append(out.read_bytes().splitlines())
+    assert lines[1] == lines[0]
 
 
 class TestSchedule:
