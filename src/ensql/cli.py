@@ -230,11 +230,13 @@ def cmd_build_fewshot_store(args: argparse.Namespace) -> int:
     items = load_dataset(args.dataset, args.split, args.db_root, args.limit)
     # the store being built is this command's output, never its input
     config = dataclasses.replace(_load_config(args), fewshot_store_path=None)
+    failed: list[Failed] = []
     with PipelineRunner(config, ChatBackend()) as runner:
-        store = build_fewshot_store(runner, items, RepresentationFormat.parse(args.format))
+        store = build_fewshot_store(runner, items, RepresentationFormat.parse(args.format),
+                                    progress=functools.partial(_name_failure, failed))
     store.save(args.out)
     print(f"wrote {len(store)} examples to {args.out}")
-    return 0
+    return _exit_status(failed)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -330,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_link.set_defaults(func=cmd_link_eval)
 
     p_store = sub.add_parser("build-fewshot-store",
-                             help="embed dataset questions into a retrieval store "
-                                  "(offline: no model call)")
+                             help="write dataset questions as a few-shot store of "
+                                  "solved examples (offline: no model call)")
     _add_dataset_args(p_store)
     p_store.add_argument("--out", required=True, help="store file to write")
     p_store.add_argument("--format", default="compact_tagged",

@@ -7,8 +7,8 @@ recording wrapper captures live traffic into that fixture format, so any
 benchmark run can be replayed byte-for-byte later.
 
 All token usage flows through a CostLedger; dollar costs are computed with
-decimal arithmetic so per-call costs sum exactly.  HashEmbeddingBackend
-embeds questions for few-shot retrieval offline, with no model call.
+decimal arithmetic so per-call costs sum exactly.  Only model calls pass
+through here: few-shot retrieval embeds locally (generation.embed_question).
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
 import requests
 
 log = logging.getLogger(__name__)
@@ -32,11 +31,9 @@ log = logging.getLogger(__name__)
 STAGE_LINKING = "linking"
 STAGE_GENERATION = "generation"
 STAGE_SELECTION = "selection"
-STAGE_EMBEDDING = "embedding"
 
-# stages whose calls count as LLM calls in reports; STAGE_EMBEDDING is no
-# longer recorded and stays only because records written before few-shot
-# retrieval moved off the gateway carry an embedding usage row
+# stages whose calls count as LLM calls in reports; records written by older
+# versions may also carry an "embedding" usage row, which counts as none
 LLM_STAGES = (STAGE_LINKING, STAGE_GENERATION, STAGE_SELECTION)
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
@@ -279,29 +276,6 @@ class RecordingChatBackend(ChatBackend):
             partial = self.path.with_name(self.path.name + ".partial")
             partial.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
             os.replace(partial, self.path)
-
-
-class HashEmbeddingBackend:
-    """Deterministic offline embeddings seeded by the text digest.
-
-    Not semantically meaningful, but stable across processes and platforms:
-    identical texts always map to identical unit vectors, so retrieval and
-    replay stay deterministic without network access.
-    """
-
-    def __init__(self, dim: int = 64):
-        if dim < 2:
-            raise ValueError("embedding dimension must be at least 2")
-        self.dim = dim
-
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        out = []
-        for text in texts:
-            digest = hashlib.sha256(text.encode("utf-8")).digest()
-            seed = int.from_bytes(digest[:8], "big")
-            vec = np.random.default_rng(seed).standard_normal(self.dim)
-            out.append(vec / np.linalg.norm(vec))
-        return out
 
 
 @dataclass

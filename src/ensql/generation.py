@@ -7,13 +7,17 @@ few-shot prompt, asks the generator model for one SQL query, and extracts it
 from the fenced code block.  Model failures become error candidates rather
 than exceptions so the voting stage always sees the full slate; a replay
 miss is a fixture fault and raises.
+
+The few-shots are the solved examples of a FewShotStore nearest the
+question under embed_question, a local embedding that makes no model call.
 """
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -24,7 +28,6 @@ from .formats import RepresentationFormat, render
 from .gateway import (
     ChatRequest,
     GatewayError,
-    HashEmbeddingBackend,
     LlmGateway,
     STAGE_GENERATION,
     TokenUsage,
@@ -34,9 +37,17 @@ from .selection import ExecStatus, ExecutionResult
 
 _ASSETS = Path(__file__).parent / "assets"
 
-# embeds questions both when a few-shot store is built and when it is queried;
-# it is local and makes no model call
-QUESTION_EMBEDDER = HashEmbeddingBackend()
+
+def embed_question(text: str) -> np.ndarray:
+    """The 64-dim unit vector of a question, seeded by its sha256 digest.
+
+    It embeds stored examples and the questions that query them.  Not
+    semantically meaningful, but local and stable across processes and
+    platforms: identical texts always map to identical vectors.
+    """
+    seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+    vec = np.random.default_rng(seed).standard_normal(64)
+    return vec / np.linalg.norm(vec)
 
 
 class NoCodeBlockError(Exception):
@@ -94,17 +105,16 @@ class SqlCandidate:
 
 
 class FewShotStore:
-    """Example questions with precomputed unit embeddings, JSONL-backed."""
+    """Solved examples, JSONL-backed, with their questions embedded at build.
 
-    def __init__(self, examples: Sequence[FewShotExample], embeddings: np.ndarray):
-        if len(examples) != len(embeddings):
-            raise ValueError(
-                f"{len(examples)} examples but {len(embeddings)} embeddings"
-            )
+    A store file holds the examples only; the vectors are embed_question's,
+    so no store can disagree with the questions that query it.  load
+    ignores the embedding field that files written by older versions carry.
+    """
+
+    def __init__(self, examples: Sequence[FewShotExample]):
         self.examples = list(examples)
-        self.embeddings = np.asarray(embeddings, dtype=float)
-        if self.examples and self.embeddings.ndim != 2:
-            raise ValueError("embeddings must be a 2-D array")
+        self.embeddings = np.array([embed_question(e.question) for e in self.examples])
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -112,7 +122,6 @@ class FewShotStore:
     @classmethod
     def load(cls, path: str | Path) -> "FewShotStore":
         examples = []
-        vectors = []
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
                 line = line.strip()
@@ -120,56 +129,31 @@ class FewShotStore:
                     continue
                 try:
                     record = json.loads(line)
-                    examples.append(
-                        FewShotExample(
-                            question=record["question"],
-                            sql=record["sql"],
-                            db_id=record["db_id"],
-                            schema_text=record["schema_text"],
-                        )
-                    )
-                    vectors.append(np.asarray(record["embedding"], dtype=float))
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                    values = [record[f.name] for f in fields(FewShotExample)]
+                    if not all(isinstance(value, str) for value in values):
+                        raise TypeError("every field must be a string")
+                    examples.append(FewShotExample(*values))
+                except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise ValueError(f"{path}:{line_no}: bad store record: {exc}") from exc
-        matrix = np.vstack(vectors) if vectors else np.zeros((0, 0))
-        return cls(examples, matrix)
+        return cls(examples)
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for example, vector in zip(self.examples, self.embeddings):
-                fh.write(
-                    json.dumps(
-                        {
-                            "question": example.question,
-                            "sql": example.sql,
-                            "db_id": example.db_id,
-                            "schema_text": example.schema_text,
-                            "embedding": [float(x) for x in vector],
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+            for example in self.examples:
+                fh.write(json.dumps(asdict(example), ensure_ascii=False) + "\n")
 
 
-def retrieve_fewshots(
-    question: str,
-    store: FewShotStore,
-    embedder,
-    k: int = 3,
-) -> list[FewShotExample]:
+def retrieve_fewshots(question: str, store: FewShotStore, k: int = 3) -> list[FewShotExample]:
     """Top-k examples by cosine similarity to the question.
 
-    embedder is anything with embed(texts) -> unit vectors, normally
-    QUESTION_EMBEDDER, the one the store was built with.  Ties and
-    near-ties resolve by store order, so retrieval is deterministic.  k of
-    zero or an empty store returns []; k beyond the store size returns
-    everything (PipelineRunner reports that once, when it loads the store).
+    Ties and near-ties resolve by store order, so retrieval is
+    deterministic.  k of zero or an empty store returns []; k beyond the
+    store size returns everything (PipelineRunner reports that once, when
+    it loads the store).
     """
     if k <= 0 or not len(store):
         return []
-    query = embedder.embed([question])[0]
-    scores = store.embeddings @ query
+    scores = store.embeddings @ embed_question(question)
     order = np.argsort(-scores, kind="stable")[:k]
     return [store.examples[int(i)] for i in order]
 

@@ -5,7 +5,8 @@ record per question to disk in dataset order, and aggregates execution
 accuracy alongside call, token, and dollar accounting.  Also home to the
 selection-quality analyses (accuracy bounds, accuracy by vote count) and
 the representation-combination sweep.  run_questions is the one loop over
-a dataset; run_benchmark, sweep and link-eval each hand it a step.
+a dataset; run_benchmark, sweep, link-eval and build_fewshot_store each
+hand it a step.
 """
 from __future__ import annotations
 
@@ -24,10 +25,8 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .catalog import FilterLevel, SchemaCatalog, introspect
-from .config import ConfigError, PipelineConfig
+from .config import PipelineConfig
 from .formats import RepresentationFormat, render
 from .gateway import (
     CallThrottle,
@@ -43,7 +42,6 @@ from .gateway import (
     UsageRow,
 )
 from .generation import (
-    QUESTION_EMBEDDER,
     CandidateSpec,
     FewShotExample,
     FewShotStore,
@@ -400,7 +398,7 @@ class PipelineRunner:
     model calls in flight across every question it serves, however many
     questions run at once (run_benchmark's workers).  Each question gets its
     own gateway and ledger around that throttle, so per-question usage is
-    exact and the run ledger is the merge of item ledgers.
+    exact; run totals are aggregate_records over the records' usage rows.
 
     run_item is the candidate stage (candidates: link, generate, execute)
     over config.specs followed by the selection stage; sweep runs the same
@@ -426,12 +424,6 @@ class PipelineRunner:
         self.record_timing = record_timing
         store_path = config.fewshot_store_path
         self.fewshot_store = FewShotStore.load(store_path) if store_path else None
-        width = self.fewshot_store.embeddings.shape[1] if self.fewshot_store else None
-        if width not in (None, QUESTION_EMBEDDER.dim):
-            raise ConfigError(
-                f"few-shot store {store_path} holds {width}-dim embeddings, but questions "
-                f"embed to {QUESTION_EMBEDDER.dim} dims, so it cannot be queried"
-            )
         if self.fewshot_store and len(self.fewshot_store) < config.fewshot_k:
             log.warning("fewshot_k is %d, but the store %s holds only %d examples",
                         config.fewshot_k, store_path, len(self.fewshot_store))
@@ -621,7 +613,7 @@ def generate_candidates(
         for run_id, spec in linker_runs.items()
     }
     fewshots = (
-        retrieve_fewshots(item.question, fewshot_store, QUESTION_EMBEDDER, fewshot_k)
+        retrieve_fewshots(item.question, fewshot_store, fewshot_k)
         if fewshot_store is not None else []
     )
     predictions: dict[str, LinkingPrediction | None] = {}
@@ -1041,24 +1033,22 @@ def build_fewshot_store(
     runner: PipelineRunner,
     items: Sequence[BenchmarkItem],
     fmt: RepresentationFormat = RepresentationFormat.COMPACT_TAGGED,
+    *,
+    progress: Callable[[object], None] | None = None,
 ) -> FewShotStore:
-    """Embed dataset questions into a retrieval store of solved examples.
+    """A retrieval store of the dataset's questions as solved examples.
 
-    Questions embed with QUESTION_EMBEDDER, as queries do.  Schema texts
-    are the runner's catalogs rendered in the given format, so they carry
-    its config's value samples, category lists and descriptions, and each
-    database is introspected and rendered once.  The runner makes no model
-    call here.
+    Schema texts are the runner's catalogs rendered in the given format, so
+    they carry its config's value samples, category lists and descriptions,
+    and each database is introspected and rendered once.  Items run through
+    run_questions over config.workers, whose progress hook gets each
+    outcome: the item's FewShotExample or Failed; the store holds the
+    examples in dataset order.  The runner makes no model call here.
     """
-    examples = [
-        FewShotExample(
-            question=item.question,
-            sql=item.gold_sql,
-            db_id=item.db_id,
-            schema_text=render(runner.catalog_for(item.db_id, item.db_path), fmt),
-        )
-        for item in items
-    ]
-    vectors = QUESTION_EMBEDDER.embed([e.question for e in examples])
-    matrix = np.vstack(vectors) if vectors else np.zeros((0, 0))
-    return FewShotStore(examples, matrix)
+
+    def example(item: BenchmarkItem) -> FewShotExample:
+        catalog = runner.catalog_for(item.db_id, item.db_path)
+        return FewShotExample(item.question, item.gold_sql, item.db_id, render(catalog, fmt))
+
+    outcomes = run_questions(items, example, runner.config.workers, progress)
+    return FewShotStore([o for o in outcomes if isinstance(o, FewShotExample)])

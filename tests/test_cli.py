@@ -2,7 +2,6 @@ import json
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ensql import cli
@@ -10,7 +9,7 @@ from ensql.catalog import introspect
 from ensql.cli import main
 from ensql.formats import RepresentationFormat, render
 from ensql.gateway import RecordingChatBackend
-from ensql.generation import FewShotExample, FewShotStore, load_generation_system_prompt
+from ensql.generation import FewShotStore, load_generation_system_prompt
 from ensql.harness import load_dataset, read_records, run_benchmark
 from ensql.config import PipelineConfig
 
@@ -275,10 +274,9 @@ class TestBuildFewshotStore:
         capsys.readouterr()
 
     def test_config_may_name_the_store_being_built(self, cli_env, tmp_path, capsys):
-        # the old store at --out has a width no query matches; building over it
-        # must not load it
+        # the file at --out is no store at all; building over it must not load it
         out = tmp_path / "store.jsonl"
-        FewShotStore([FewShotExample("q", "SELECT 1", "toy_shop", "")], np.eye(1, 3)).save(out)
+        out.write_text("not a store\n", encoding="utf-8")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"fewshot_store_path": str(out)}), encoding="utf-8")
         assert main(["build-fewshot-store", "--dataset", cli_env["dataset"], "--limit", "2",
@@ -393,6 +391,34 @@ class TestDatasetLoop:
         assert line in outputs[0]
         assert outputs[0] == outputs[1]
 
+    def test_an_unreadable_database_leaves_only_its_question_out_of_the_store(
+        self, cli_env, broken_dataset, tmp_path, capsys
+    ):
+        clean, broken = tmp_path / "clean.jsonl", tmp_path / "broken.jsonl"
+        assert main(["build-fewshot-store", "--dataset", cli_env["dataset"],
+                     "--out", str(clean)]) == 0
+        capsys.readouterr()
+        assert main(["build-fewshot-store", "--dataset", broken_dataset,
+                     "--out", str(broken)]) == 1
+        out, err = capsys.readouterr()
+        assert broken.read_bytes() == clean.read_bytes()
+        assert out == f"wrote {len(TOY_BENCH)} examples to {broken}\nquestions failed: 1\n"
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert re.fullmatch(r"error: .*not a database.* \(question 99\)", errors[0])
+
+    def test_workers_do_not_change_the_store(self, cli_env, tmp_path, capsys):
+        stores = []
+        for workers in (1, 4):
+            config, out = tmp_path / f"workers{workers}.json", tmp_path / f"store{workers}.jsonl"
+            config.write_text(json.dumps({"workers": workers}), encoding="utf-8")
+            assert main(["build-fewshot-store", "--dataset", cli_env["dataset"],
+                         "--config", str(config), "--out", str(out)]) == 0
+            stores.append(out.read_bytes())
+        capsys.readouterr()
+        assert stores[0] == stores[1]
+        assert len(stores[0].splitlines()) == len(TOY_BENCH)
+
 
 class TestFewShotStorePlumbing:
     @pytest.fixture()
@@ -450,13 +476,3 @@ class TestFewShotStorePlumbing:
                   ("gemini-1.5-pro", "linking", 1, 540, 43),
                   ("gpt-4o", "linking", 2, 1152, 86)],
         }
-
-    def test_store_of_another_width_is_refused(self, cli_env, tmp_path, capsys):
-        wide = tmp_path / "wide.jsonl"
-        FewShotStore([FewShotExample("q", "SELECT 1", "toy_shop", "")],
-                     np.eye(1, 1536)).save(wide)
-        rc = main(["run", "--dataset", cli_env["dataset"], "--replay", cli_env["fixture"],
-                   "--fewshot-store", str(wide)])
-        assert rc == 1
-        assert (f"error: few-shot store {wide} holds 1536-dim embeddings, but questions "
-                "embed to 64 dims" in capsys.readouterr().err)

@@ -1,14 +1,16 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ensql.catalog import FilterLevel
 from ensql.formats import RepresentationFormat, render
 from ensql.gateway import (
     CostLedger,
     GatewayError,
-    HashEmbeddingBackend,
     LlmGateway,
     TokenUsage,
 )
@@ -18,6 +20,7 @@ from ensql.generation import (
     FewShotStore,
     NoCodeBlockError,
     build_generation_prompt,
+    embed_question,
     extract_sql,
     load_generation_system_prompt,
     retrieve_fewshots,
@@ -86,36 +89,82 @@ class TestBuildGenerationPrompt:
         assert messages[-1]["content"] == format_user_turn("S", "Q")
 
 
-def _store(questions):
-    backend = HashEmbeddingBackend()
-    examples = [
+def _examples(questions):
+    return [
         FewShotExample(question=q, sql=f"SELECT {i}", db_id="db", schema_text="s")
         for i, q in enumerate(questions)
     ]
-    return FewShotStore(examples, np.vstack(backend.embed(questions))), backend
+
+
+def _store(questions):
+    return FewShotStore(_examples(questions))
+
+
+class TestEmbedQuestion:
+    def test_deterministic(self):
+        np.testing.assert_array_equal(embed_question("a question"), embed_question("a question"))
+
+    def test_unit_norm(self):
+        for text in ["x", "y", "z"]:
+            assert abs(float(np.linalg.norm(embed_question(text))) - 1.0) < 1e-12
+
+    def test_distinct_texts_distinct_vectors(self):
+        assert not np.array_equal(embed_question("one"), embed_question("two"))
+
+    def test_vectors_are_pinned(self):
+        # stores and retrieval orders depend on these exact vectors
+        vec = embed_question("a question")
+        assert vec.shape == (64,)
+        np.testing.assert_allclose(
+            vec[:4], [-0.154035, -0.003798, 0.127938, -0.151621], atol=5e-7
+        )
 
 
 class TestFewShotStore:
     def test_save_load_round_trip(self, tmp_path):
-        store, _ = _store(["alpha", "beta"])
+        store = _store(["alpha", "beta"])
         path = tmp_path / "store.jsonl"
         store.save(path)
         loaded = FewShotStore.load(path)
         assert len(loaded) == 2
         assert loaded.examples == store.examples
-        np.testing.assert_allclose(loaded.embeddings, store.embeddings)
+        np.testing.assert_array_equal(loaded.embeddings, store.embeddings)
+        # a store file holds the solved examples only
+        for line in path.read_text(encoding="utf-8").splitlines():
+            assert set(json.loads(line)) == {"question", "sql", "db_id", "schema_text"}
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            FewShotStore(
-                [FewShotExample(question="q", sql="s", db_id="d", schema_text="t")],
-                np.zeros((2, 4)),
-            )
+    def test_a_store_with_old_vectors_retrieves_as_without_them(self, tmp_path):
+        # older versions stored each question's vector, of any width; load
+        # ignores it and embeds the question
+        questions = ["count all users", "total revenue", "top product", "total revenue"]
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(
+            json.dumps({"question": e.question, "sql": e.sql, "db_id": e.db_id,
+                        "schema_text": e.schema_text, "embedding": [0.0] * 1535 + [1.0]}) + "\n"
+            for e in _examples(questions)
+        ), encoding="utf-8")
+        old, new = FewShotStore.load(path), _store(questions)
+        assert old.examples == new.examples
+        for query in [*questions, "something else"]:
+            for k in range(len(questions) + 2):
+                assert retrieve_fewshots(query, old, k) == retrieve_fewshots(query, new, k)
 
     def test_bad_record_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"question": "q"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="bad.jsonl:1"):
+            FewShotStore.load(path)
+
+    @pytest.mark.parametrize("line", [
+        '{"question": null, "sql": "s", "db_id": "d", "schema_text": "t"}',
+        '["q", "s", "d", "t"]',
+    ], ids=["null_question", "not_an_object"])
+    def test_a_record_of_the_wrong_shape_names_its_line(self, tmp_path, line):
+        # the question is embedded at load, so it must be text
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"question": "q", "sql": "s", "db_id": "d", "schema_text": "t"}\n'
+                        + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.jsonl:2: bad store record"):
             FewShotStore.load(path)
 
     def test_empty_store_loads(self, tmp_path):
@@ -124,34 +173,65 @@ class TestFewShotStore:
         assert len(FewShotStore.load(path)) == 0
 
 
+@st.composite
+def _questions(draw):
+    """1-20 questions, some repeating an earlier one or a case variant of it."""
+    questions: list[str] = []
+    for _ in range(draw(st.integers(1, 20))):
+        if questions and draw(st.booleans()):
+            earlier = draw(st.sampled_from(questions))
+            questions.append(draw(st.sampled_from(
+                [earlier, earlier.upper(), earlier.lower(), earlier.swapcase()]
+            )))
+        else:
+            questions.append(draw(st.text(max_size=30)))
+    return questions
+
+
+class TestRetrievalProperties:
+    @given(questions=_questions(), query=st.text(max_size=30), k=st.integers(0, 21))
+    def test_a_saved_store_retrieves_as_the_store_in_memory(self, questions, query, k):
+        store = _store(questions)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.jsonl"
+            store.save(path)
+            loaded = FewShotStore.load(path)
+        for question in [*questions, query]:
+            assert retrieve_fewshots(question, loaded, k) == retrieve_fewshots(question, store, k)
+
+    @given(questions=_questions())
+    def test_every_stored_question_retrieves_itself_first(self, questions):
+        store = _store(questions)
+        for question in questions:
+            assert retrieve_fewshots(question, store, 1)[0].question == question
+
+
 class TestRetrieveFewshots:
     def test_exact_match_ranks_first(self):
-        store, backend = _store(["count all users", "total revenue", "top product"])
-        shots = retrieve_fewshots("total revenue", store, backend, k=2)
+        store = _store(["count all users", "total revenue", "top product"])
+        shots = retrieve_fewshots("total revenue", store, k=2)
         assert shots[0].question == "total revenue"
         assert len(shots) == 2
 
     def test_k_zero_returns_nothing(self):
-        store, backend = _store(["a", "b"])
-        assert retrieve_fewshots("a", store, backend, k=0) == []
+        store = _store(["a", "b"])
+        assert retrieve_fewshots("a", store, k=0) == []
 
     def test_k_clamped_to_the_store_size(self, caplog):
         # the runner reports a small store once per run, not once per question
-        store, backend = _store(["a", "b"])
+        store = _store(["a", "b"])
         with caplog.at_level("WARNING"):
-            shots = retrieve_fewshots("a", store, backend, k=10)
+            shots = retrieve_fewshots("a", store, k=10)
         assert len(shots) == 2
         assert caplog.text == ""
 
     def test_empty_store(self):
-        backend = HashEmbeddingBackend()
-        store = FewShotStore([], np.zeros((0, 0)))
-        assert retrieve_fewshots("a", store, backend, k=3) == []
+        assert retrieve_fewshots("a", FewShotStore([]), k=3) == []
 
     def test_deterministic(self):
-        store, backend = _store(["alpha", "beta", "gamma", "delta"])
-        first = retrieve_fewshots("some question", store, backend, k=3)
-        second = retrieve_fewshots("some question", store, backend, k=3)
+        store = _store(["alpha", "beta", "gamma", "delta"])
+        first = retrieve_fewshots("some question", store, k=3)
+        second = retrieve_fewshots("some question", store, k=3)
         assert [s.question for s in first] == [s.question for s in second]
 
 
