@@ -20,7 +20,6 @@ from .config import ConfigError, PipelineConfig
 from .formats import RepresentationFormat, render, render_all
 from .gateway import (
     ChatBackend,
-    DEFAULT_BASE_URL,
     ENV_API_KEY,
     ENV_BASE_URL,
     GatewayError,
@@ -83,7 +82,7 @@ def _live_backend() -> HttpChatBackend:
     api_key = os.environ.get(ENV_API_KEY)
     if not api_key:
         raise GatewayError(f"--live requires the {ENV_API_KEY} environment variable")
-    return HttpChatBackend(os.environ.get(ENV_BASE_URL, DEFAULT_BASE_URL), api_key)
+    return HttpChatBackend(api_key=api_key)
 
 
 def _resolve_backend(args: argparse.Namespace) -> ChatBackend:

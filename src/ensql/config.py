@@ -197,6 +197,8 @@ def _parse_confidence_rules(doc: dict) -> dict[int, frozenset[tuple[int, ...]]]:
         table = set()
         for dist in distributions:
             normalized = tuple(sorted((int(d) for d in dist), reverse=True))
+            if any(d < 1 for d in normalized):
+                raise ConfigError(f"confidence_rules[{n}]: {dist} has a group under 1 vote")
             if sum(normalized) != n:
                 raise ConfigError(
                     f"confidence_rules[{n}]: distribution {dist} does not sum to {n}"

@@ -166,7 +166,12 @@ class HttpChatBackend(ChatBackend):
                 log.warning("POST %s failed (attempt %d): %s", url, attempt + 1, exc)
                 continue
             if resp.status_code == 200:
-                return resp.json()
+                try:
+                    return resp.json()
+                except ValueError as exc:
+                    raise TransportError(
+                        f"malformed completion response from {url}: {resp.text[:2000]!r}"
+                    ) from exc
             body = resp.text[:2000]
             last_error = f"HTTP {resp.status_code}: {body}"
             if resp.status_code not in self.RETRYABLE_STATUSES:
@@ -186,16 +191,14 @@ class HttpChatBackend(ChatBackend):
         doc = self._post(payload)
         try:
             text = doc["choices"][0]["message"]["content"] or ""
-        except (KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed completion response: {doc!r}") from exc
-        usage = doc.get("usage") or {}
-        return ChatResponse(
-            text=text,
-            usage=TokenUsage(
+            usage = doc.get("usage") or {}
+            tokens = TokenUsage(
                 input_tokens=int(usage.get("prompt_tokens", 0)),
                 output_tokens=int(usage.get("completion_tokens", 0)),
-            ),
-        )
+            )
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+            raise TransportError(f"malformed completion response: {doc!r}") from exc
+        return ChatResponse(text=text, usage=tokens)
 
 
 class ReplayChatBackend(ChatBackend):
@@ -204,7 +207,6 @@ class ReplayChatBackend(ChatBackend):
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._responses: dict[str, ChatResponse] = {}
-        self._models: dict[str, str] = {}
         with open(self.path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
                 line = line.strip()
@@ -224,7 +226,6 @@ class ReplayChatBackend(ChatBackend):
                         f"{self.path}:{line_no}: bad replay record: {exc}"
                     ) from exc
                 self._responses[digest] = response
-                self._models[digest] = record.get("model", "")
 
     def __len__(self) -> int:
         return len(self._responses)

@@ -64,6 +64,7 @@ from .selection import (
     SelectionMethod,
     SelectionOutcome,
     execute_candidate,
+    group_votes,
     select,
 )
 
@@ -924,11 +925,13 @@ def rank_combinations(
 ) -> list[ComboResult]:
     """Score every size-n multiset of pool entries under regular voting.
 
-    per_item[i][j] is (vote-group key, correct) for pool entry j on item i.
-    Keys starting with "ok:" denote successful executions; the top Ok group
-    wins (ties by earliest combination position) and its correctness is the
-    item's score.  The combination count C(pool+n-1, n) must stay within
-    cap; pass a larger cap explicitly to go bigger.
+    per_item[i][j] is (vote-group key, correct) for pool entry j on item i;
+    entries of one item that share a key must share its correctness, as
+    sweep's rows do.  On each item the multiset's winner is select's
+    regular vote, the first Ok group of group_votes over its keys (ties to
+    the earliest combination position), and the winner's correctness is
+    the item's score.  The combination count C(pool+n-1, n) must stay
+    within cap; pass a larger cap explicitly to go bigger.
     """
     if not per_item:
         raise SweepError("sweep needs at least one scored item")
@@ -936,31 +939,26 @@ def rank_combinations(
     if any(len(row) != pool_size for row in per_item):
         raise SweepError("per-item results are ragged")
     _check_combinations(pool_size, n, cap)
-    results = []
-    for combo in itertools.combinations_with_replacement(range(pool_size), n):
-        correct = 0
-        for row in per_item:
-            counts: dict[str, int] = {}
-            first_seen: dict[str, int] = {}
-            correctness: dict[str, bool] = {}
-            for position, j in enumerate(combo):
-                key, is_correct = row[j]
-                counts[key] = counts.get(key, 0) + 1
-                first_seen.setdefault(key, position)
-                correctness[key] = is_correct
-            ok_keys = [k for k in counts if k.startswith("ok:")]
-            if not ok_keys:
-                continue
-            winner = max(ok_keys, key=lambda k: (counts[k], -first_seen[k]))
-            if correctness[winner]:
-                correct += 1
-        results.append(
-            ComboResult(
-                pool_indices=combo,
-                labels=tuple(labels[j] for j in combo),
-                ex=correct / len(per_item),
-            )
-        )
+    combos = list(itertools.combinations_with_replacement(range(pool_size), n))
+    correct = [0] * len(combos)
+    for row in per_item:
+        ids: dict[str, int] = {}
+        numbered = [ids.setdefault(key, len(ids)) for key, _ in row]
+        keys = list(ids)
+        # multisets whose keys number alike have alike winners
+        wins: dict[tuple[int, ...], bool] = {}
+        for c, combo in enumerate(combos):
+            numbers = tuple(numbered[j] for j in combo)
+            won = wins.get(numbers)
+            if won is None:
+                groups = group_votes([keys[i] for i in numbers])
+                top = next((g for g in groups if g.is_ok), None)
+                won = wins[numbers] = top is not None and bool(row[combo[top.members[0]]][1])
+            correct[c] += won
+    results = [
+        ComboResult(combo, tuple(labels[j] for j in combo), count / len(per_item))
+        for combo, count in zip(combos, correct)
+    ]
     results.sort(key=lambda r: (-r.ex, r.pool_indices))
     return results
 

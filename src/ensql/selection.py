@@ -309,22 +309,17 @@ class VoteGroup:
         return self.signature.startswith("ok:")
 
 
-def group_votes(candidates: Sequence["SqlCandidate"]) -> list[VoteGroup]:
-    """Partition candidates into vote groups by execution equivalence.
+def group_votes(keys: Sequence[str]) -> list[VoteGroup]:
+    """Partition vote keys (ExecutionResult.group_key()) into vote groups.
 
-    Every candidate must already carry an execution result.  Groups come
-    back sorted by (vote count desc, smallest member index asc), so the
-    result is deterministic for tied counts.
+    This is the one vote rule: groups come back sorted by (vote count desc,
+    smallest member position asc), so the first Ok group is the winner and
+    tied counts go to the earliest slot.
     """
     buckets: dict[str, list[int]] = {}
-    for position, candidate in enumerate(candidates):
-        if candidate.execution is None:
-            raise ValueError(f"candidate {position} has no execution result")
-        buckets.setdefault(candidate.execution.group_key(), []).append(position)
-    groups = [
-        VoteGroup(signature=key, members=tuple(sorted(members)))
-        for key, members in buckets.items()
-    ]
+    for position, key in enumerate(keys):
+        buckets.setdefault(key, []).append(position)
+    groups = [VoteGroup(key, tuple(members)) for key, members in buckets.items()]
     groups.sort(key=lambda g: (-g.count, g.members[0]))
     return groups
 
@@ -539,7 +534,12 @@ def select(
     """
     if not candidates:
         raise ValueError("select() needs at least one candidate")
-    groups = group_votes(candidates)
+    keys = []
+    for position, candidate in enumerate(candidates):
+        if candidate.execution is None:
+            raise ValueError(f"candidate {position} has no execution result")
+        keys.append(candidate.execution.group_key())
+    groups = group_votes(keys)
     distribution = tuple(g.count for g in groups)
     ok_groups = [g for g in groups if g.is_ok]
 

@@ -225,6 +225,12 @@ class TestConfidenceRulesParsing:
         with pytest.raises(ConfigError, match="does not sum to 4"):
             PipelineConfig.from_dict({"confidence_rules": {"4": [[2, 1]]}})
 
+    def test_a_group_below_one_vote_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[5\]: \[5, 0\] has a group under 1 vote"):
+            PipelineConfig.from_dict({"confidence_rules": {"5": [[5, 0], [6, -1]]}})
+        with pytest.raises(ConfigError, match=r"\[6, -1\] has a group under 1 vote"):
+            PipelineConfig.from_dict({"confidence_rules": {"5": [[6, -1]]}})
+
     def test_non_integer_key_rejected(self):
         with pytest.raises(ConfigError, match="not an integer"):
             PipelineConfig.from_dict({"confidence_rules": {"five": [[5]]}})

@@ -58,6 +58,8 @@ class FakeResponse:
         self.text = text or (json.dumps(doc) if doc is not None else "")
 
     def json(self):
+        if isinstance(self._doc, Exception):
+            raise self._doc
         return self._doc
 
 
@@ -357,6 +359,30 @@ class TestLlmGateway:
         with caplog.at_level("WARNING"):
             result = gateway.attempt(REQUEST, STAGE_LINKING, "linker run x")
         assert isinstance(result, GatewayError)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("question q7: linker run x failed:")
+        assert gateway.ledger.rows() == []
+
+    @pytest.mark.parametrize(
+        "response",
+        [
+            FakeResponse(
+                200,
+                requests.JSONDecodeError("Expecting value", "<html>", 0),
+                text="<html>proxy sign-in</html>",
+            ),
+            FakeResponse(200, ok_doc(prompt=None)),
+        ],
+        ids=["body_not_json", "null_token_count"],
+    )
+    def test_attempt_returns_a_malformed_completion_with_one_warning(self, response, caplog):
+        backend, _, _ = make_backend([response])
+        gateway = LlmGateway(backend, question_id="q7")
+        with caplog.at_level("WARNING"):
+            result = gateway.attempt(REQUEST, STAGE_LINKING, "linker run x")
+        assert isinstance(result, TransportError)
+        assert "malformed completion response" in str(result)
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1
         assert warnings[0].startswith("question q7: linker run x failed:")

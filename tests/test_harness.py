@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 import sqlite3
@@ -8,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ensql.catalog import FilterLevel
 from ensql.config import DEFAULT_LINKER_PRIMARY, PipelineConfig
@@ -25,6 +27,7 @@ from ensql.gateway import (
 from ensql.generation import CandidateSpec, SqlCandidate, load_generation_system_prompt
 from ensql.harness import (
     BenchmarkItem,
+    ComboResult,
     DatasetError,
     GoldExecutionError,
     PipelineRunner,
@@ -369,6 +372,76 @@ class TestExByVote:
         assert rows[0].upper == 1.0
         # unanimous bucket: realized accuracy equals the upper bound
         assert rows[1].ex == rows[1].upper == 1.0
+
+
+def _rank_combinations_oracle(per_item, n, labels):
+    """The reference vote loop: per-combination counts, first positions and
+    a max(), written apart from group_votes so the two statements of the
+    rule are checked against each other."""
+    pool_size = len(per_item[0])
+    results = []
+    for combo in itertools.combinations_with_replacement(range(pool_size), n):
+        correct = 0
+        for row in per_item:
+            counts = {}
+            first_seen = {}
+            correctness = {}
+            for position, j in enumerate(combo):
+                key, is_correct = row[j]
+                counts[key] = counts.get(key, 0) + 1
+                first_seen.setdefault(key, position)
+                correctness[key] = is_correct
+            ok_keys = [k for k in counts if k.startswith("ok:")]
+            if not ok_keys:
+                continue
+            winner = max(ok_keys, key=lambda k: (counts[k], -first_seen[k]))
+            if correctness[winner]:
+                correct += 1
+        results.append(
+            ComboResult(
+                pool_indices=combo,
+                labels=tuple(labels[j] for j in combo),
+                ex=correct / len(per_item),
+            )
+        )
+    results.sort(key=lambda r: (-r.ex, r.pool_indices))
+    return results
+
+
+_VOTE_KEYS = ("ok:a", "ok:b", "ok:c", "error:X", "timeout")
+
+
+@st.composite
+def _sweep_rows(draw):
+    """1-20 items over a pool of 1-6 entries; a key has one correctness per item."""
+    pool_size = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 20))):
+        correct = {key: draw(st.booleans()) for key in _VOTE_KEYS}
+        keys = draw(st.lists(st.sampled_from(_VOTE_KEYS), min_size=pool_size, max_size=pool_size))
+        rows.append([(key, correct[key]) for key in keys])
+    return rows
+
+
+class TestRankCombinationsOracle:
+    # 40 examples missed a winner remembered across key orders; 100 catch it
+    @settings(max_examples=100)
+    @given(per_item=_sweep_rows(), n=st.integers(1, 3))
+    def test_ranking_equals_the_old_vote_loop(self, per_item, n):
+        labels = [f"e{j}" for j in range(len(per_item[0]))]
+        expected = _rank_combinations_oracle(per_item, n, labels)
+        got = rank_combinations(per_item, n, labels)
+        assert [(r.pool_indices, r.labels, r.ex) for r in got] == [
+            (r.pool_indices, r.labels, r.ex) for r in expected
+        ]
+
+    def test_a_tie_goes_to_the_earlier_slot_whatever_the_key_order(self):
+        # (0, 1) and (1, 2) hold the same two keys in opposite orders
+        per_item = [[("ok:a", True), ("ok:b", False), ("ok:a", True)]]
+        results = rank_combinations(per_item, n=2, labels=["a1", "b", "a2"])
+        assert {r.pool_indices: r.ex for r in results} == {
+            (0, 0): 1.0, (0, 1): 1.0, (0, 2): 1.0, (1, 1): 0.0, (1, 2): 0.0, (2, 2): 1.0,
+        }
 
 
 class TestRankCombinations:

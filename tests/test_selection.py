@@ -554,18 +554,11 @@ def _candidate(i, sql="SELECT 1", signature="sig", status=ExecStatus.OK,
 
 class TestGroupVotes:
     def test_groups_by_signature_sorted_by_size_then_first_member(self):
-        candidates = [
-            _candidate(0, signature="x"),
-            _candidate(1, signature="y"),
-            _candidate(2, signature="y"),
-            _candidate(3, signature="x"),
-            _candidate(4, signature="z"),
-        ]
-        groups = group_votes(candidates)
-        assert [(g.count, g.members) for g in groups] == [
-            (2, (0, 3)),
-            (2, (1, 2)),
-            (1, (4,)),
+        groups = group_votes(["ok:x", "ok:y", "ok:y", "ok:x", "ok:z"])
+        assert [(g.signature, g.count, g.members) for g in groups] == [
+            ("ok:x", 2, (0, 3)),
+            ("ok:y", 2, (1, 2)),
+            ("ok:z", 1, (4,)),
         ]
 
     def test_errors_group_by_class(self):
@@ -574,15 +567,15 @@ class TestGroupVotes:
             _candidate(1, status=ExecStatus.ERROR, error_text="OperationalError: y"),
             _candidate(2, signature="s"),
         ]
-        groups = group_votes(candidates)
+        groups = group_votes([c.execution.group_key() for c in candidates])
         assert groups[0].count == 2
         assert not groups[0].is_ok
         assert groups[1].is_ok
 
     def test_unexecuted_candidate_rejected(self):
         bare = SqlCandidate(spec_index=0, sql="SELECT 1")
-        with pytest.raises(ValueError):
-            group_votes([bare])
+        with pytest.raises(ValueError, match="candidate 0 has no execution result"):
+            select([bare])
 
 
 def partitions(n, cap=None):
