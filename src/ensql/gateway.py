@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -23,8 +24,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Sequence
-
-import requests
 
 log = logging.getLogger(__name__)
 
@@ -118,13 +117,28 @@ class ChatBackend:
         self.close()
 
 
+def _retry_after_s(value: str | None) -> float | None:
+    """Seconds a Retry-After header asks for; None unless it is a number.
+
+    The HTTP-date form, and anything else that is not a finite non-negative
+    number, gives None, so the caller keeps its own backoff.
+    """
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
+
+
 class HttpChatBackend(ChatBackend):
     """Live OpenAI-style chat-completions client.
 
     Credentials come from arguments or the OPENAI_API_KEY / OPENAI_BASE_URL
     environment variables.  Transient failures (connection errors, HTTP 429
-    and 5xx) are retried up to max_retries times with exponential backoff;
+    and 5xx) are retried up to max_retries times with exponential backoff,
+    or after the seconds a retryable response's Retry-After header asks for;
     other non-success statuses raise immediately with the body captured.
+    requests is imported here, so only a live backend loads it.
     """
 
     RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
@@ -145,7 +159,10 @@ class HttpChatBackend(ChatBackend):
         self.max_retries = max_retries
         self.timeout_s = timeout_s
         self.backoff_s = backoff_s
+        import requests
+
         self._session = session or requests.Session()
+        self._transport_errors = requests.RequestException
         self._sleep = sleep
 
     def _post(self, payload: dict) -> dict:
@@ -154,14 +171,17 @@ class HttpChatBackend(ChatBackend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error = "no attempt made"
+        retry_after = None
         for attempt in range(self.max_retries + 1):
             if attempt:
-                self._sleep(self.backoff_s * (2 ** (attempt - 1)))
+                backoff = self.backoff_s * (2 ** (attempt - 1))
+                self._sleep(backoff if retry_after is None else retry_after)
+            retry_after = None
             try:
                 resp = self._session.post(
                     url, json=payload, headers=headers, timeout=self.timeout_s
                 )
-            except requests.RequestException as exc:
+            except self._transport_errors as exc:
                 last_error = f"transport failure: {exc}"
                 log.warning("POST %s failed (attempt %d): %s", url, attempt + 1, exc)
                 continue
@@ -176,6 +196,7 @@ class HttpChatBackend(ChatBackend):
             last_error = f"HTTP {resp.status_code}: {body}"
             if resp.status_code not in self.RETRYABLE_STATUSES:
                 raise TransportError(f"POST {url} failed: {last_error}")
+            retry_after = _retry_after_s(resp.headers.get("Retry-After"))
             log.warning("POST %s got %d (attempt %d)", url, resp.status_code, attempt + 1)
         raise TransportError(
             f"POST {url} failed after {self.max_retries + 1} attempts: {last_error}"

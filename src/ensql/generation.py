@@ -19,9 +19,7 @@ import json
 import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .catalog import FilterLevel, SchemaCatalog, apply_filter
 from .formats import RepresentationFormat, render
@@ -35,6 +33,9 @@ from .gateway import (
 from .linking import LinkingPrediction, format_user_turn
 from .selection import ExecStatus, ExecutionResult
 
+if TYPE_CHECKING:  # numpy loads where a store is built or queried, not on import
+    import numpy as np
+
 _ASSETS = Path(__file__).parent / "assets"
 
 
@@ -45,6 +46,8 @@ def embed_question(text: str) -> np.ndarray:
     semantically meaningful, but local and stable across processes and
     platforms: identical texts always map to identical vectors.
     """
+    import numpy as np
+
     seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
     vec = np.random.default_rng(seed).standard_normal(64)
     return vec / np.linalg.norm(vec)
@@ -113,6 +116,8 @@ class FewShotStore:
     """
 
     def __init__(self, examples: Sequence[FewShotExample]):
+        import numpy as np
+
         self.examples = list(examples)
         self.embeddings = np.array([embed_question(e.question) for e in self.examples])
 
@@ -153,6 +158,8 @@ def retrieve_fewshots(question: str, store: FewShotStore, k: int = 3) -> list[Fe
     """
     if k <= 0 or not len(store):
         return []
+    import numpy as np
+
     scores = store.embeddings @ embed_question(question)
     order = np.argsort(-scores, kind="stable")[:k]
     return [store.examples[int(i)] for i in order]

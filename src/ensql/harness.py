@@ -18,6 +18,7 @@ import random
 import statistics
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
@@ -662,6 +663,10 @@ class Report:
     cost_usd_avg: Decimal
     cost_usd_total: Decimal
     escalated: int
+    # why the escalated questions ended as they did; the three sum to escalated
+    escalated_judged: int
+    escalated_all_failed: int
+    escalated_one_group: int
 
     def render_text(self) -> str:
         typical = (
@@ -680,8 +685,27 @@ class Report:
             "",
             f"total cost ($): {self.cost_usd_total:.6f}",
             f"escalated to pairwise selection: {self.escalated}",
+            f"  judged tournament: {self.escalated_judged}",
+            f"  all candidates failed: {self.escalated_all_failed}",
+            f"  one surviving group: {self.escalated_one_group}",
         ]
         return "\n".join(lines)
+
+
+def _escalation_reason(record: RunRecord) -> str:
+    """Why an escalated question ended as it did, from fields records carry.
+
+    "judged" when the tournament made judge calls; "all_failed" when the
+    chosen candidate did not execute Ok, so no Ok group existed; otherwise
+    "one_group": a single Ok group survived and no judge was needed.
+    """
+    selection = record.selection
+    if selection.pairwise_calls > 0:
+        return "judged"
+    chosen = record.candidates[selection.chosen_index].execution
+    if chosen is None or not chosen.ok:
+        return "all_failed"
+    return "one_group"
 
 
 def aggregate_records(
@@ -714,9 +738,10 @@ def aggregate_records(
                 row.model, TokenUsage(row.input_tokens, row.output_tokens)
             )
     cost_avg = total_cost / len(worked) if worked else Decimal(0)
-    escalated = sum(
-        r.selection is not None and r.selection.method is SelectionMethod.PAIRWISE_LLM
+    reasons = Counter(
+        _escalation_reason(r)
         for r in worked
+        if r.selection is not None and r.selection.method is SelectionMethod.PAIRWISE_LLM
     )
     return Report(
         items=len(records),
@@ -729,7 +754,10 @@ def aggregate_records(
         tokens_k_avg=tokens_k_avg,
         cost_usd_avg=cost_avg,
         cost_usd_total=total_cost,
-        escalated=escalated,
+        escalated=sum(reasons.values()),
+        escalated_judged=reasons["judged"],
+        escalated_all_failed=reasons["all_failed"],
+        escalated_one_group=reasons["one_group"],
     )
 
 

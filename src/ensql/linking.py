@@ -301,9 +301,12 @@ def derive_gold_linking(gold_sql: str, catalog: SchemaCatalog) -> GoldLinking:
     # its own schema tables fall outside the catalog's columns
     columns = reads & {(t.name, c.name) for t in catalog.tables for c in t.columns}
     # a join's USING or NATURAL columns are compared without consulting the
-    # authorizer; the program's own reads name them by position
+    # authorizer; the program's own reads name them by position.  sqlite_master
+    # names each table as created, so the lookup is exact: SQLite folds ASCII
+    # case only, so "k" and the Kelvin sign name two different tables
+    by_name = {t.name: t for t in catalog.tables}
     columns.update(
-        (table, catalog.table(table).columns[position].name)
+        (table, by_name[table].columns[position].name)
         for _, opcode, cursor, position, *_ in program
         if opcode == "Column" and (table := tables_by_cursor.get(cursor)) is not None
     )

@@ -52,10 +52,11 @@ class TestRequestDigest:
 
 
 class FakeResponse:
-    def __init__(self, status_code, doc=None, text=""):
+    def __init__(self, status_code, doc=None, text="", headers=None):
         self.status_code = status_code
         self._doc = doc
         self.text = text or (json.dumps(doc) if doc is not None else "")
+        self.headers = headers or {}
 
     def json(self):
         if isinstance(self._doc, Exception):
@@ -120,6 +121,33 @@ class TestHttpChatBackend:
         response = backend.complete(REQUEST)
         assert response.usage.input_tokens == 12
         assert len(session.calls) == 3
+        assert sleeps == [1.0, 2.0]
+
+    def test_retry_after_seconds_replace_the_backoff_step(self):
+        backend, session, sleeps = make_backend(
+            [
+                FakeResponse(429, headers={"Retry-After": "7"}),
+                FakeResponse(503, headers={"Retry-After": "0.5"}),
+                FakeResponse(429),
+                FakeResponse(200, ok_doc()),
+            ]
+        )
+        assert backend.complete(REQUEST).usage.input_tokens == 12
+        assert len(session.calls) == 4
+        assert sleeps == [7.0, 0.5, 4.0]
+
+    @pytest.mark.parametrize(
+        "value", ["Wed, 21 Oct 2015 07:28:00 GMT", "soon", "", "-3", "nan", "inf"]
+    )
+    def test_retry_after_that_is_not_seconds_keeps_the_backoff(self, value):
+        backend, _, sleeps = make_backend(
+            [
+                FakeResponse(429, headers={"Retry-After": value}),
+                FakeResponse(429, headers={"Retry-After": value}),
+                FakeResponse(200, ok_doc()),
+            ]
+        )
+        backend.complete(REQUEST)
         assert sleeps == [1.0, 2.0]
 
     def test_client_error_fails_immediately(self):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -363,3 +366,62 @@ class TestGenerateCandidates:
     def test_no_specs(self, toy_catalog):
         gateway, _ = self._gateway(lambda r: sql_block("SELECT 1"))
         assert generate_candidates([], "gen", toy_catalog, _item(), gateway) == []
+
+
+# a fresh interpreter answers one question the way a scripted or replayed run
+# does, then builds the two objects that need numpy and requests; it prints
+# which of the two are loaded after each step
+_IMPORT_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+
+def loaded():
+    return sorted(m for m in ("numpy", "requests") if m in sys.modules)
+
+import ensql, ensql.cli
+steps = {"import": loaded()}
+
+from ensql.config import PipelineConfig
+from ensql.harness import BenchmarkItem, PipelineRunner
+from helpers import ScriptedBackend, TOY_BENCH, ToyScript, build_toy_db
+
+with tempfile.TemporaryDirectory() as tmp:
+    db = Path(tmp) / "toy.sqlite"
+    build_toy_db(db)
+    first = TOY_BENCH[0]
+    item = BenchmarkItem("1", "toy_shop", first["question"], first["gold"], db_path=db)
+    with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+        record = runner.run_item(item)
+steps["run_item"] = loaded()
+steps["ex"] = record.ex
+
+from ensql.generation import FewShotExample, FewShotStore
+FewShotStore([FewShotExample("q", "SELECT 1", "db", "s")])
+steps["store"] = loaded()
+
+from ensql.gateway import HttpChatBackend
+HttpChatBackend(api_key="", session=object())
+steps["http"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+class TestImportFootprint:
+    def test_numpy_and_requests_load_only_where_they_are_used(self):
+        import ensql
+
+        paths = [str(Path(ensql.__file__).parents[1]), str(Path(__file__).parent)]
+        if os.environ.get("PYTHONPATH"):
+            paths.append(os.environ["PYTHONPATH"])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        steps = json.loads(done.stdout)
+        assert steps["import"] == []
+        assert steps["run_item"] == []
+        assert steps["ex"] == 1
+        assert steps["store"] == ["numpy"]
+        assert steps["http"] == ["numpy", "requests"]

@@ -305,6 +305,39 @@ class TestAggregateRecords:
         assert report.ex == 0.5
         assert report.escalated == 1
 
+    def test_escalations_split_by_why_no_vote_settled_them(self):
+        ok = ExecutionResult(ExecStatus.OK, signature="s", row_count=1)
+        failed = ExecutionResult(ExecStatus.ERROR, error_text="OperationalError: x")
+
+        def escalated(qid, calls, chosen, other):
+            record = _record(
+                qid=qid, selection=_selection(votes=2, method=SelectionMethod.PAIRWISE_LLM,
+                                              calls=calls),
+            )
+            record.candidates = [
+                SqlCandidate(spec_index=i, sql="SELECT 1", execution=execution)
+                for i, execution in enumerate([chosen, other, other, other, other])
+            ]
+            return record
+
+        records = [
+            escalated("judged", 2, ok, ok),
+            escalated("all failed", 0, failed, failed),
+            escalated("one group", 0, ok, failed),
+            _record(qid="vote"),
+        ]
+        report = aggregate_records(records)
+        assert report.escalated == 3
+        assert (report.escalated_judged, report.escalated_all_failed,
+                report.escalated_one_group) == (1, 1, 1)
+        lines = report.render_text().splitlines()
+        at = lines.index("escalated to pairwise selection: 3")
+        assert lines[at + 1:] == [
+            "  judged tournament: 1",
+            "  all candidates failed: 1",
+            "  one surviving group: 1",
+        ]
+
     def test_calls_and_tokens_cover_worked_items(self):
         report = aggregate_records(self._records())
         # per-record llm calls: 8, 9, 2 -> median 8, mean 19/3

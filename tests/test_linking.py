@@ -1,5 +1,9 @@
-import pytest
+import string
 
+import pytest
+from hypothesis import given, strategies as st
+
+from ensql.catalog import ColumnDef, SchemaCatalog, TableDef, _quote_ident
 from ensql.linking import (
     FEWSHOT_COUNT,
     GoldLinking,
@@ -353,3 +357,124 @@ def test_using_inside_quoted_text_is_not_a_join(toy_catalog):
         toy_catalog,
     )
     assert got.columns == {("users", "name")}
+
+
+# -- gold linking properties ---------------------------------------------------
+
+# SQLite folds only ASCII letters when it compares names, so "K" and the
+# Kelvin sign, or "ss" and "ß", name different tables and columns
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
+def _fold(name):
+    return name.translate(_ASCII_LOWER)
+
+
+_NAMES = st.one_of(
+    st.sampled_from(
+        ["id", "ID", "name", "k", "K", "\u212a", "ss", "\u00df", "rowid", "select",
+         "a b", 'q"t', "t0", "sqlite_x"]
+    ),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+            min_size=1, max_size=5),
+)
+# names beginning sqlite_ are SQLite's own tables; introspection skips them
+_TABLE_NAMES = _NAMES.filter(lambda name: not _fold(name).startswith("sqlite_"))
+
+
+@st.composite
+def _catalogs(draw):
+    names = draw(st.lists(_TABLE_NAMES, min_size=1, max_size=4, unique_by=_fold))
+    return SchemaCatalog("drawn", tuple(
+        TableDef(name, tuple(
+            ColumnDef(column, "TEXT")
+            for column in draw(st.lists(_NAMES, min_size=1, max_size=4, unique_by=_fold))
+        ))
+        for name in names
+    ))
+
+
+def _sources(tables):
+    return [f"{_quote_ident(t.name)} AS t{i}" for i, t in enumerate(tables)]
+
+
+@st.composite
+def _reading_queries(draw, catalog):
+    """A SELECT over drawn tables, each column reference qualified by alias,
+    with the tables it opens and the (table, column) pairs it reads."""
+    tables = draw(st.lists(st.sampled_from(catalog.tables), min_size=1, max_size=3,
+                           unique_by=lambda t: t.name))
+    clauses = {"select": [], "where": [], "order": []}
+    reads = set()
+    for i, table in enumerate(tables):
+        columns = draw(st.lists(st.sampled_from(table.columns), min_size=1,
+                                unique_by=lambda c: c.name))
+        for column in columns:
+            clause = draw(st.sampled_from(sorted(clauses)))
+            clauses[clause].append(f"t{i}.{_quote_ident(column.name)}")
+            reads.add((table.name, column.name))
+    projection = ", ".join(clauses["select"]) or "1"
+    sql = f"SELECT {projection} FROM {' CROSS JOIN '.join(_sources(tables))}"
+    if clauses["where"]:
+        sql += " WHERE " + " AND ".join(f"{ref} IS NOT NULL" for ref in clauses["where"])
+    if clauses["order"]:
+        sql += " ORDER BY " + ", ".join(clauses["order"])
+    return sql, {t.name for t in tables}, reads
+
+
+@st.composite
+def _queries(draw, catalog):
+    """Any valid SELECT over the catalog: stars, count(*), NATURAL or USING
+    joins, filters and subqueries."""
+    tables = draw(st.lists(st.sampled_from(catalog.tables), min_size=1, max_size=3,
+                           unique_by=lambda t: t.name))
+    sources = _sources(tables)
+    source = " CROSS JOIN ".join(sources)
+    if len(tables) == 2:
+        left, right = ({_fold(c.name): c.name for c in t.columns} for t in tables)
+        shared = sorted(left.keys() & right.keys())
+        kind = draw(st.sampled_from(["CROSS", "NATURAL"] + (["USING"] if shared else [])))
+        if kind == "USING":
+            using = _quote_ident(left[draw(st.sampled_from(shared))])
+            source = f"{sources[0]} JOIN {sources[1]} USING ({using})"
+        else:
+            source = f"{sources[0]} {kind} JOIN {sources[1]}"
+    refs = [f"t{i}.{_quote_ident(c.name)}" for i, t in enumerate(tables) for c in t.columns]
+    projection = draw(st.sampled_from(
+        ["*", "t0.*", "count(*)", ", ".join(draw(st.lists(st.sampled_from(refs), min_size=1)))]
+    ))
+    sql = f"SELECT {projection} FROM {source}"
+    if draw(st.booleans()):
+        sql += f" WHERE {draw(st.sampled_from(refs))} = 1"
+    if draw(st.booleans()):
+        sql = f"SELECT * FROM ({sql})"
+    return sql
+
+
+class TestGoldLinkingProperties:
+    @given(data=st.data(), catalog=_catalogs())
+    def test_every_linked_name_is_in_the_catalog(self, catalog, data):
+        got = derive_gold_linking(data.draw(_queries(catalog)), catalog)
+        assert got.tables <= {t.name for t in catalog.tables}
+        assert got.columns <= {(t.name, c.name) for t in catalog.tables for c in t.columns}
+
+    @given(data=st.data(), catalog=_catalogs())
+    def test_a_query_of_catalog_names_links_every_name_it_reads(self, catalog, data):
+        sql, tables, reads = data.draw(_reading_queries(catalog))
+        got = derive_gold_linking(sql, catalog)
+        assert got.tables == tables
+        assert got.columns == reads
+
+
+def test_a_name_that_folds_only_outside_ascii_names_its_own_table():
+    # shrunk from the properties above: SQLite folds ASCII case only, so "k"
+    # and the Kelvin sign are two tables, and columns read by position
+    # belong to the one the query opened
+    kelvin = "\u212a"
+    catalog = SchemaCatalog("drawn", (
+        TableDef("k", (ColumnDef("id", "TEXT"),)),
+        TableDef(kelvin, (ColumnDef("ID", "TEXT"),)),
+    ))
+    got = gold(f'SELECT 1 FROM "{kelvin}" AS t0 ORDER BY t0."ID"', catalog)
+    assert got.tables == {kelvin}
+    assert got.columns == {(kelvin, "ID")}
