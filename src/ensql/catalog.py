@@ -8,8 +8,11 @@ linking prediction considers relevant.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import sqlite3
+import string
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -62,6 +65,20 @@ class FilterLevel(Enum):
         if level is None:
             raise ValueError(f"unknown filter level: {name!r}")
         return level
+
+
+_ASCII_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
+def fold_name(name: str) -> str:
+    """A SQL name as SQLite compares it: A-Z lowered, every other character kept.
+
+    SQLite folds only ASCII letters, so "k" and the Kelvin sign "\u212a", or
+    "i" and the dotless "\u0131", are different names that a Unicode
+    str.lower would confuse.
+    """
+    # on an ASCII name str.lower folds exactly A-Z, at a tenth of the cost
+    return name.lower() if name.isascii() else name.translate(_ASCII_FOLD)
 
 
 def _squash(name: str) -> str:
@@ -118,12 +135,13 @@ class TableDef:
         return tuple(c.name for c in self.columns)
 
     def column(self, name: str) -> ColumnDef | None:
-        """Case-insensitive column lookup; None when absent."""
-        low = name.lower()
-        for c in self.columns:
-            if c.name.lower() == low:
-                return c
-        return None
+        """Column lookup by SQLite's name rule (see fold_name); None when absent."""
+        return self._by_name.get(fold_name(name))
+
+    @functools.cached_property
+    def _by_name(self) -> dict[str, ColumnDef]:
+        # reversed, so that of names that fold alike the first wins
+        return {fold_name(c.name): c for c in reversed(self.columns)}
 
 
 @dataclass(frozen=True)
@@ -152,12 +170,13 @@ class SchemaCatalog:
     rendered: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def table(self, name: str) -> TableDef | None:
-        """Case-insensitive table lookup; None when absent."""
-        low = name.lower()
-        for t in self.tables:
-            if t.name.lower() == low:
-                return t
-        return None
+        """Table lookup by SQLite's name rule (see fold_name); None when absent."""
+        return self._by_name.get(fold_name(name))
+
+    @functools.cached_property
+    def _by_name(self) -> dict[str, TableDef]:
+        # reversed, so that of names that fold alike the first wins
+        return {fold_name(t.name): t for t in reversed(self.tables)}
 
     def table_names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.tables)
@@ -165,22 +184,23 @@ class SchemaCatalog:
     def validate(self) -> None:
         """Check structural invariants, raising CatalogError on violation.
 
-        Enforced: table names unique (case-insensitive), column names unique
-        within a table, primary key columns exist, FK endpoints exist, and
-        value examples are distinct.  Catalogs built by introspect() always
-        pass; hand-built catalogs may legitimately skip validation when they
-        mirror quirky upstream schemas (e.g. a declared key on a column the
-        catalog does not carry).
+        Enforced: table names unique, and column names unique within a
+        table, by SQLite's name rule (see fold_name); primary key columns
+        exist, FK endpoints exist, and value examples are distinct.  Catalogs
+        built by introspect() always pass; hand-built catalogs may
+        legitimately skip validation when they mirror quirky upstream
+        schemas (e.g. a declared key on a column the catalog does not
+        carry).
         """
         seen_tables: set[str] = set()
         for t in self.tables:
-            tl = t.name.lower()
+            tl = fold_name(t.name)
             if tl in seen_tables:
                 raise CatalogError(self.db_id, f"duplicate table name {t.name!r}")
             seen_tables.add(tl)
             seen_cols: set[str] = set()
             for c in t.columns:
-                cl = c.name.lower()
+                cl = fold_name(c.name)
                 if cl in seen_cols:
                     raise CatalogError(
                         self.db_id, f"duplicate column {t.name}.{c.name}"
@@ -191,7 +211,7 @@ class SchemaCatalog:
                         self.db_id, f"repeated value examples on {t.name}.{c.name}"
                     )
             for pk in t.primary_key:
-                if pk.lower() not in seen_cols:
+                if fold_name(pk) not in seen_cols:
                     raise CatalogError(
                         self.db_id, f"primary key {t.name}.{pk} is not a column"
                     )
@@ -286,12 +306,15 @@ def introspect(
     compare by binary collation, whatever collation the column declares,
     and then by rendered text (see ColumnDef).  Text columns whose full
     distinct value count is at most category_threshold also carry the
-    complete category list.  SQLite finds each column's distinct values,
-    and reading stops once the samples (and, for text, the category list)
-    are settled.  Invalid UTF-8 is shown with U+FFFD in its place.
+    complete category list.  Each table is sampled by one read of its first
+    rows across all columns, and only a column that those rows leave short
+    has SQLite find its remaining distinct values (see _sample_table);
+    reading stops once the samples (and, for text, the category list) are
+    settled.  Invalid UTF-8 is shown with U+FFFD in its place.
 
     descriptions optionally maps table -> column -> human description
-    (matched case-insensitively), for corpora that ship column glossaries.
+    (matched by SQLite's name rule, see fold_name), for corpora that ship
+    column glossaries.
 
     Raises UnreadableDatabaseError, MalformedDatabaseError, or
     IntrospectionError, each naming the db_id.
@@ -313,7 +336,7 @@ def introspect(
             ).fetchall())
         except sqlite3.DatabaseError as exc:
             raise MalformedDatabaseError(db_id, f"not a database: {exc}") from exc
-        desc_map = _lower_descriptions(descriptions)
+        desc_map = _fold_descriptions(descriptions)
         tables: list[TableDef] = []
         fks: list[ForeignKeyDef] = []
         for (table_name,) in master:
@@ -333,7 +356,7 @@ def introspect(
                 ) from exc
             columns = []
             pk_cols: list[tuple[int, str]] = []
-            table_descs = desc_map.get(table_name.lower(), {})
+            table_descs = desc_map.get(fold_name(table_name), {})
             for cid, name, sql_type, notnull, default, pk_pos in info:
                 if pk_pos:
                     pk_cols.append((pk_pos, name))
@@ -343,7 +366,7 @@ def introspect(
                         sql_type=sql_type or "TEXT",
                         nullable=not notnull,
                         default=None if default is None else str(default),
-                        description=table_descs.get(name.lower()),
+                        description=table_descs.get(fold_name(name)),
                         value_examples=tuple(samples[cid]),
                         category_values=categories[cid],
                     )
@@ -375,13 +398,13 @@ def introspect(
         conn.close()
 
 
-def _lower_descriptions(
+def _fold_descriptions(
     descriptions: Mapping[str, Mapping[str, str]] | None,
 ) -> dict[str, dict[str, str]]:
     if not descriptions:
         return {}
     return {
-        t.lower(): {c.lower(): d for c, d in cols.items()}
+        fold_name(t): {fold_name(c): d for c, d in cols.items()}
         for t, cols in descriptions.items()
     }
 
@@ -395,10 +418,10 @@ def _resolve_fk_targets(
     implicit target resolves only to a one-column primary key; every other
     key is dropped with a warning.
     """
-    by_name = {t.name.lower(): t for t in tables}
+    by_name = {fold_name(t.name): t for t in tables}
     out = []
     for fk in fks:
-        target = by_name.get(fk.to_table.lower())
+        target = by_name.get(fold_name(fk.to_table))
         if target is not None and not fk.to_column and len(target.primary_key) == 1:
             fk = replace(fk, to_column=target.primary_key[0])
         if target is None or not fk.to_column or target.column(fk.to_column) is None:
@@ -430,18 +453,68 @@ def _scan_order(conn: sqlite3.Connection, table_name: str) -> str:
     return "NOT INDEXED"
 
 
+# rows of a table read across all its columns in one statement: a table
+# this short is sampled by that statement alone instead of by one SELECT
+# DISTINCT per column.  In a longer table each column still short of its
+# count falls back to its own SELECT DISTINCT.  A cell costs Python about a
+# hundredth of what a statement costs, so this head adds at most about one
+# statement's cost per column to a table it leaves unsettled; a head of
+# 1,024 rows made a 3,000-row table twice as slow to sample.
+_HEAD_ROWS = 128
+
+
 def _first_rendered(conn: sqlite3.Connection, sql: str, wanted: int) -> list[str]:
-    """The first `wanted` distinct renderings of sql's values, blobs skipped."""
+    """The first `wanted` (at least one) distinct renderings of sql's values,
+    blobs skipped."""
     rendered: dict[str, None] = {}
-    if wanted > 0:
-        with closing(conn.execute(sql)) as cursor:
-            for (value,) in cursor:
-                text = _render_value(value)
-                if text is not None:
-                    rendered[text] = None
-                    if len(rendered) == wanted:
-                        break
+    with closing(conn.execute(sql)) as cursor:
+        for (value,) in cursor:
+            text = _render_value(value)
+            if text is not None:
+                rendered[text] = None
+                if len(rendered) == wanted:
+                    break
     return list(rendered)
+
+
+def _read_head(
+    conn: sqlite3.Connection, source: str, column_names: Sequence[str], wanted: Sequence[int]
+) -> tuple[list[list[str]], bool]:
+    """Each column's first distinct renderings, up to wanted[i] of them, in
+    the first _HEAD_ROWS rows of source; and whether that settles them all.
+
+    Rows are read one at a time and blobs are never kept, so memory holds
+    one row plus the values found.  Values are grouped by Python equality,
+    which on SQLite's values is DISTINCT's by binary collation (1 == 1.0,
+    '1' != 1), and then merged by rendering.  Every column is settled when
+    each has its wanted count or the rows read are the whole table.
+    """
+    found: list[dict[str, None]] = [{} for _ in column_names]
+    selected = [i for i, want in enumerate(wanted) if want > 0]
+    if not selected:
+        return [[] for _ in column_names], True
+    select = ", ".join(_quote_ident(column_names[i]) for i in selected)
+    # each column still reading: its position in the row, the values it has
+    # met (NULL counts as met), its renderings, and how many it wants
+    reading = [(at, {None}, found[i], wanted[i]) for at, i in enumerate(selected)]
+    with closing(conn.execute(f"SELECT {select} FROM {source}")) as cursor:
+        for row in itertools.islice(cursor, _HEAD_ROWS):
+            filled = False
+            for at, seen, rendered, want in reading:
+                value = row[at]
+                # blobs render as nothing, and are never kept
+                if isinstance(value, bytes) or value in seen:
+                    continue
+                seen.add(value)
+                rendered[_render_value(value)] = None
+                if len(rendered) == want:
+                    filled = True
+            if filled:
+                reading = [column for column in reading if len(column[2]) < column[3]]
+                if not reading:
+                    break
+        settled = not reading or cursor.fetchone() is None
+    return [list(rendered) for rendered in found], settled
 
 
 def _sample_table(
@@ -452,31 +525,39 @@ def _sample_table(
     sample_k: int,
     category_threshold: int,
 ) -> tuple[list[list[str]], list[tuple[str, ...] | None]]:
-    """Per-column samples and categories, each column's distinct values found by SQLite.
+    """Per-column samples and categories, from one read of the table's head.
 
     Returns (samples, categories) indexed by column position.  categories[i]
     is None for non-text columns and for text columns whose distinct count
-    exceeds the threshold.  SQLite yields a column's distinct non-null
-    values lazily, by binary collation and in table-scan order; Python
-    renders them and merges values that render alike ('1', 1 and 1.0).
-    Reading a column stops after sample_k renderings, or for a text column
-    once there are enough to tell whether it is a category.
+    exceeds the threshold.  A column wants sample_k distinct renderings, or
+    for a text column enough to tell whether it is a category, taken from
+    its non-null values in table-scan order; values that render alike ('1',
+    1 and 1.0) are one.  One statement reads the first _HEAD_ROWS rows of
+    every column (see _read_head).  When the table goes on past them, each
+    column still short of its count has SQLite yield its distinct values
+    lazily, by binary collation and in table-scan order, until it is full.
     """
     scan_order = _read_decoded(conn, lambda: _scan_order(conn, table_name))
     source = f"{_quote_ident(table_name)} {scan_order}"
+    is_text = [_is_text_type(sql_type or "") for sql_type in column_types]
+    wanted = [
+        max(sample_k, category_threshold + 1) if text else sample_k for text in is_text
+    ]
+    found, settled = _read_decoded(
+        conn, lambda: _read_head(conn, source, column_names, wanted)
+    )
     samples: list[list[str]] = []
     categories: list[tuple[str, ...] | None] = []
-    for name, sql_type in zip(column_names, column_types):
-        is_text = _is_text_type(sql_type or "")
-        wanted = max(sample_k, category_threshold + 1) if is_text else sample_k
-        column = _quote_ident(name)
-        sql = (
-            f"SELECT DISTINCT {column} COLLATE BINARY FROM {source}"
-            f" WHERE {column} IS NOT NULL"
-        )
-        values = _read_decoded(conn, lambda: _first_rendered(conn, sql, wanted))
+    for name, text, want, values in zip(column_names, is_text, wanted, found):
+        if not settled and len(values) < want:
+            column = _quote_ident(name)
+            sql = (
+                f"SELECT DISTINCT {column} COLLATE BINARY FROM {source}"
+                f" WHERE {column} IS NOT NULL"
+            )
+            values = _read_decoded(conn, lambda: _first_rendered(conn, sql, want))
         samples.append(values[:sample_k])
-        is_category = is_text and len(values) <= category_threshold
+        is_category = text and len(values) <= category_threshold
         categories.append(tuple(values) if is_category else None)
     return samples, categories
 
@@ -489,9 +570,9 @@ def apply_filter(
     """Shrink a catalog to the tables/columns named by a linking prediction.
 
     prediction is a mapping of table name -> list of column names, or any
-    object with a .selection attribute holding one.  Matching is
-    case-insensitive; predicted names absent from the catalog are dropped
-    with a warning.
+    object with a .selection attribute holding one.  Names match by SQLite's
+    rule (see fold_name); predicted names absent from the catalog are
+    dropped with a warning.
 
     NO_FILTERING returns the catalog unchanged.  TABLE_ONLY keeps the
     predicted tables with all their columns.  FULL_FILTERING keeps only the
@@ -528,24 +609,24 @@ def apply_filter(
         log.warning("%s: prediction matched nothing; filtered catalog is empty", catalog.db_id)
 
     kept_tables = [t for t in catalog.tables if t.name in wanted]
-    kept_names = {t.name for t in kept_tables}
+    # every column each kept table must keep, by folded table and column name
+    chosen = {fold_name(t.name): {fold_name(c) for c in wanted[t.name]} for t in kept_tables}
     kept_fks = tuple(
         fk for fk in catalog.foreign_keys
-        if fk.from_table in kept_names and fk.to_table in kept_names
+        if fold_name(fk.from_table) in chosen and fold_name(fk.to_table) in chosen
     )
 
     if level is FilterLevel.TABLE_ONLY:
         return SchemaCatalog(catalog.db_id, tuple(kept_tables), kept_fks)
 
-    forced: dict[str, set[str]] = {name: set() for name in kept_names}
     for fk in kept_fks:
-        forced[fk.from_table].add(fk.from_column.lower())
-        forced[fk.to_table].add(fk.to_column.lower())
+        chosen[fold_name(fk.from_table)].add(fold_name(fk.from_column))
+        chosen[fold_name(fk.to_table)].add(fold_name(fk.to_column))
     filtered_tables = []
     for t in kept_tables:
-        chosen = {c.lower() for c in wanted[t.name]} | forced[t.name]
-        columns = tuple(c for c in t.columns if c.name.lower() in chosen)
-        col_names = {c.name.lower() for c in columns}
-        pk = tuple(p for p in t.primary_key if p.lower() in col_names)
+        keep = chosen[fold_name(t.name)]
+        columns = tuple(c for c in t.columns if fold_name(c.name) in keep)
+        col_names = {fold_name(c.name) for c in columns}
+        pk = tuple(p for p in t.primary_key if fold_name(p) in col_names)
         filtered_tables.append(TableDef(t.name, columns, pk))
     return SchemaCatalog(catalog.db_id, tuple(filtered_tables), kept_fks)

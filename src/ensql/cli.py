@@ -13,6 +13,7 @@ import functools
 import logging
 import os
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from .catalog import CatalogError, FilterLevel, introspect
@@ -34,6 +35,7 @@ from .harness import (
     BenchmarkItem,
     DatasetError,
     Failed,
+    RunRecord,
     SweepError,
     aggregate_records,
     bounds_analysis,
@@ -111,12 +113,48 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
+class _RunProgress:
+    """run_benchmark's progress hook: one stderr line per finished question.
+
+    The line shows questions done of total, EX so far over the scored
+    questions, and calls and dollars per question so far, counted as the
+    report counts them (errored questions count only as done).
+    """
+
+    def __init__(self, total: int, price_table: PriceTable):
+        self.total = total
+        self.price_table = price_table
+        self.done = self.worked = self.scored = self.correct = self.calls = 0
+        self.dollars = Decimal(0)
+
+    def __call__(self, record: RunRecord) -> None:
+        self.done += 1
+        if not record.error:
+            self.worked += 1
+            self.calls += record.llm_calls()
+            self.dollars += record.dollars(self.price_table)
+            if record.gold_ok:
+                self.scored += 1
+                self.correct += record.ex
+        ex = 100.0 * self.correct / self.scored if self.scored else 0.0
+        worked = max(self.worked, 1)
+        print(
+            f"{self.done}/{self.total} questions, EX {ex:.2f} over {self.scored} scored,"
+            f" {self.calls / worked:.1f} calls and ${self.dollars / worked:.6f} per question",
+            file=sys.stderr,
+        )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     items = load_dataset(args.dataset, args.split, args.db_root, args.limit)
     if not items:
         print("error: dataset is empty", file=sys.stderr)
         return 1
+    price_table = (
+        PriceTable.load(config.price_table_path)
+        if config.price_table_path else PriceTable.default()
+    )
     with _resolve_backend(args) as backend:
         records, report = run_benchmark(
             config,
@@ -125,8 +163,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             out_path=args.out,
             workers=args.workers,
             record_timing=not args.replay,
-            price_table=PriceTable.load(config.price_table_path)
-            if config.price_table_path else PriceTable.default(),
+            price_table=price_table,
+            progress=_RunProgress(len(items), price_table),
         )
     print(report.render_text())
     if args.out:

@@ -304,6 +304,14 @@ class RunRecord:
             u.input_tokens + u.output_tokens for u in self.usage if u.stage in LLM_STAGES
         )
 
+    def dollars(self, table: PriceTable) -> Decimal:
+        """What this question's usage rows cost under table."""
+        return sum(
+            (table.dollars(u.model, TokenUsage(u.input_tokens, u.output_tokens))
+             for u in self.usage),
+            Decimal(0),
+        )
+
 
 def _candidate_to_dict(candidate: SqlCandidate) -> dict:
     execution = None
@@ -731,12 +739,7 @@ def aggregate_records(
     calls_avg = sum(calls) / len(calls) if calls else 0.0
     tokens_k_avg = (sum(tokens) / len(tokens)) / 1000.0 if tokens else 0.0
 
-    total_cost = Decimal(0)
-    for record in worked:
-        for row in record.usage:
-            total_cost += table.dollars(
-                row.model, TokenUsage(row.input_tokens, row.output_tokens)
-            )
+    total_cost = sum((record.dollars(table) for record in worked), Decimal(0))
     cost_avg = total_cost / len(worked) if worked else Decimal(0)
     reasons = Counter(
         _escalation_reason(r)

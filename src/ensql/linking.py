@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .catalog import SchemaCatalog, _quote_ident
+from .catalog import SchemaCatalog, _quote_ident, fold_name
 from .selection import _READ_ONLY_ACTIONS
 
 log = logging.getLogger(__name__)
@@ -62,11 +62,11 @@ class LinkingPrediction:
     selection: dict[str, list[str]]
 
     def tables(self) -> set[str]:
-        return {t.lower() for t in self.selection}
+        return {fold_name(t) for t in self.selection}
 
     def columns(self) -> set[tuple[str, str]]:
         return {
-            (t.lower(), c.lower())
+            (fold_name(t), fold_name(c))
             for t, cols in self.selection.items()
             for c in cols
         }
@@ -204,8 +204,8 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
 def _as_sets(entry: object) -> tuple[set[str], set[tuple[str, str]]]:
     if isinstance(entry, GoldLinking):
         return (
-            {t.lower() for t in entry.tables},
-            {(t.lower(), c.lower()) for t, c in entry.columns},
+            {fold_name(t) for t in entry.tables},
+            {(fold_name(t), fold_name(c)) for t, c in entry.columns},
         )
     if isinstance(entry, LinkingPrediction):
         return entry.tables(), entry.columns()
@@ -223,8 +223,8 @@ def linking_metrics(
     """Micro-averaged P/R/F1 over paired predictions and golds.
 
     Accepts LinkingPrediction, GoldLinking, or plain mappings on either
-    side; names are compared case-insensitively.  Zero denominators score
-    0.0 rather than raising.
+    side; names are compared by SQLite's rule (see catalog.fold_name).
+    Zero denominators score 0.0 rather than raising.
     """
     if len(predictions) != len(golds):
         raise ValueError(

@@ -1,8 +1,14 @@
 import sqlite3
+import string
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from ensql import catalog as catalog_module
 from ensql.catalog import (
     CatalogError,
     ColumnDef,
@@ -18,8 +24,11 @@ from ensql.catalog import (
     _sample_table,
     apply_filter,
     connect_read_only,
+    fold_name,
     introspect,
 )
+from ensql.formats import RepresentationFormat, render_all
+from ensql.linking import LinkingPrediction
 from ensql.selection import ExecStatus, execute_candidate
 
 
@@ -287,13 +296,16 @@ def _sampled_tables(draw):
 class TestSampleTableOracle:
     """_sample_table gives the original row loop's samples and categories."""
 
+    # generated tables have 0-40 rows: a head of 1-3 rows ends inside most of
+    # them (the per-column fallback) and exactly fills some
+    @pytest.mark.parametrize("head_rows", [1, 2, 3, catalog_module._HEAD_ROWS])
     @settings(max_examples=150)
     @given(
         table=_sampled_tables(),
         sample_k=st.integers(0, 5),
         category_threshold=st.integers(0, 25),
     )
-    def test_matches_the_row_loop(self, table, sample_k, category_threshold):
+    def test_matches_the_row_loop(self, head_rows, table, sample_k, category_threshold):
         ddl, rows, index_ddl = table
         conn = sqlite3.connect(":memory:")
         try:
@@ -315,11 +327,68 @@ class TestSampleTableOracle:
             conn.text_factory = str
             for statement in index_ddl:
                 conn.execute(statement)
-            got = _sample_table(conn, "t", names, types, sample_k, category_threshold)
+            with mock.patch.object(catalog_module, "_HEAD_ROWS", head_rows):
+                got = _sample_table(conn, "t", names, types, sample_k, category_threshold)
             assert got == expected
             assert conn.text_factory is str
         finally:
             conn.close()
+
+
+class TestHeadRead:
+    """Tables longer than the head read: what falls back, and what it holds."""
+
+    def test_category_value_after_the_head_is_listed(self, tmp_path):
+        path = tmp_path / "late.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, tag TEXT)")
+        conn.executemany(
+            "INSERT INTO t (tag) VALUES (?)",
+            [("a",)] * catalog_module._HEAD_ROWS + [("b",)],
+        )
+        conn.commit()
+        conn.close()
+        tag = introspect(path, sample_k=3).table("t").column("tag")
+        assert tag.value_examples == ("a", "b")
+        assert tag.category_values == ("a", "b")
+
+    def test_a_table_within_the_head_is_read_by_one_statement(self, toy_db):
+        conn = connect_read_only(toy_db)
+        statements = []
+        conn.set_trace_callback(statements.append)
+        try:
+            info = conn.execute("PRAGMA table_info(orders)").fetchall()
+            statements.clear()
+            _sample_table(conn, "orders", [r[1] for r in info], [r[2] for r in info], 3, 20)
+        finally:
+            conn.close()
+        assert [s for s in statements if s.startswith("SELECT")] == [
+            'SELECT "order_id", "user_id", "product_id", "quantity", "order_date"'
+            ' FROM "orders" NOT INDEXED'
+        ]
+
+    def test_blobs_past_the_head_are_never_held(self, tmp_path, monkeypatch):
+        # ten rows of about 1 MB each, read through a head of four rows and
+        # the blob column's fallback: neither may hold more than a row or two
+        monkeypatch.setattr(catalog_module, "_HEAD_ROWS", 4)
+        path = tmp_path / "blobs.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, label TEXT, body BLOB)")
+        conn.executemany(
+            "INSERT INTO t (label, body) VALUES (?, randomblob(1000000))",
+            [(f"row {n % 3}",) for n in range(10)],
+        )
+        conn.commit()
+        conn.close()
+        tracemalloc.start()
+        try:
+            t = introspect(path).table("t")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t.column("body").value_examples == ()
+        assert t.column("label").category_values == ("row 0", "row 1", "row 2")
+        assert peak < 3_500_000
 
 
 @pytest.mark.parametrize("directory", ["x#y", "a?b", "%41", "with space"])
@@ -435,3 +504,99 @@ class TestApplyFilter:
         filtered = apply_filter(toy_catalog, {}, FilterLevel.FULL_FILTERING)
         assert filtered.table_names() == ()
         assert filtered.foreign_keys == ()
+
+
+KELVIN = "\u212a"  # the Kelvin sign folds to "k" under str.lower, but SQLite keeps it apart
+_ASCII_SWAP = str.maketrans(string.ascii_letters, string.ascii_letters.swapcase())
+
+
+class TestNameRule:
+    """Names compare as SQLite compares them: A-Z folded, nothing else."""
+
+    def test_fold_name_folds_ascii_letters_only(self):
+        assert fold_name("Users_ID") == "users_id"
+        assert fold_name(KELVIN) == KELVIN
+        assert fold_name("\u0130\u0131\u00df\u00c9") == "\u0130\u0131\u00df\u00c9"
+
+    def test_kelvin_sign_and_k_are_two_tables(self, tmp_path):
+        path = tmp_path / "kel.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            f"""
+            CREATE TABLE k (a INTEGER PRIMARY KEY, b TEXT);
+            CREATE TABLE "{KELVIN}" (a INTEGER PRIMARY KEY, "{KELVIN}b" TEXT,
+                                     k_a INTEGER REFERENCES k(a));
+            INSERT INTO k VALUES (1, 'x');
+            INSERT INTO "{KELVIN}" VALUES (1, 'y', 1);
+            """
+        )
+        conn.close()
+        catalog = introspect(path)
+        assert catalog.table_names() == ("k", KELVIN)
+        assert catalog.table("K").name == "k"
+        assert catalog.table(KELVIN).column(KELVIN + "B").name == KELVIN + "b"
+        texts = render_all(catalog)
+        assert len(texts) == len(RepresentationFormat)
+        for fmt, text in texts.items():  # json_raw escapes the sign
+            assert KELVIN in text or "\\u212a" in text, fmt
+        both = apply_filter(
+            catalog, {"K": ["b"], KELVIN: [KELVIN + "b"]}, FilterLevel.FULL_FILTERING
+        )
+        assert both.table_names() == ("k", KELVIN)
+        assert both.table("k").column_names() == ("a", "b")  # a: the key's endpoint
+        assert both.table(KELVIN).column_names() == (KELVIN + "b", "k_a")
+        one = apply_filter(catalog, {KELVIN: []}, FilterLevel.TABLE_ONLY)
+        assert one.table_names() == (KELVIN,)
+        assert LinkingPrediction({"K": [], KELVIN: []}).tables() == {"k", KELVIN}
+
+    @given(data=st.data())
+    def test_sqlite_names_introspect_look_up_and_filter(self, data):
+        names = st.text("kK\u212aiI\u0131\u0130\u00dfsS_", min_size=1, max_size=3)
+        drawn = data.draw(st.lists(
+            st.tuples(names, st.lists(names, min_size=1, max_size=3)), min_size=1, max_size=4
+        ))
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "names.sqlite"
+            conn = sqlite3.connect(path)
+            created: list[tuple[str, list[str]]] = []
+            try:
+                for table, columns in drawn:
+                    try:
+                        conn.execute(
+                            f"CREATE TABLE {_quote_ident(table)} ("
+                            + ", ".join(_quote_ident(c) for c in columns) + ")"
+                        )
+                    except sqlite3.OperationalError:
+                        continue  # a name SQLite takes for one already there
+                    created.append((table, columns))
+            finally:
+                conn.close()
+            assume(created)
+            catalog = introspect(path)
+        assert catalog.table_names() == tuple(table for table, _ in created)
+        for table, columns in created:
+            for spelling in (table, table.translate(_ASCII_SWAP)):
+                assert catalog.table(spelling).name == table
+            for column in columns:
+                for spelling in (column, column.translate(_ASCII_SWAP)):
+                    assert catalog.table(table).column(spelling).name == column
+
+        picked = data.draw(st.lists(st.sampled_from(created), unique_by=lambda tc: tc[0]))
+        prediction = {
+            data.draw(st.sampled_from([table, table.translate(_ASCII_SWAP)])): [
+                column.translate(_ASCII_SWAP) for column in data.draw(
+                    st.lists(st.sampled_from(columns), unique=True)
+                )
+            ]
+            for table, columns in picked
+        }
+        filtered = apply_filter(catalog, prediction, FilterLevel.FULL_FILTERING)
+        kept = {fold_name(t): {fold_name(c) for c in cols} for t, cols in prediction.items()}
+        assert filtered.table_names() == tuple(
+            table for table, _ in created if fold_name(table) in kept
+        )
+        for t in filtered.tables:
+            assert t.column_names() == tuple(
+                c.name for c in catalog.table(t.name).columns
+                if fold_name(c.name) in kept[fold_name(t.name)]
+            )

@@ -101,6 +101,21 @@ class TestRun:
         assert len(records) == len(TOY_BENCH)
         assert all(r.wall_ms == 0.0 for r in records)  # replay disables timing
 
+    def test_progress_line_per_question_on_stderr(self, cli_env, capsys):
+        assert main(["run", "--dataset", cli_env["dataset"], "--replay", cli_env["fixture"],
+                     "--workers", "2"]) == 0
+        captured = capsys.readouterr()
+        lines = [line for line in captured.err.splitlines() if " questions, EX " in line]
+        n = len(TOY_BENCH)
+        assert [line.split(" ", 1)[0] for line in lines] == [f"{i}/{n}" for i in range(1, n + 1)]
+        assert captured.err.splitlines()[-1] == lines[-1]
+        table = captured.out.splitlines()
+        ex = table[table.index(next(line for line in table if line.startswith("EX ")))
+                   + 1].split("|")[0].strip()
+        assert ex == "80.00"
+        assert lines[-1].startswith(f"{n}/{n} questions, EX {ex} over ")
+        assert " questions, EX " not in captured.out
+
     def test_replay_is_deterministic(self, cli_env, tmp_path, capsys):
         out_a = tmp_path / "a.jsonl"
         out_b = tmp_path / "b.jsonl"
