@@ -416,7 +416,8 @@ def _resolve_fk_targets(
 
     SQLite accepts a key whose parent table or column is missing, and an
     implicit target resolves only to a one-column primary key; every other
-    key is dropped with a warning.
+    key is dropped with a warning.  A kept key names its parent table and
+    column as the catalog spells them, not as its REFERENCES clause does.
     """
     by_name = {fold_name(t.name): t for t in tables}
     out = []
@@ -424,14 +425,15 @@ def _resolve_fk_targets(
         target = by_name.get(fold_name(fk.to_table))
         if target is not None and not fk.to_column and len(target.primary_key) == 1:
             fk = replace(fk, to_column=target.primary_key[0])
-        if target is None or not fk.to_column or target.column(fk.to_column) is None:
+        column = target.column(fk.to_column) if target is not None and fk.to_column else None
+        if column is None:
             log.warning(
                 "%s: dropping unresolvable foreign key %s.%s -> %s",
                 db_id, fk.from_table, fk.from_column,
                 f"{fk.to_table}.{fk.to_column}" if fk.to_column else fk.to_table,
             )
             continue
-        out.append(fk)
+        out.append(replace(fk, to_table=target.name, to_column=column.name))
     return tuple(out)
 
 

@@ -60,7 +60,7 @@ class ReplayMissError(GatewayError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenUsage:
     """Input and output token counts for one or more calls."""
 
@@ -309,7 +309,7 @@ class UsageTally:
     output_tokens: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UsageRow:
     """One immutable ledger row for reporting."""
 

@@ -91,7 +91,7 @@ class FewShotExample:
     schema_text: str
 
 
-@dataclass
+@dataclass(slots=True)
 class SqlCandidate:
     """One generated candidate; execution is attached by the selection stage.
 

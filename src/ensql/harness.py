@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import random
+import sqlite3
 import statistics
 import threading
 import time
@@ -66,6 +67,7 @@ from .selection import (
     SelectionOutcome,
     execute_candidate,
     group_votes,
+    open_read_only,
     select,
 )
 
@@ -184,24 +186,56 @@ def matches(result: ExecutionResult, gold: ExecutionResult) -> bool:
     return result.ok and result.signature == gold.signature
 
 
-def execute_once(
-    executions: dict[str, ExecutionResult],
-    sql: str,
-    db_path: str | Path,
-    timeout_s: float = 30.0,
-    precision: int = 6,
-) -> ExecutionResult:
-    """execute_candidate, run at most once per SQL text in executions.
+class QuestionExecutor:
+    """One question's executions, on one read-only connection to its database.
 
-    executions is one question's memo, SQL text -> its frozen result, so
-    every slot (and the reference) with the same text shares one result.
-    The caller creates it per question and drops it with the question, so
-    no two questions share one, even when they run at once.
+    Calling it with a SQL text runs execute_candidate at most once per text;
+    every slot, and the reference query, with the same text get the one
+    frozen result.  Results of different texts whose recorded fields
+    (status, signature, row_count, error_text and preview; not elapsed_ms)
+    are equal are one object too, so a record holds each distinct result
+    once.  The connection (open_read_only) is opened at the first execution
+    and closed by close(), which the question calls when it returns or
+    raises; a database that cannot be opened is handed to each execution
+    as its path, which comes back as the open's Error result.  It belongs
+    to one question on one thread, and no two questions share one.
     """
-    result = executions.get(sql)
-    if result is None:
-        result = executions[sql] = execute_candidate(sql, db_path, timeout_s, precision)
-    return result
+
+    def __init__(self, db_path: str | Path, timeout_s: float = 30.0, precision: int = 6):
+        self.db_path = db_path
+        self.timeout_s = timeout_s
+        self.precision = precision
+        self._conn: sqlite3.Connection | None = None
+        self._by_sql: dict[str, ExecutionResult] = {}
+        self._by_fields: dict[tuple, ExecutionResult] = {}
+
+    def __enter__(self) -> "QuestionExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def __call__(self, sql: str) -> ExecutionResult:
+        result = self._by_sql.get(sql)
+        if result is None:
+            result = execute_candidate(sql, self._db(), self.timeout_s, self.precision)
+            fields = (result.status, result.signature, result.row_count,
+                      result.error_text, result.preview)
+            result = self._by_sql[sql] = self._by_fields.setdefault(fields, result)
+        return result
+
+    def _db(self) -> sqlite3.Connection | str | Path:
+        if self._conn is None:
+            try:
+                self._conn = open_read_only(self.db_path)
+            except sqlite3.Error:
+                return self.db_path
+        return self._conn
 
 
 def scorable_reference(gold: ExecutionResult) -> ExecutionResult:
@@ -228,15 +262,15 @@ def execution_accuracy(
     failing prediction simply scores 0.  A prediction whose text is the
     reference's is not executed again.
     """
-    executions: dict[str, ExecutionResult] = {}
-    gold = scorable_reference(execute_once(executions, gold_sql, db_path, timeout_s, precision))
-    return int(matches(execute_once(executions, pred_sql, db_path, timeout_s, precision), gold))
+    with QuestionExecutor(db_path, timeout_s, precision) as execute:
+        gold = scorable_reference(execute(gold_sql))
+        return int(matches(execute(pred_sql), gold))
 
 
 # -- run records ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     """Everything one question produced, serializable to a JSONL line.
 
@@ -413,9 +447,12 @@ class PipelineRunner:
     run_item is the candidate stage (candidates: link, generate, execute)
     over config.specs followed by the selection stage; sweep runs the same
     candidate stage over its own slate.  Slots that share a format and
-    linker model share one linker call.  Both keep a memo of executions per
-    question, so a distinct SQL text runs once per question, the reference
-    included.  A question's model calls follow its dependency graph (see
+    linker model share one linker call.  Both give each question one
+    QuestionExecutor (executor): one read-only connection to its database,
+    opened at its first execution and closed when the question's executions
+    are done or it raises, and a memo in which a distinct SQL text runs
+    once per question, the reference included.  No connection outlives its
+    question.  A question's model calls follow its dependency graph (see
     generate_candidates), and an escalated tournament submits all its
     comparisons together.  It serves one question per call; run_questions
     walks the dataset.  A few-shot store smaller than config.fewshot_k is
@@ -485,14 +522,10 @@ class PipelineRunner:
                 )
         return catalog
 
-    def execute(
-        self, sql: str, db_path: str, executions: dict[str, ExecutionResult]
-    ) -> ExecutionResult:
-        """execute_once under the config's timeout and result precision."""
-        return execute_once(
-            executions, sql, db_path,
-            timeout_s=self.config.execution_timeout_s,
-            precision=self.config.result_precision,
+    def executor(self, db_path: str) -> QuestionExecutor:
+        """A question's executor under the config's timeout and result precision."""
+        return QuestionExecutor(
+            db_path, self.config.execution_timeout_s, self.config.result_precision
         )
 
     def candidates(
@@ -500,11 +533,11 @@ class PipelineRunner:
         item: BenchmarkItem,
         gateway: LlmGateway,
         specs: Sequence[CandidateSpec],
-        executions: dict[str, ExecutionResult],
+        execute: QuestionExecutor,
     ) -> list[SqlCandidate]:
         """The candidate stage: link, generate and execute one slate.
 
-        Each distinct SQL text runs once; executions is the question's memo.
+        execute is the question's executor, so each distinct SQL text runs once.
         """
         config = self.config
         candidates = generate_candidates(
@@ -513,28 +546,28 @@ class PipelineRunner:
         )
         for candidate in candidates:
             if candidate.execution is None:
-                candidate.execution = self.execute(candidate.sql, item.db_path, executions)
+                candidate.execution = execute(candidate.sql)
         return candidates
 
     def run_item(self, item: BenchmarkItem) -> RunRecord:
         started = time.monotonic()
         gateway = self.gateway(item.question_id)
         config = self.config
-        executions: dict[str, ExecutionResult] = {}
-        candidates = self.candidates(item, gateway, config.specs, executions)
-
         gold_ok = False
-        candidate_ex = [0] * len(candidates)
-        if item.gold_sql:
-            try:
-                gold = scorable_reference(self.execute(item.gold_sql, item.db_path, executions))
-            except GoldExecutionError as exc:
-                gateway.warn(
-                    "reference query failed (%s); excluded from accuracy", exc.gold.error_text
-                )
-            else:
-                gold_ok = True
-                candidate_ex = [int(matches(c.execution, gold)) for c in candidates]
+        with self.executor(item.db_path) as execute:
+            candidates = self.candidates(item, gateway, config.specs, execute)
+            candidate_ex = [0] * len(candidates)
+            if item.gold_sql:
+                try:
+                    gold = scorable_reference(execute(item.gold_sql))
+                except GoldExecutionError as exc:
+                    gateway.warn(
+                        "reference query failed (%s); excluded from accuracy",
+                        exc.gold.error_text,
+                    )
+                else:
+                    gold_ok = True
+                    candidate_ex = [int(matches(c.execution, gold)) for c in candidates]
 
         judge = PairwiseJudge(gateway, config.judge_model)
         outcome = select(
@@ -1038,13 +1071,15 @@ def sweep(
         chosen_items = random.Random(seed).sample(chosen_items, keep)
 
     def score(item: BenchmarkItem) -> list[tuple[str, bool]] | str:
-        executions: dict[str, ExecutionResult] = {}
-        try:
-            gold = scorable_reference(runner.execute(item.gold_sql, item.db_path, executions))
-        except GoldExecutionError:
-            log.warning("sweep: skipping %s (reference failed)", item.question_id)
-            return SKIPPED
-        candidates = runner.candidates(item, runner.gateway(item.question_id), specs, executions)
+        with runner.executor(item.db_path) as execute:
+            try:
+                gold = scorable_reference(execute(item.gold_sql))
+            except GoldExecutionError:
+                log.warning("sweep: skipping %s (reference failed)", item.question_id)
+                return SKIPPED
+            candidates = runner.candidates(
+                item, runner.gateway(item.question_id), specs, execute
+            )
         return [(c.execution.group_key(), matches(c.execution, gold)) for c in candidates]
 
     with PipelineRunner(config, chat_backend) as runner:

@@ -15,9 +15,13 @@ Results are reduced to a canonical multiset digest so that queries
 
 land in the same vote group, while NULL and empty string stay distinct.
 Each row and each cell value is canonicalized once per result, however
-many times it repeats.  The harness runs each distinct SQL text once per
-question and hands the one frozen result to every slot, and to the
-reference query, that share the text.
+many times it repeats.  A question runs its SQL on one read-only
+connection per database (open_read_only), which the harness opens at the
+question's first execution and closes when the question ends, so SQLite
+parses the schema once per question rather than once per execution.  The
+harness runs each distinct SQL text once per question and hands the one
+frozen result to every slot, and to the reference query, that share the
+text.
 
 Groups vote: a confident distribution accepts the top group's answer; an
 ambiguous one escalates the group representatives to a pairwise LLM
@@ -58,7 +62,7 @@ class ExecStatus(str, Enum):
     TIMEOUT = "timeout"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionResult:
     """Outcome of running one query: a digest for Ok, an error class otherwise."""
 
@@ -196,6 +200,28 @@ def _read_only(action: int, *_details) -> int:
     return sqlite3.SQLITE_OK if action in _READ_ONLY_ACTIONS else sqlite3.SQLITE_DENY
 
 
+def open_read_only(db_path: str | Path) -> sqlite3.Connection:
+    """A read-only connection for candidates, its authorizer installed.
+
+    The authorizer is in place before any statement runs, so every
+    statement execute_candidate runs on the connection is compiled under
+    it.  The schema is loaded first, so the first statement on the
+    connection compiles as a later one does: SQLite refuses a CREATE on a
+    connection whose schema is not loaded yet with SQLITE_SCHEMA
+    (OperationalError), and with SQLITE_AUTH (DatabaseError) once it is.
+    A file whose schema cannot be read stays as it is, and each statement
+    meets that error as it would on a fresh connection.  The caller closes
+    the connection.
+    """
+    conn = connect_read_only(db_path)
+    try:
+        conn.execute("SELECT 1 FROM sqlite_master LIMIT 0").close()
+    except sqlite3.Error:
+        pass
+    conn.set_authorizer(_read_only)
+    return conn
+
+
 # rows fetched per step; the deadline is checked after each batch has been
 # canonicalized, so one batch is the grain of the time budget
 _FETCH_BATCH = 512
@@ -231,16 +257,22 @@ def _stream(
 
 def execute_candidate(
     sql: str,
-    db_path: str | Path,
+    db: str | Path | sqlite3.Connection,
     timeout_s: float = 30.0,
     precision: int = 6,
     preview_limit: int = 5,
 ) -> ExecutionResult:
     """Run one query read-only and classify the outcome.
 
-    The statement is compiled under an authorizer that allows only
-    selecting, reading, functions and recursive CTEs, so writes, ATTACH and
-    PRAGMA come back as "not authorized" errors before they run.  Rows are
+    db is a connection from open_read_only, which a question reuses for
+    all its executions and closes itself, or a database path, which is
+    opened for this one query and closed again.  The statement is compiled
+    under an authorizer that allows only selecting, reading, functions and
+    recursive CTEs, so writes, ATTACH and PRAGMA come back as "not
+    authorized" errors before they run.  Every call sets its own deadline
+    and restores the text factory after a re-decode, so on a reused
+    connection a refused, failed, timed-out or re-decoded statement leaves
+    the next one's result as a fresh connection would give it.  Rows are
     fetched in batches and canonicalized as they arrive; timeout_s bounds
     the whole execution (SQLite, fetch, canonicalization and preview), and
     elapsed_ms covers all of it.  Text is decoded as strict UTF-8; a result
@@ -267,10 +299,10 @@ def execute_candidate(
         elapsed_ms = (time.monotonic() - started) * 1000.0
         return ExecutionResult(status=status, elapsed_ms=elapsed_ms, **fields)
 
+    owned = not isinstance(db, sqlite3.Connection)
     conn = None
     try:
-        conn = connect_read_only(db_path)
-        conn.set_authorizer(_read_only)
+        conn = open_read_only(db) if owned else db
         conn.set_progress_handler(_watchdog, 5000)
         streamed = _read_decoded(
             conn, lambda: _stream(conn, sql, precision, preview_limit, deadline)
@@ -284,7 +316,7 @@ def execute_candidate(
         if not timed_out:
             return _result(ExecStatus.ERROR, error_text=f"{type(exc).__name__}: {exc}")
     finally:
-        if conn is not None:
+        if owned and conn is not None:
             conn.close()
     return _result(ExecStatus.TIMEOUT, error_text=f"timeout after {timeout_s:g}s")
 
@@ -502,7 +534,7 @@ class Confidence(str, Enum):
     LOW = "low"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectionOutcome:
     """The selected candidate plus how and how confidently it was chosen."""
 

@@ -12,6 +12,7 @@ from pathlib import Path
 from ensql.gateway import ChatBackend, ChatRequest, ChatResponse, TokenUsage
 from ensql.generation import load_generation_system_prompt
 from ensql.linking import load_linking_system_prompt
+from ensql.selection import ExecutionResult
 
 
 def build_toy_db(path: str | Path) -> None:
@@ -80,6 +81,12 @@ class ScriptedBackend(ChatBackend):
             text=reply,
             usage=TokenUsage(prompt_chars // 4, max(1, len(reply) // 4)),
         )
+
+
+def recorded(result: ExecutionResult) -> tuple:
+    """What a run record keeps of an execution result: every field but elapsed_ms."""
+    return (result.status, result.signature, result.row_count, result.error_text,
+            result.preview)
 
 
 def sql_block(sql: str) -> str:

@@ -160,6 +160,33 @@ class TestIntrospect:
         assert catalog.foreign_keys == (ForeignKeyDef("b", "a_id", "a", "id"),)
         assert "dropping unresolvable foreign key b.other_id" in caplog.text
 
+    @pytest.mark.parametrize("reference", ["Users(ID)", "USERS", "users(id)"])
+    def test_fk_target_takes_the_catalog_spelling(self, tmp_path, reference):
+        # orders comes first, so only the key can put users before it
+        path = tmp_path / "spelled.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            f"""
+            CREATE TABLE orders (oid INTEGER PRIMARY KEY,
+                                 user_id INTEGER REFERENCES {reference});
+            CREATE TABLE users (id INTEGER PRIMARY KEY, name TEXT);
+            """
+        )
+        conn.close()
+        catalog = introspect(path)
+        assert catalog.foreign_keys == (ForeignKeyDef("orders", "user_id", "users", "id"),)
+        texts = render_all(catalog)
+        for fmt in (RepresentationFormat.COMPACT_TAGGED, RepresentationFormat.INLINE_TABLES,
+                    RepresentationFormat.SQLALCHEMY):
+            assert "users.id" in texts[fmt], fmt
+        assert "REFERENCES users (id)" in texts[RepresentationFormat.DDL]
+        assert '"referenced_table": "users"' in texts[RepresentationFormat.JSON_RAW]
+        assert '"referenced_column": "id"' in texts[RepresentationFormat.JSON_RAW]
+        for fmt, text in texts.items():
+            assert "Users" not in text and "USERS" not in text and "ID)" not in text, fmt
+        sqlalchemy = texts[RepresentationFormat.SQLALCHEMY]
+        assert sqlalchemy.index("t_users =") < sqlalchemy.index("t_orders =")
+
     def test_introspect_output_validates(self, toy_db):
         introspect(toy_db).validate()
 

@@ -61,6 +61,7 @@ from helpers import (
     TOY_LINKER_JSON,
     ToyScript,
     build_toy_db,
+    recorded,
     sql_block,
     write_toy_dataset,
 )
@@ -655,15 +656,27 @@ class TestPipelineRunner:
 
 @pytest.fixture()
 def executions(monkeypatch):
-    """Every call into ensql.harness.execute_candidate: (sql, db_path, result)."""
+    """Every call into ensql.harness.execute_candidate: (sql, db_path, result).
+
+    The harness hands execute_candidate a question's connection, so db_path
+    is the path that connection was opened on.
+    """
     calls = []
+    paths = {}
+    original_open = harness.open_read_only
     original = harness.execute_candidate
 
-    def counted(sql, db_path, *args, **kwargs):
-        result = original(sql, db_path, *args, **kwargs)
-        calls.append((sql, str(db_path), result))
+    def opened(db_path):
+        conn = original_open(db_path)
+        paths[conn] = str(db_path)
+        return conn
+
+    def counted(sql, db, *args, **kwargs):
+        result = original(sql, db, *args, **kwargs)
+        calls.append((sql, paths.get(db) or str(db), result))
         return result
 
+    monkeypatch.setattr(harness, "open_read_only", opened)
     monkeypatch.setattr(harness, "execute_candidate", counted)
     return calls
 
@@ -767,9 +780,192 @@ class TestExecutionMemo:
         ])
         item = BenchmarkItem("t", "toy_shop", "q", "SELECT 1", db_path=toy_db)
         with PipelineRunner(config, ScriptedBackend(ToyScript())) as runner:
-            candidates = runner.candidates(item, runner.gateway(), config.specs, {})
+            with runner.executor(item.db_path) as execute:
+                candidates = runner.candidates(item, runner.gateway(), config.specs, execute)
         assert [sql for sql, _, _ in executions] == [slow]
         assert {c.execution.group_key() for c in candidates} == {"timeout"}
+
+
+@pytest.fixture()
+def connections(monkeypatch):
+    """Every connection the harness opens: (db_path, connection)."""
+    opened = []
+    original = harness.open_read_only
+
+    def counted(db_path):
+        conn = original(db_path)
+        opened.append((str(db_path), conn))
+        return conn
+
+    monkeypatch.setattr(harness, "open_read_only", counted)
+    return opened
+
+
+def _is_open(conn: sqlite3.Connection) -> bool:
+    try:
+        conn.total_changes  # readable from any thread until the connection closes
+    except sqlite3.ProgrammingError:
+        return False
+    return True
+
+
+class TestConnectionLifecycle:
+    """A question runs its SQL on one connection, closed when it returns or raises."""
+
+    def test_each_question_opens_one_connection_and_closes_it(
+        self, toy_dataset, connections
+    ):
+        items = load_dataset(toy_dataset)
+        records, _ = run_benchmark(
+            PipelineConfig.default(), items, ScriptedBackend(ToyScript()),
+            workers=2, record_timing=False,
+        )
+        assert [r.ex for r in records] == [q["ex"] for q in TOY_BENCH]
+        # every question executes, so one connection each is at most one each
+        assert sorted(path for path, _ in connections) == sorted(i.db_path for i in items)
+        assert not any(_is_open(conn) for _, conn in connections)
+
+    def test_run_item_closes_its_connection_when_it_raises(
+        self, toy_dataset, connections, monkeypatch
+    ):
+        def broken(result, gold):  # raises while the connection is open
+            assert _is_open(connections[0][1])
+            raise RuntimeError("scoring broke")
+
+        monkeypatch.setattr(harness, "matches", broken)
+        item = load_dataset(toy_dataset)[1]
+        with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+            with pytest.raises(RuntimeError, match="scoring broke"):
+                runner.run_item(item)
+        assert len(connections) == 1
+        assert not _is_open(connections[0][1])
+
+    def test_a_question_that_executes_nothing_opens_nothing(
+        self, toy_db, connections, monkeypatch
+    ):
+        failed = ExecutionResult(ExecStatus.ERROR, error_text="BackendError: down")
+        monkeypatch.setattr(harness, "generate_candidates", lambda specs, *rest: [
+            SqlCandidate(spec_index=index, sql="", execution=failed)
+            for index in range(len(specs))
+        ])
+        item = BenchmarkItem("t", "toy_shop", "q", "", db_path=toy_db)
+        with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+            record = runner.run_item(item)
+        assert record.selection.confidence is Confidence.LOW
+        assert connections == []
+
+    def test_sweep_closes_each_question_s_connection(
+        self, toy_dataset, connections, monkeypatch
+    ):
+        items = load_dataset(toy_dataset, limit=3)
+        results = sweep(
+            PipelineConfig.default(), items, ScriptedBackend(_sweep_script()),
+            formats=[RepresentationFormat.DDL], levels=[FilterLevel.NO_FILTERING], n=1,
+        )
+        assert [r.ex for r in results] == [1.0]
+        assert sorted(path for path, _ in connections) == sorted(i.db_path for i in items)
+        assert not any(_is_open(conn) for _, conn in connections)
+        # the reference has run when the candidate stage raises
+        connections.clear()
+
+        def broken(*args):
+            raise RuntimeError("generation broke")
+
+        monkeypatch.setattr(harness, "generate_candidates", broken)
+        with pytest.raises(SweepError, match="at least one scored item"):
+            sweep(
+                PipelineConfig.default(), items, ScriptedBackend(_sweep_script()),
+                formats=[RepresentationFormat.DDL], levels=[FilterLevel.NO_FILTERING], n=1,
+            )
+        assert len(connections) == len(items)
+        assert not any(_is_open(conn) for _, conn in connections)
+
+    def test_execution_accuracy_closes_its_connection(self, toy_db, connections):
+        assert execution_accuracy("SELECT 4", "SELECT COUNT(*) FROM users", toy_db) == 1
+        with pytest.raises(GoldExecutionError):
+            execution_accuracy("SELECT 1", "SELECT nope FROM users", toy_db)
+        assert len(connections) == 2
+        assert not any(_is_open(conn) for _, conn in connections)
+
+    @pytest.mark.parametrize("content", [None, b"this is not a database, not even close!"])
+    def test_an_unopenable_database_gives_each_execution_the_open_s_error(
+        self, tmp_path, connections, content
+    ):
+        path = tmp_path / "broken.sqlite"
+        if content is not None:
+            path.write_bytes(content)
+        # SELECT 1 reads no page, so it runs on a file that is not a database
+        texts = ("SELECT name FROM sqlite_master", "SELECT 1", "SELECT COUNT(*) FROM t")
+        fresh = [harness.execute_candidate(sql, path) for sql in texts]
+        assert fresh[0].error_text == (
+            "OperationalError: unable to open database file" if content is None
+            else "DatabaseError: file is not a database"
+        )
+        with harness.QuestionExecutor(path) as execute:
+            results = [execute(sql) for sql in texts]
+        assert [recorded(r) for r in results] == [recorded(r) for r in fresh]
+        assert not any(_is_open(conn) for _, conn in connections)
+        with pytest.raises(GoldExecutionError, match=re.escape(fresh[0].error_text)):
+            execution_accuracy("SELECT 1", texts[0], path)
+
+
+class TestRecordShape:
+    """Records hold slotted objects, and each distinct result once."""
+
+    def _run(self, toy_db, monkeypatch, slots, gold="SELECT COUNT(*) FROM users"):
+        monkeypatch.setattr(harness, "generate_candidates", lambda specs, *rest: [
+            SqlCandidate(spec_index=index, sql=sql) for index, sql in enumerate(slots)
+        ])
+        item = BenchmarkItem("t", "toy_shop", "q", gold, db_path=toy_db)
+        with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+            return runner.run_item(item)
+
+    def test_record_classes_have_no_instance_dict(self, toy_dataset):
+        item = load_dataset(toy_dataset)[1]
+        with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+            record = runner.run_item(item)
+        candidate = record.candidates[0]
+        objects = [record, candidate, candidate.execution, candidate.usage, record.selection,
+                   record.usage[0]]
+        assert [type(o).__name__ for o in objects] == [
+            "RunRecord", "SqlCandidate", "ExecutionResult", "TokenUsage", "SelectionOutcome",
+            "UsageRow",
+        ]
+        assert not any(hasattr(o, "__dict__") for o in objects)
+
+    def test_equal_results_within_a_question_are_one_object(self, toy_db, monkeypatch):
+        slots = (
+            "SELECT COUNT(*) FROM users",
+            "SELECT COUNT(user_id) FROM users",
+            "SELECT 4",
+            "SELECT * FROM ghost",
+            "SELECT *  FROM ghost",
+        )
+        record = self._run(toy_db, monkeypatch, slots)
+        executions = [c.execution for c in record.candidates]
+        assert len({id(e) for e in executions[:3]}) == 1
+        assert len({id(e) for e in executions[3:]}) == 1
+        assert executions[0] is not executions[3]
+        assert executions[0].preview == "1 row(s): (4,)"
+        assert executions[3].error_text == "OperationalError: no such table: ghost"
+        assert record.candidate_ex == [1, 1, 1, 0, 0]
+
+    def test_results_differing_only_in_preview_stay_apart(self, toy_db, monkeypatch):
+        # one digest, since 4 and 4.0 canonicalize alike, but two previews
+        record = self._run(toy_db, monkeypatch, ("SELECT 4", "SELECT 4.0") * 2 + ("SELECT 4",))
+        first, second = record.candidates[0].execution, record.candidates[1].execution
+        assert first.signature == second.signature
+        assert first is not second
+        assert (first.preview, second.preview) == ("1 row(s): (4,)", "1 row(s): (4.0,)")
+
+    def test_questions_never_share_a_result(self, toy_db, monkeypatch):
+        slots = ("SELECT COUNT(*) FROM users",) * 5
+        first = self._run(toy_db, monkeypatch, slots)
+        second = self._run(toy_db, monkeypatch, slots)
+        assert recorded(first.candidates[0].execution) == recorded(
+            second.candidates[0].execution
+        )
+        assert first.candidates[0].execution is not second.candidates[0].execution
 
 
 class TestRunBenchmark:

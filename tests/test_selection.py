@@ -27,12 +27,13 @@ from ensql.selection import (
     execute_candidate,
     group_votes,
     normalize_result,
+    open_read_only,
     pairwise_select,
     parse_judge_reply,
     select,
 )
 
-from helpers import ScriptedBackend, parse_judge_prompt
+from helpers import ScriptedBackend, parse_judge_prompt, recorded
 
 
 class TestNormalizeResult:
@@ -402,16 +403,20 @@ class TestReadOnlyProperty:
     @settings(max_examples=100)
     @given(statement=_STATEMENTS)
     def test_no_statement_runs(self, statement):
+        # each placement runs on a fresh connection, then on one connection
+        # that all the placements share, which must give the same result
         with tempfile.TemporaryDirectory() as directory:
             db = _guarded_db(Path(directory))
             statement = statement.replace("{dir}", directory)
             digest = hashlib.sha256(db.read_bytes()).hexdigest()
-            for placement in _PLACEMENTS:
-                sql = placement.format(statement)
-                result = execute_candidate(sql, db)
-                assert result.status is ExecStatus.ERROR, (sql, result)
-                assert hashlib.sha256(db.read_bytes()).hexdigest() == digest, sql
-                assert [p.name for p in db.parent.iterdir()] == [db.name], sql
+            with closing(open_read_only(db)) as conn:
+                for placement in _PLACEMENTS:
+                    sql = placement.format(statement)
+                    result = execute_candidate(sql, db)
+                    assert result.status is ExecStatus.ERROR, (sql, result)
+                    assert recorded(execute_candidate(sql, conn)) == recorded(result), sql
+                    assert hashlib.sha256(db.read_bytes()).hexdigest() == digest, sql
+                    assert [p.name for p in db.parent.iterdir()] == [db.name], sql
 
 
 def _slow_cells(monkeypatch, seconds):
@@ -537,6 +542,72 @@ class TestBoundedStreaming:
         assert result.status is ExecStatus.TIMEOUT
         assert result.error_text == "timeout after 0.3s"
         assert result.elapsed_ms < 800
+
+
+# every statement TestExecuteCandidate refuses, and several statements at
+# once; {dir} is a directory beside the database
+_REFUSED = (
+    "DELETE FROM orders",
+    "ATTACH DATABASE '{dir}/attached.sqlite' AS e",
+    "PRAGMA query_only=0",
+    "PRAGMA journal_mode=DELETE",
+    "PRAGMA user_version=7",
+    "CREATE TABLE t (a)",
+    "DROP TABLE orders",
+    "UPDATE users SET name = 'x'",
+    "BEGIN",
+    "SELECT 1; SELECT 2",
+    "SELECT 1; DELETE FROM orders",
+    "", ";", "-- cannot answer", "/* none */ ;", "REINDEX NOCASE", "REINDEX BINARY",
+)
+
+# more VM steps than the progress handler's interval, so a stale deadline
+# would interrupt it
+_LONG_COUNT = (
+    "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r WHERE n < 20000) "
+    "SELECT COUNT(*) FROM r"
+)
+
+
+class TestReusedConnection:
+    """A statement on a reused connection gives what a fresh connection gives."""
+
+    def test_every_refusal_in_a_row_on_one_connection(self, toy_db, tmp_path):
+        good = "SELECT order_id, quantity FROM orders ORDER BY order_id"
+        digest = hashlib.sha256(Path(toy_db).read_bytes()).hexdigest()
+        with closing(open_read_only(toy_db)) as conn:
+            for statement in _REFUSED:
+                sql = statement.format(dir=tmp_path)
+                result = execute_candidate(sql, conn)
+                assert result.status is ExecStatus.ERROR, sql
+                assert recorded(result) == recorded(execute_candidate(sql, toy_db)), sql
+                assert recorded(execute_candidate(good, conn)) == recorded(
+                    execute_candidate(good, toy_db)
+                ), sql
+        assert list(tmp_path.iterdir()) == []
+        assert hashlib.sha256(Path(toy_db).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("first, timeout_s", [
+        pytest.param("DELETE FROM notes", 30.0, id="refused"),
+        pytest.param("SELECT * FROM ghost", 30.0, id="failed"),
+        pytest.param("SELECT body FROM notes WHERE id = 2", 30.0, id="invalid_utf8"),
+        pytest.param(
+            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r) "
+            "SELECT COUNT(*) FROM r", 0.2, id="timed_out",
+        ),
+    ])
+    def test_the_next_statement_is_unaffected(self, notes_db, first, timeout_s):
+        with closing(open_read_only(notes_db)) as conn:
+            before = execute_candidate(first, conn, timeout_s=timeout_s)
+            assert recorded(before) == recorded(
+                execute_candidate(first, notes_db, timeout_s=timeout_s)
+            )
+            assert conn.text_factory is str
+            for good in (_LONG_COUNT, "SELECT id, body FROM notes WHERE id != 2"):
+                after = execute_candidate(good, conn)
+                assert after.ok, (good, after)
+                assert recorded(after) == recorded(execute_candidate(good, notes_db))
+
 
 def _candidate(i, sql="SELECT 1", signature="sig", status=ExecStatus.OK,
                error_text=None):
