@@ -131,9 +131,6 @@ class TableDef:
     columns: tuple[ColumnDef, ...]
     primary_key: tuple[str, ...] = ()
 
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
-
     def column(self, name: str) -> ColumnDef | None:
         """Column lookup by SQLite's name rule (see fold_name); None when absent."""
         return self._by_name.get(fold_name(name))
@@ -177,9 +174,6 @@ class SchemaCatalog:
     def _by_name(self) -> dict[str, TableDef]:
         # reversed, so that of names that fold alike the first wins
         return {fold_name(t.name): t for t in reversed(self.tables)}
-
-    def table_names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.tables)
 
     def validate(self) -> None:
         """Check structural invariants, raising CatalogError on violation.

@@ -12,11 +12,11 @@ model call.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import FilterLevel
+from .files import read_json
 from .formats import RepresentationFormat
 from .generation import CandidateSpec
 from .selection import DEFAULT_ESCALATION_RULES
@@ -122,14 +122,7 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return read_json(path, cls.from_dict, ConfigError, "config")
 
     def validate(self) -> None:
         """Fail fast on an unusable configuration."""

@@ -26,7 +26,7 @@ import json
 import logging
 from enum import Enum
 
-from .catalog import ColumnDef, ForeignKeyDef, SchemaCatalog, TableDef
+from .catalog import ColumnDef, ForeignKeyDef, SchemaCatalog, TableDef, _squash
 
 log = logging.getLogger(__name__)
 
@@ -44,8 +44,7 @@ class RepresentationFormat(Enum):
     @classmethod
     def parse(cls, name: str) -> "RepresentationFormat":
         """Parse a config spelling, case and punctuation insensitive."""
-        key = "".join(ch for ch in name.lower() if ch.isalnum())
-        fmt = _FORMAT_ALIASES.get(key)
+        fmt = _FORMAT_ALIASES.get(_squash(name))
         if fmt is None:
             raise ValueError(f"unknown representation format: {name!r}")
         return fmt

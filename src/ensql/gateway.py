@@ -21,9 +21,11 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Callable, Sequence
+
+from .files import read_json, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +38,9 @@ STAGE_SELECTION = "selection"
 LLM_STAGES = (STAGE_LINKING, STAGE_GENERATION, STAGE_SELECTION)
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
+# how often HttpChatBackend retries a transient failure, and its first backoff
+MAX_RETRIES = 3
+BACKOFF_S = 1.0
 ENV_API_KEY = "OPENAI_API_KEY"
 ENV_BASE_URL = "OPENAI_BASE_URL"
 
@@ -74,7 +79,6 @@ class ChatRequest:
 
     model: str
     messages: tuple[dict, ...]
-    temperature: float = 0.0
     max_tokens: int = 2048
 
 
@@ -89,8 +93,8 @@ class ChatResponse:
 def request_digest(model: str, messages: Sequence[dict]) -> str:
     """Stable digest of (model, messages); the replay fixture key.
 
-    Sampling parameters are excluded on purpose: every pipeline stage runs
-    at temperature zero, so the prompt and model determine the response.
+    Every call runs at temperature zero (HttpChatBackend sends no other),
+    so the prompt and model determine the response.
     """
     payload = json.dumps(
         {"model": model, "messages": list(messages)},
@@ -134,10 +138,11 @@ class HttpChatBackend(ChatBackend):
     """Live OpenAI-style chat-completions client.
 
     Credentials come from arguments or the OPENAI_API_KEY / OPENAI_BASE_URL
-    environment variables.  Transient failures (connection errors, HTTP 429
-    and 5xx) are retried up to max_retries times with exponential backoff,
-    or after the seconds a retryable response's Retry-After header asks for;
-    other non-success statuses raise immediately with the body captured.
+    environment variables.  Every request runs at temperature zero.
+    Transient failures (connection errors, HTTP 429 and 5xx) are retried up
+    to MAX_RETRIES times, with exponential backoff from BACKOFF_S or after
+    the seconds a retryable response's Retry-After header asks for; other
+    non-success statuses raise immediately with the body captured.
     requests is imported here, so only a live backend loads it.
     """
 
@@ -148,17 +153,13 @@ class HttpChatBackend(ChatBackend):
         base_url: str | None = None,
         api_key: str | None = None,
         *,
-        max_retries: int = 3,
         timeout_s: float = 120.0,
-        backoff_s: float = 1.0,
         session: object | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.base_url = (base_url or os.environ.get(ENV_BASE_URL) or DEFAULT_BASE_URL).rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY, "")
-        self.max_retries = max_retries
         self.timeout_s = timeout_s
-        self.backoff_s = backoff_s
         import requests
 
         self._session = session or requests.Session()
@@ -172,9 +173,9 @@ class HttpChatBackend(ChatBackend):
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error = "no attempt made"
         retry_after = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                backoff = self.backoff_s * (2 ** (attempt - 1))
+                backoff = BACKOFF_S * (2 ** (attempt - 1))
                 self._sleep(backoff if retry_after is None else retry_after)
             retry_after = None
             try:
@@ -199,14 +200,14 @@ class HttpChatBackend(ChatBackend):
             retry_after = _retry_after_s(resp.headers.get("Retry-After"))
             log.warning("POST %s got %d (attempt %d)", url, resp.status_code, attempt + 1)
         raise TransportError(
-            f"POST {url} failed after {self.max_retries + 1} attempts: {last_error}"
+            f"POST {url} failed after {MAX_RETRIES + 1} attempts: {last_error}"
         )
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         payload = {
             "model": request.model,
             "messages": list(request.messages),
-            "temperature": request.temperature,
+            "temperature": 0.0,
             "max_tokens": request.max_tokens,
         }
         doc = self._post(payload)
@@ -222,34 +223,20 @@ class HttpChatBackend(ChatBackend):
         return ChatResponse(text=text, usage=tokens)
 
 
+def _replay_entry(record: dict) -> tuple[str, ChatResponse]:
+    """(digest, response) of one fixture line."""
+    digest, text = record["digest"], record["text"]
+    if not (isinstance(digest, str) and isinstance(text, str)):
+        raise TypeError("digest and text must be strings")
+    usage = TokenUsage(int(record["input_tokens"]), int(record["output_tokens"]))
+    return digest, ChatResponse(text=text, usage=usage)
+
+
 class ReplayChatBackend(ChatBackend):
     """Serves recorded responses from a JSONL fixture; misses fail loudly."""
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._responses: dict[str, ChatResponse] = {}
-        with open(self.path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    digest = record["digest"]
-                    response = ChatResponse(
-                        text=record["text"],
-                        usage=TokenUsage(
-                            int(record["input_tokens"]), int(record["output_tokens"])
-                        ),
-                    )
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                    raise GatewayError(
-                        f"{self.path}:{line_no}: bad replay record: {exc}"
-                    ) from exc
-                self._responses[digest] = response
-
-    def __len__(self) -> int:
-        return len(self._responses)
+        self._responses = dict(read_jsonl(path, _replay_entry, GatewayError, "replay record"))
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         digest = request_digest(request.model, request.messages)
@@ -373,16 +360,17 @@ class PriceTable:
     def from_dict(cls, doc: dict) -> "PriceTable":
         prices = {}
         for model, entry in doc.items():
-            prices[model] = ModelPrice(
-                input_per_million=Decimal(str(entry["input_per_million"])),
-                output_per_million=Decimal(str(entry["output_per_million"])),
-            )
+            try:
+                prices[model] = ModelPrice(Decimal(str(entry["input_per_million"])),
+                                           Decimal(str(entry["output_per_million"])))
+            except (KeyError, TypeError, InvalidOperation) as exc:
+                raise ValueError(f"model {model!r} needs numeric input_per_million and "
+                                 "output_per_million") from exc
         return cls(prices)
 
     @classmethod
     def load(cls, path: str | Path) -> "PriceTable":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return read_json(path, cls.from_dict, GatewayError, "price table")
 
     @classmethod
     def default(cls) -> "PriceTable":

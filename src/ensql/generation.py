@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .catalog import FilterLevel, SchemaCatalog, apply_filter
+from .files import read_jsonl
 from .formats import RepresentationFormat, render
 from .gateway import (
     ChatRequest,
@@ -107,6 +108,13 @@ class SqlCandidate:
     execution: ExecutionResult | None = None
 
 
+def _fewshot_example(record: dict) -> FewShotExample:
+    values = [record[f.name] for f in fields(FewShotExample)]
+    if not all(isinstance(value, str) for value in values):
+        raise TypeError("every field must be a string")
+    return FewShotExample(*values)
+
+
 class FewShotStore:
     """Solved examples, JSONL-backed, with their questions embedded at build.
 
@@ -126,21 +134,7 @@ class FewShotStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "FewShotStore":
-        examples = []
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    values = [record[f.name] for f in fields(FewShotExample)]
-                    if not all(isinstance(value, str) for value in values):
-                        raise TypeError("every field must be a string")
-                    examples.append(FewShotExample(*values))
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise ValueError(f"{path}:{line_no}: bad store record: {exc}") from exc
-        return cls(examples)
+        return cls(read_jsonl(path, _fewshot_example, ValueError, "store record"))
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -28,7 +28,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .catalog import FilterLevel, SchemaCatalog, introspect
-from .config import PipelineConfig
+from .config import ConfigError, PipelineConfig
+from .files import read_json, read_jsonl
 from .formats import RepresentationFormat, render
 from .gateway import (
     CallThrottle,
@@ -126,12 +127,7 @@ def load_dataset(
         data_file, root_dir = root / f"{split}.json", root
     if not data_file.is_file():
         raise DatasetError(f"dataset file not found: {data_file}")
-    try:
-        doc = json.loads(data_file.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{data_file} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, list):
-        raise DatasetError(f"{data_file} must hold a JSON list of questions")
+    doc = read_json(data_file, list, DatasetError, "dataset", kind=list)
 
     if db_root is not None:
         db_dirs = [Path(db_root)]
@@ -414,20 +410,19 @@ def write_records(records: Iterable[RunRecord], path: str | Path) -> None:
 
 
 def read_records(path: str | Path) -> list[RunRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(RunRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise DatasetError(f"{path}:{line_no}: bad run record: {exc}") from exc
-    return records
+    return read_jsonl(path, RunRecord.from_dict, DatasetError, "run record")
 
 
 # -- the per-question pipeline ----------------------------------------------------
+
+
+def _descriptions(doc: dict) -> dict[str, Mapping[str, Mapping[str, str]]]:
+    """doc, checked to map db_id -> table -> column -> description text."""
+    for db_id, tables in doc.items():
+        if not (isinstance(tables, dict) and all(isinstance(cols, dict) and all(
+                isinstance(text, str) for text in cols.values()) for cols in tables.values())):
+            raise TypeError(f"{db_id!r} must map each table to column descriptions")
+    return doc
 
 
 class PipelineRunner:
@@ -475,7 +470,7 @@ class PipelineRunner:
             log.warning("fewshot_k is %d, but the store %s holds only %d examples",
                         config.fewshot_k, store_path, len(self.fewshot_store))
         self.descriptions: dict[str, Mapping[str, Mapping[str, str]]] = (
-            json.loads(Path(config.descriptions_path).read_text(encoding="utf-8"))
+            read_json(config.descriptions_path, _descriptions, ConfigError, "descriptions")
             if config.descriptions_path else {}
         )
         self.throttle = CallThrottle(config.max_in_flight)

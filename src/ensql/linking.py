@@ -29,8 +29,6 @@ log = logging.getLogger(__name__)
 
 _ASSETS = Path(__file__).parent / "assets"
 
-FEWSHOT_COUNT = 3
-
 
 class LinkingParseError(Exception):
     """A linker response could not be turned into a prediction."""
@@ -134,24 +132,10 @@ def format_user_turn(schema_text: str, question: str, hint: str = "") -> str:
     return text
 
 
-def build_linking_prompt(
-    schema_text: str,
-    question: str,
-    hint: str = "",
-    fewshots: Sequence[LinkingFewShot] | None = None,
-) -> list[dict]:
-    """Assemble the linking chat prompt: system, three examples, the query.
-
-    The example count is fixed; passing any other number raises ValueError.
-    """
-    if fewshots is None:
-        fewshots = load_default_linking_fewshots()
-    if len(fewshots) != FEWSHOT_COUNT:
-        raise ValueError(
-            f"linking prompt requires exactly {FEWSHOT_COUNT} examples, got {len(fewshots)}"
-        )
+def build_linking_prompt(schema_text: str, question: str, hint: str = "") -> list[dict]:
+    """Assemble the linking chat prompt: system, the shipped examples, the query."""
     messages = [{"role": "system", "content": load_linking_system_prompt()}]
-    for shot in fewshots:
+    for shot in load_default_linking_fewshots():
         messages.append(
             {"role": "user", "content": format_user_turn(shot.schema_text, shot.question, shot.hint)}
         )

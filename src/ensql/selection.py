@@ -225,13 +225,14 @@ def open_read_only(db_path: str | Path) -> sqlite3.Connection:
 # rows fetched per step; the deadline is checked after each batch has been
 # canonicalized, so one batch is the grain of the time budget
 _FETCH_BATCH = 512
+# rows a result's preview shows
+_PREVIEW_ROWS = 5
 
 
 def _stream(
     conn: sqlite3.Connection,
     sql: str,
     precision: int,
-    preview_limit: int,
     deadline: float,
 ) -> tuple[str, int, str] | None:
     """(signature, row count, preview) of sql's rows, None past the deadline."""
@@ -242,8 +243,8 @@ def _stream(
         if cursor.description is None:
             raise sqlite3.ProgrammingError("not a query: the statement returns no columns")
         while batch := cursor.fetchmany(_FETCH_BATCH):
-            if len(head) < preview_limit:
-                head += batch[:preview_limit - len(head)]
+            if len(head) < _PREVIEW_ROWS:
+                head += batch[:_PREVIEW_ROWS - len(head)]
             canonicalizer.feed(batch)
             if time.monotonic() > deadline:
                 return None
@@ -260,7 +261,6 @@ def execute_candidate(
     db: str | Path | sqlite3.Connection,
     timeout_s: float = 30.0,
     precision: int = 6,
-    preview_limit: int = 5,
 ) -> ExecutionResult:
     """Run one query read-only and classify the outcome.
 
@@ -305,7 +305,7 @@ def execute_candidate(
         conn = open_read_only(db) if owned else db
         conn.set_progress_handler(_watchdog, 5000)
         streamed = _read_decoded(
-            conn, lambda: _stream(conn, sql, precision, preview_limit, deadline)
+            conn, lambda: _stream(conn, sql, precision, deadline)
         )
         if streamed is not None:  # None: the deadline passed between batches
             signature, row_count, preview = streamed

@@ -64,7 +64,7 @@ class TestIntrospect:
     def test_tables_in_schema_order(self, toy_db):
         catalog = introspect(toy_db)
         assert catalog.db_id == "toy_shop"
-        assert catalog.table_names() == ("users", "products", "orders")
+        assert tuple(t.name for t in catalog.tables) == ("users", "products", "orders")
 
     def test_primary_keys_and_nullability(self, toy_db):
         catalog = introspect(toy_db)
@@ -428,7 +428,7 @@ def test_paths_that_are_not_uri_safe_open_read_only(tmp_path, directory):
     conn.commit()
     conn.close()
     before = sorted(tmp_path.rglob("*"))
-    assert introspect(path).table_names() == ("items",)
+    assert tuple(t.name for t in introspect(path).tables) == ("items",)
     result = execute_candidate("SELECT name FROM items", str(path))
     assert result.status is ExecStatus.OK and result.preview == "1 row(s): ('pen',)"
     ro = connect_read_only(path)
@@ -479,8 +479,8 @@ class TestApplyFilter:
 
     def test_table_only_drops_unlisted_tables(self, toy_catalog):
         filtered = apply_filter(toy_catalog, PREDICTION, FilterLevel.TABLE_ONLY)
-        assert filtered.table_names() == ("users", "orders")
-        assert filtered.table("orders").column_names() == (
+        assert tuple(t.name for t in filtered.tables) == ("users", "orders")
+        assert tuple(c.name for c in filtered.table("orders").columns) == (
             "order_id", "user_id", "product_id", "quantity", "order_date",
         )
         # the edge into the dropped products table goes away
@@ -490,8 +490,8 @@ class TestApplyFilter:
 
     def test_full_filtering_keeps_predicted_and_fk_columns(self, toy_catalog):
         filtered = apply_filter(toy_catalog, PREDICTION, FilterLevel.FULL_FILTERING)
-        assert filtered.table("users").column_names() == ("user_id", "name")
-        assert filtered.table("orders").column_names() == ("user_id", "order_date")
+        assert tuple(c.name for c in filtered.table("users").columns) == ("user_id", "name")
+        assert tuple(c.name for c in filtered.table("orders").columns) == ("user_id", "order_date")
         assert filtered.foreign_keys == (
             ForeignKeyDef("orders", "user_id", "users", "user_id"),
         )
@@ -504,14 +504,14 @@ class TestApplyFilter:
     def test_matching_is_case_insensitive(self, toy_catalog):
         prediction = {"USERS": ["USER_ID", "Name"]}
         filtered = apply_filter(toy_catalog, prediction, FilterLevel.FULL_FILTERING)
-        assert filtered.table("users").column_names() == ("user_id", "name")
+        assert tuple(c.name for c in filtered.table("users").columns) == ("user_id", "name")
 
     def test_unknown_names_dropped_with_warning(self, toy_catalog, caplog):
         prediction = {"users": ["user_id", "shoe_size"], "invoices": ["x"]}
         with caplog.at_level("WARNING"):
             filtered = apply_filter(toy_catalog, prediction, FilterLevel.FULL_FILTERING)
-        assert filtered.table_names() == ("users",)
-        assert filtered.table("users").column_names() == ("user_id",)
+        assert tuple(t.name for t in filtered.tables) == ("users",)
+        assert tuple(c.name for c in filtered.table("users").columns) == ("user_id",)
         assert "shoe_size" in caplog.text
         assert "invoices" in caplog.text
 
@@ -520,16 +520,16 @@ class TestApplyFilter:
             selection = PREDICTION
 
         filtered = apply_filter(toy_catalog, Holder(), FilterLevel.TABLE_ONLY)
-        assert filtered.table_names() == ("users", "orders")
+        assert tuple(t.name for t in filtered.tables) == ("users", "orders")
 
     def test_catalog_order_wins_over_prediction_order(self, toy_catalog):
         prediction = {"orders": ["order_date"], "users": ["name"]}
         filtered = apply_filter(toy_catalog, prediction, FilterLevel.TABLE_ONLY)
-        assert filtered.table_names() == ("users", "orders")
+        assert tuple(t.name for t in filtered.tables) == ("users", "orders")
 
     def test_empty_prediction_full_filtering_empties_catalog(self, toy_catalog):
         filtered = apply_filter(toy_catalog, {}, FilterLevel.FULL_FILTERING)
-        assert filtered.table_names() == ()
+        assert tuple(t.name for t in filtered.tables) == ()
         assert filtered.foreign_keys == ()
 
 
@@ -559,7 +559,7 @@ class TestNameRule:
         )
         conn.close()
         catalog = introspect(path)
-        assert catalog.table_names() == ("k", KELVIN)
+        assert tuple(t.name for t in catalog.tables) == ("k", KELVIN)
         assert catalog.table("K").name == "k"
         assert catalog.table(KELVIN).column(KELVIN + "B").name == KELVIN + "b"
         texts = render_all(catalog)
@@ -569,11 +569,12 @@ class TestNameRule:
         both = apply_filter(
             catalog, {"K": ["b"], KELVIN: [KELVIN + "b"]}, FilterLevel.FULL_FILTERING
         )
-        assert both.table_names() == ("k", KELVIN)
-        assert both.table("k").column_names() == ("a", "b")  # a: the key's endpoint
-        assert both.table(KELVIN).column_names() == (KELVIN + "b", "k_a")
+        assert tuple(t.name for t in both.tables) == ("k", KELVIN)
+        # a: the key's endpoint
+        assert tuple(c.name for c in both.table("k").columns) == ("a", "b")
+        assert tuple(c.name for c in both.table(KELVIN).columns) == (KELVIN + "b", "k_a")
         one = apply_filter(catalog, {KELVIN: []}, FilterLevel.TABLE_ONLY)
-        assert one.table_names() == (KELVIN,)
+        assert tuple(t.name for t in one.tables) == (KELVIN,)
         assert LinkingPrediction({"K": [], KELVIN: []}).tables() == {"k", KELVIN}
 
     @given(data=st.data())
@@ -600,7 +601,7 @@ class TestNameRule:
                 conn.close()
             assume(created)
             catalog = introspect(path)
-        assert catalog.table_names() == tuple(table for table, _ in created)
+        assert tuple(t.name for t in catalog.tables) == tuple(table for table, _ in created)
         for table, columns in created:
             for spelling in (table, table.translate(_ASCII_SWAP)):
                 assert catalog.table(spelling).name == table
@@ -619,11 +620,11 @@ class TestNameRule:
         }
         filtered = apply_filter(catalog, prediction, FilterLevel.FULL_FILTERING)
         kept = {fold_name(t): {fold_name(c) for c in cols} for t, cols in prediction.items()}
-        assert filtered.table_names() == tuple(
+        assert tuple(t.name for t in filtered.tables) == tuple(
             table for table, _ in created if fold_name(table) in kept
         )
         for t in filtered.tables:
-            assert t.column_names() == tuple(
+            assert tuple(c.name for c in t.columns) == tuple(
                 c.name for c in catalog.table(t.name).columns
                 if fold_name(c.name) in kept[fold_name(t.name)]
             )

@@ -260,6 +260,43 @@ class TestReport:
         assert "total cost ($): 0.000000" not in stdout
 
 
+class TestMalformedInputFiles:
+    """A malformed input file stops the command with its path, not a traceback."""
+
+    REPLAY_RUN = "run --dataset {dataset} --replay {fixture}"
+
+    @pytest.mark.parametrize("command, text, problem", [
+        ("report --records {bad}", "[]", ":1: bad run record"),
+        ("run --dataset {dataset} --replay {bad}", "[]", ":1: bad replay record"),
+        ("run --dataset {dataset} --replay {bad}",
+         '{"digest": "d", "text": "t", "input_tokens": [1], "output_tokens": 1}',
+         ":1: bad replay record"),
+        ("report --records {golden} --price-table {bad}", '{"m": {}}', ": bad price table"),
+        ("report --records {golden} --price-table {bad}",
+         '{"m": {"input_per_million": "x", "output_per_million": 1}}', ": bad price table"),
+        ("report --records {golden} --price-table {bad}", "{oops",
+         ": bad price table: not valid JSON"),
+        ("report --records {golden} --price-table {bad}", "[" * 100_000,
+         ": bad price table: not valid JSON"),
+        (REPLAY_RUN + " --descriptions {bad}", "[]", ": bad descriptions"),
+        (REPLAY_RUN + " --config {bad}", '{"workers": "many"}', ": bad config"),
+        (REPLAY_RUN + " --fewshot-store {bad}", '"q"', ":1: bad store record"),
+        ("run --dataset {bad} --replay {fixture}", "{}", ": bad dataset"),
+    ], ids=["records", "replay_list", "replay_tokens", "price_missing_key",
+            "price_not_a_number", "price_not_json", "price_nested_too_deep",
+            "descriptions", "config", "fewshot_store", "dataset"])
+    def test_refused_with_its_path(self, cli_env, tmp_path, capsys, command, text, problem):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text + "\n", encoding="utf-8")
+        argv = command.format(
+            bad=bad, golden=GOLDEN_DIR / "toy_run_records.jsonl", **cli_env
+        ).split()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"error: {bad}{problem}")
+        assert "Traceback" not in err
+
+
 class TestBuildFewshotStore:
     def test_offline_store(self, cli_env, tmp_path, capsys):
         out = tmp_path / "store.jsonl"

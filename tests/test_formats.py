@@ -134,7 +134,7 @@ class TestRenderMemo:
 class TestJsonRoundTrip:
     def test_round_trip_preserves_structure(self, toy_catalog):
         doc = json.loads(render(toy_catalog, RepresentationFormat.JSON_RAW))
-        assert tuple(doc["tables"]) == toy_catalog.table_names()
+        assert tuple(doc["tables"]) == tuple(t.name for t in toy_catalog.tables)
         fks = set()
         for table in toy_catalog.tables:
             again = doc["tables"][table.name]

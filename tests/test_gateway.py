@@ -99,7 +99,7 @@ def make_backend(outcomes, **kwargs):
     return backend, session, sleeps
 
 
-REQUEST = ChatRequest(model="m", messages=MESSAGES, temperature=0.0, max_tokens=64)
+REQUEST = ChatRequest(model="m", messages=MESSAGES, max_tokens=64)
 
 
 class TestHttpChatBackend:
@@ -160,9 +160,7 @@ class TestHttpChatBackend:
         assert sleeps == []
 
     def test_retries_exhausted(self):
-        backend, session, sleeps = make_backend(
-            [FakeResponse(503)] * 4, max_retries=3
-        )
+        backend, session, sleeps = make_backend([FakeResponse(503)] * 4)
         with pytest.raises(TransportError, match="after 4 attempts"):
             backend.complete(REQUEST)
         assert len(session.calls) == 4
@@ -199,11 +197,10 @@ class TestReplayAndRecording:
     def _record_fixture(self, path):
         inner = ScriptedBackend(lambda req: f"reply to {req.messages[-1]['content']}")
         recorder = RecordingChatBackend(inner, path)
-        req_a = ChatRequest(model="m", messages=MESSAGES, temperature=0.0, max_tokens=8)
+        req_a = ChatRequest(model="m", messages=MESSAGES, max_tokens=8)
         req_b = ChatRequest(
             model="m",
             messages=({"role": "user", "content": "other"},),
-            temperature=0.0,
             max_tokens=8,
         )
         return recorder.complete(req_a), recorder.complete(req_b), (req_a, req_b)
@@ -212,18 +209,17 @@ class TestReplayAndRecording:
         path = tmp_path / "fixture.jsonl"
         live_a, live_b, (req_a, req_b) = self._record_fixture(path)
         replay = ReplayChatBackend(path)
-        assert len(replay) == 2
+        assert len(replay._responses) == 2
         assert replay.complete(req_a) == live_a
         assert replay.complete(req_b) == live_b
 
     def test_close_sorts_by_digest_and_the_last_duplicate_still_wins(self, tmp_path):
         path = tmp_path / "fixture.jsonl"
         replies = iter(["first", "other", "again"])
-        req_a = ChatRequest(model="m", messages=MESSAGES, temperature=0.0, max_tokens=8)
+        req_a = ChatRequest(model="m", messages=MESSAGES, max_tokens=8)
         req_b = ChatRequest(
             model="m",
             messages=({"role": "user", "content": "other"},),
-            temperature=0.0,
             max_tokens=8,
         )
         with RecordingChatBackend(ScriptedBackend(lambda req: next(replies)), path) as rec:
@@ -251,7 +247,6 @@ class TestReplayAndRecording:
         unseen = ChatRequest(
             model="m",
             messages=({"role": "user", "content": "new"},),
-            temperature=0.0,
             max_tokens=8,
         )
         with pytest.raises(ReplayMissError) as err:
@@ -264,6 +259,16 @@ class TestReplayAndRecording:
         path = tmp_path / "broken.jsonl"
         path.write_text('{"digest": "abc"}\n', encoding="utf-8")
         with pytest.raises(GatewayError, match="broken.jsonl:1"):
+            ReplayChatBackend(path)
+
+    @pytest.mark.parametrize("line", [
+        "[]",
+        '{"digest": "abc", "text": "t", "input_tokens": [1], "output_tokens": 1}',
+    ], ids=["not_an_object", "list_of_tokens"])
+    def test_a_record_of_the_wrong_shape_names_its_line(self, tmp_path, line):
+        path = tmp_path / "broken.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(GatewayError, match="broken.jsonl:1: bad replay record"):
             ReplayChatBackend(path)
 
     def test_rerecording_last_write_wins(self, tmp_path):
@@ -281,7 +286,7 @@ class TestReplayAndRecording:
             fh.write(json.dumps(newer) + "\n")
         replay = ReplayChatBackend(path)
         assert replay.complete(REQUEST).text == "new"
-        assert len(replay) == 1
+        assert len(replay._responses) == 1
 
 
 class TestCostLedger:
@@ -366,6 +371,17 @@ class TestPriceTable:
         )
         assert table.dollars("m", TokenUsage(1_000_000, 0)) == Decimal("0.10")
         assert table.dollars("m", TokenUsage(0, 1_000_000)) == Decimal("0.30")
+
+    @pytest.mark.parametrize("text, problem", [
+        ('{"m": {"output_per_million": 1}}', "model 'm' needs numeric"),
+        ('{"m": {"input_per_million": "x", "output_per_million": 1}}', "model 'm' needs numeric"),
+        ("input_per_million = 1", "not valid JSON"),
+    ], ids=["missing_key", "non_numeric_price", "not_json"])
+    def test_a_bad_table_is_refused_with_its_path(self, tmp_path, text, problem):
+        path = tmp_path / "prices.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(GatewayError, match=f"prices.json: bad price table: {problem}"):
+            PriceTable.load(path)
 
 
 class TestLlmGateway:

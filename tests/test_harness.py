@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ensql.catalog import FilterLevel
-from ensql.config import DEFAULT_LINKER_PRIMARY, PipelineConfig
+from ensql.config import DEFAULT_LINKER_PRIMARY, ConfigError, PipelineConfig
 from ensql import formats, harness
 from ensql.formats import RepresentationFormat, render
 from ensql.gateway import (
@@ -53,6 +53,7 @@ from ensql.selection import (
     SelectionOutcome,
 )
 
+from conftest import GOLDEN_DIR
 from helpers import (
     EXPECTED_CALLS,
     EXPECTED_EX,
@@ -274,6 +275,21 @@ class TestRunRecordSerialization:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"question_id": "1"}\n', encoding="utf-8")
         with pytest.raises(DatasetError, match="bad.jsonl:1"):
+            read_records(path)
+
+    def test_a_line_that_is_no_object_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("[]\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="bad.jsonl:1: bad run record"):
+            read_records(path)
+
+    def test_a_candidate_that_is_no_object_names_its_line(self, tmp_path):
+        golden = (GOLDEN_DIR / "toy_run_records.jsonl").read_text(encoding="utf-8")
+        doc = json.loads(golden.splitlines()[0])
+        doc["candidates"][0] = []
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="bad.jsonl:1: bad run record"):
             read_records(path)
 
 
@@ -524,6 +540,20 @@ class TestPipelineRunner:
     def items(self, toy_dataset):
         return load_dataset(toy_dataset)
 
+    @pytest.mark.parametrize("doc", [
+        [{"toy_shop": {}}],
+        {"toy_shop": [["users", "name"]]},
+        {"toy_shop": {"users": {"name": 1}}},
+    ], ids=["list", "list_of_tables", "number_description"])
+    def test_descriptions_of_the_wrong_shape_are_refused_at_load(self, tmp_path, doc):
+        descriptions = tmp_path / "descriptions.json"
+        descriptions.write_text(json.dumps(doc), encoding="utf-8")
+        config = dataclasses.replace(
+            PipelineConfig.default(), descriptions_path=str(descriptions)
+        )
+        with pytest.raises(ConfigError, match="descriptions.json: bad descriptions"):
+            PipelineRunner(config, ScriptedBackend(ToyScript()))
+
     def test_failing_reference_is_excluded_from_accuracy(self, items, caplog):
         item = dataclasses.replace(items[0], gold_sql="SELECT nope FROM users")
         with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
@@ -579,7 +609,7 @@ class TestPipelineRunner:
             paths.append(str(path))
         with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
             catalogs = [runner.catalog_for("shop", path) for path in paths]
-        assert [c.table_names() for c in catalogs] == [("alpha",), ("beta",)]
+        assert [tuple(t.name for t in c.tables) for c in catalogs] == [("alpha",), ("beta",)]
         texts = [render(c, RepresentationFormat.DDL) for c in catalogs]
         assert "CREATE TABLE beta" in texts[1] and "alpha" not in texts[1]
 
@@ -632,7 +662,8 @@ class TestPipelineRunner:
             first = pool.submit(runner.catalog_for, "toy_shop", toy_db)
             time.sleep(0.05)  # the first path's introspection has begun by now
             runner.catalog_for("other", str(other))
-            assert first.result(timeout=10).table_names() == ("users", "products", "orders")
+            tables = first.result(timeout=10).tables
+            assert tuple(t.name for t in tables) == ("users", "products", "orders")
 
     def test_full_schema_rendered_once_per_format(self, items, monkeypatch):
         config = PipelineConfig.default()

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from ensql.catalog import ColumnDef, SchemaCatalog, TableDef, _quote_ident
 from ensql.linking import (
-    FEWSHOT_COUNT,
     GoldLinking,
     LinkingPrediction,
     LinkingParseError,
@@ -35,11 +34,11 @@ class TestUserTurn:
 class TestPromptAssembly:
     def test_three_fewshots_then_question(self):
         messages = build_linking_prompt("THE SCHEMA", "THE QUESTION", "THE HINT")
-        assert len(messages) == 2 + 2 * FEWSHOT_COUNT
+        assert len(messages) == 2 + 2 * 3
         assert messages[0]["role"] == "system"
         assert messages[0]["content"] == load_linking_system_prompt()
         roles = [m["role"] for m in messages[1:]]
-        assert roles == ["user", "assistant"] * FEWSHOT_COUNT + ["user"]
+        assert roles == ["user", "assistant"] * 3 + ["user"]
         assert "THE SCHEMA" in messages[-1]["content"]
         assert "THE QUESTION" in messages[-1]["content"]
         assert "THE HINT" in messages[-1]["content"]
@@ -48,11 +47,6 @@ class TestPromptAssembly:
         for shot in load_default_linking_fewshots():
             parsed = parse_linking_response(shot.response)
             assert parsed.selection
-
-    def test_wrong_fewshot_count_rejected(self):
-        shots = load_default_linking_fewshots()[:2]
-        with pytest.raises(ValueError):
-            build_linking_prompt("s", "q", fewshots=shots)
 
 
 class TestParseResponse:

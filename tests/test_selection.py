@@ -256,10 +256,10 @@ class TestExecuteCandidate:
         assert "timeout after 0.2s" in result.error_text
 
     def test_preview_caps_rows(self, toy_db):
-        result = execute_candidate("SELECT order_id FROM orders", toy_db,
-                                   preview_limit=2)
-        assert result.preview == "5 row(s): (1,); (2,)"
-        assert result.row_count == 5
+        eight = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r WHERE n < 8) "
+        result = execute_candidate(eight + "SELECT n FROM r", toy_db)
+        assert result.preview == "8 row(s): (1,); (2,); (3,); (4,); (5,)"
+        assert result.row_count == 8
 
     def test_group_keys(self, toy_db):
         ok = execute_candidate("SELECT 1", toy_db)
