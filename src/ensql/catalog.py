@@ -99,7 +99,7 @@ _FILTER_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnDef:
     """One column: declared type, constraints, and display metadata.
 
@@ -141,7 +141,7 @@ class TableDef:
         return {fold_name(c.name): c for c in reversed(self.columns)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForeignKeyDef:
     """A single-column foreign key edge between two tables."""
 
@@ -235,15 +235,17 @@ def _is_text_type(sql_type: str) -> bool:
     return any(tok in upper for tok in ("CHAR", "CLOB", "TEXT"))
 
 
-def connect_read_only(db_path: str | Path) -> sqlite3.Connection:
+def connect_read_only(db_path: str | Path, **options) -> sqlite3.Connection:
     """Open a SQLite file read-only, through a percent-encoded file: URI.
 
     Built from the path rather than pasted into a URI, so a '#', '?' or '%'
     in a directory name stays part of the path: pasted, '#' and '?' end the
     path and drop mode=ro, so SQLite opens (or creates) another file
-    read-write.
+    read-write.  options go to sqlite3.connect.
     """
-    return sqlite3.connect(Path(db_path).resolve().as_uri() + "?mode=ro", uri=True)
+    return sqlite3.connect(
+        Path(db_path).resolve().as_uri() + "?mode=ro", uri=True, **options
+    )
 
 
 # how sqlite3's strict decoder reports invalid UTF-8 (Python 3.10-3.13)

@@ -358,14 +358,20 @@ class PriceTable:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PriceTable":
+        """model -> {input_per_million, output_per_million}; each a finite price >= 0."""
         prices = {}
         for model, entry in doc.items():
             try:
-                prices[model] = ModelPrice(Decimal(str(entry["input_per_million"])),
-                                           Decimal(str(entry["output_per_million"])))
+                price = ModelPrice(Decimal(str(entry["input_per_million"])),
+                                   Decimal(str(entry["output_per_million"])))
             except (KeyError, TypeError, InvalidOperation) as exc:
                 raise ValueError(f"model {model!r} needs numeric input_per_million and "
                                  "output_per_million") from exc
+            for value in (price.input_per_million, price.output_per_million):
+                if not value.is_finite() or value < 0:
+                    raise ValueError(f"model {model!r} has a price of {value}; prices "
+                                     "must be finite and not negative")
+            prices[model] = price
         return cls(prices)
 
     @classmethod

@@ -17,7 +17,7 @@ import functools
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -92,20 +92,51 @@ class FewShotExample:
     schema_text: str
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class SqlCandidate:
     """One generated candidate; execution is attached by the selection stage.
 
-    Candidates whose generation failed (backend error, no code block) carry
-    empty-or-partial sql and a pre-populated Error execution so they flow
-    into voting as failures instead of crashing the pipeline.
+    sql is the code block of raw_response (extract_sql), derived on each
+    read rather than held, since a long run keeps every record.  Only a
+    candidate whose sql differs from its reply's block stores it: one whose
+    generation failed (backend error, no code block), which carries empty
+    sql and a pre-populated Error execution so that it flows into voting as
+    a failure instead of crashing the pipeline, or a loaded record whose
+    sql was written so.  Token counts are held as two ints; usage reads
+    them as a TokenUsage.
     """
 
     spec_index: int
-    sql: str
-    raw_response: str = ""
-    usage: TokenUsage = field(default_factory=TokenUsage)
-    execution: ExecutionResult | None = None
+    raw_response: str
+    input_tokens: int
+    output_tokens: int
+    execution: ExecutionResult | None
+    _sql: str | None  # None: sql is raw_response's code block
+
+    def __init__(
+        self,
+        spec_index: int,
+        sql: str | None = None,
+        raw_response: str = "",
+        input_tokens: int = 0,
+        output_tokens: int = 0,
+        execution: ExecutionResult | None = None,
+    ):
+        """sql None means the code block of raw_response, which must have one."""
+        self.spec_index = spec_index
+        self.raw_response = raw_response
+        self.input_tokens = input_tokens
+        self.output_tokens = output_tokens
+        self.execution = execution
+        self._sql = None if sql is None or sql == _code_block(raw_response) else sql
+
+    @property
+    def sql(self) -> str:
+        return self._sql if self._sql is not None else _code_block(self.raw_response)
+
+    @property
+    def usage(self) -> TokenUsage:
+        return TokenUsage(self.input_tokens, self.output_tokens)
 
 
 def _fewshot_example(record: dict) -> FewShotExample:
@@ -192,14 +223,8 @@ def build_generation_prompt(
 _FENCE_RE = re.compile(r"```([^\n`]*)\n(.*?)```", re.DOTALL)
 
 
-def extract_sql(response_text: str) -> str:
-    """Pull the SQL out of a model response.
-
-    Prefers the first block tagged sql (or sqlite); falls back to the first
-    untagged block.  Surrounding whitespace is trimmed, the statement text
-    itself (including any trailing semicolon) is preserved.  No usable block
-    raises NoCodeBlockError.
-    """
+def _code_block(response_text: str) -> str | None:
+    """extract_sql's answer, None where it raises."""
     tagged = None
     untagged = None
     for match in _FENCE_RE.finditer(response_text):
@@ -209,9 +234,21 @@ def extract_sql(response_text: str) -> str:
         elif tag == "" and untagged is None:
             untagged = match.group(2)
     block = tagged if tagged is not None else untagged
-    if block is None:
+    return None if block is None else block.strip()
+
+
+def extract_sql(response_text: str) -> str:
+    """Pull the SQL out of a model response.
+
+    Prefers the first block tagged sql (or sqlite); falls back to the first
+    untagged block.  Surrounding whitespace is trimmed, the statement text
+    itself (including any trailing semicolon) is preserved.  No usable block
+    raises NoCodeBlockError.
+    """
+    sql = _code_block(response_text)
+    if sql is None:
         raise NoCodeBlockError("no fenced SQL block in model response")
-    return block.strip()
+    return sql
 
 
 def _failed_candidate(
@@ -221,7 +258,8 @@ def _failed_candidate(
         spec_index=index,
         sql="",
         raw_response=raw_response,
-        usage=usage,
+        input_tokens=usage.input_tokens,
+        output_tokens=usage.output_tokens,
         execution=ExecutionResult(
             status=ExecStatus.ERROR, error_text=f"{error_class}: {detail}"
         ),
@@ -261,14 +299,14 @@ def generate_slot(index: int, request: ChatRequest, gateway: LlmGateway) -> SqlC
     if isinstance(response, GatewayError):
         return _failed_candidate(index, "", TokenUsage(), "BackendError", str(response))
     try:
-        sql = extract_sql(response.text)
+        extract_sql(response.text)
     except NoCodeBlockError as exc:
         return _failed_candidate(
             index, response.text, response.usage, "NoCodeBlock", str(exc)
         )
     return SqlCandidate(
         spec_index=index,
-        sql=sql,
         raw_response=response.text,
-        usage=response.usage,
+        input_tokens=response.usage.input_tokens,
+        output_tokens=response.usage.output_tokens,
     )

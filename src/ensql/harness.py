@@ -19,9 +19,10 @@ import sqlite3
 import statistics
 import threading
 import time
+import weakref
 from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 from pathlib import Path
@@ -182,6 +183,48 @@ def matches(result: ExecutionResult, gold: ExecutionResult) -> bool:
     return result.ok and result.signature == gold.signature
 
 
+class ConnectionPool:
+    """Idle read-only connections to candidate databases, by database path.
+
+    A question takes a connection at its first execution (take), an idle
+    one when there is one and otherwise a new one from open_read_only, and
+    hands it back when its executions end (put).  Only the question holding
+    a connection uses it, so a path never has more connections than
+    questions that ran on it at once.  close() closes every idle connection
+    and makes put close the ones still held; a pool that is never closed
+    closes them when its owner is collected (see PipelineRunner).
+    """
+
+    def __init__(self):
+        self._idle: dict[str, list[sqlite3.Connection]] = {}
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def take(self, db_path: str | Path) -> sqlite3.Connection:
+        """An idle connection to db_path, or a new one; raises sqlite3.Error."""
+        with self._lock:
+            idle = self._idle.get(str(db_path))
+            if idle:
+                return idle.pop()
+        return open_read_only(db_path)
+
+    def put(self, db_path: str | Path, conn: sqlite3.Connection) -> None:
+        """Make conn idle again; once the pool is closed, close it."""
+        with self._lock:
+            if not self._closed:
+                self._idle.setdefault(str(db_path), []).append(conn)
+                return
+        conn.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
+
+
 class QuestionExecutor:
     """One question's executions, on one read-only connection to its database.
 
@@ -190,17 +233,25 @@ class QuestionExecutor:
     frozen result.  Results of different texts whose recorded fields
     (status, signature, row_count, error_text and preview; not elapsed_ms)
     are equal are one object too, so a record holds each distinct result
-    once.  The connection (open_read_only) is opened at the first execution
-    and closed by close(), which the question calls when it returns or
-    raises; a database that cannot be opened is handed to each execution
-    as its path, which comes back as the open's Error result.  It belongs
-    to one question on one thread, and no two questions share one.
+    once.  The connection is taken from connections at the first execution
+    and handed back by close(), which the question calls when its
+    executions end; a question that raises closes it instead.  A database
+    that cannot be opened is handed to each execution as its path, which
+    comes back as the open's Error result.  It belongs to one question on
+    one thread, and no two questions share one.
     """
 
-    def __init__(self, db_path: str | Path, timeout_s: float = 30.0, precision: int = 6):
+    def __init__(
+        self,
+        db_path: str | Path,
+        connections: ConnectionPool,
+        timeout_s: float = 30.0,
+        precision: int = 6,
+    ):
         self.db_path = db_path
         self.timeout_s = timeout_s
         self.precision = precision
+        self.connections = connections
         self._conn: sqlite3.Connection | None = None
         self._by_sql: dict[str, ExecutionResult] = {}
         self._by_fields: dict[tuple, ExecutionResult] = {}
@@ -208,13 +259,18 @@ class QuestionExecutor:
     def __enter__(self) -> "QuestionExecutor":
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc_info) -> None:
+        self.close(failed=exc_type is not None)
 
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+    def close(self, failed: bool = False) -> None:
+        """Hand the connection back to the pool, or close it when the question failed."""
+        conn, self._conn = self._conn, None
+        if conn is None:
+            return
+        if failed:
+            conn.close()
+        else:
+            self.connections.put(self.db_path, conn)
 
     def __call__(self, sql: str) -> ExecutionResult:
         result = self._by_sql.get(sql)
@@ -228,7 +284,7 @@ class QuestionExecutor:
     def _db(self) -> sqlite3.Connection | str | Path:
         if self._conn is None:
             try:
-                self._conn = open_read_only(self.db_path)
+                self._conn = self.connections.take(self.db_path)
             except sqlite3.Error:
                 return self.db_path
         return self._conn
@@ -256,9 +312,11 @@ def execution_accuracy(
     The reference query must succeed; a failing reference raises
     GoldExecutionError since such an item cannot be scored at all.  A
     failing prediction simply scores 0.  A prediction whose text is the
-    reference's is not executed again.
+    reference's is not executed again.  Its one connection is closed on return.
     """
-    with QuestionExecutor(db_path, timeout_s, precision) as execute:
+    with closing(ConnectionPool()) as connections, QuestionExecutor(
+        db_path, connections, timeout_s, precision
+    ) as execute:
         gold = scorable_reference(execute(gold_sql))
         return int(matches(execute(pred_sql), gold))
 
@@ -307,23 +365,30 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunRecord":
+        """The record of a to_dict document; a field of the wrong type raises TypeError."""
         return cls(
-            question_id=doc["question_id"],
-            db_id=doc["db_id"],
-            question=doc["question"],
-            gold_sql=doc["gold_sql"],
-            gold_ok=doc["gold_ok"],
+            question_id=_typed(doc, "question_id", _is_str, "a string"),
+            db_id=_typed(doc, "db_id", _is_str, "a string"),
+            question=_typed(doc, "question", _is_str, "a string"),
+            gold_sql=_typed(doc, "gold_sql", _is_str, "a string"),
+            gold_ok=_typed(doc, "gold_ok", lambda v: isinstance(v, bool), "a bool"),
             candidates=[_candidate_from_dict(c) for c in doc["candidates"]],
             selection=_selection_from_dict(doc.get("selection")),
-            candidate_ex=[int(x) for x in doc["candidate_ex"]],
-            ex=int(doc["ex"]),
+            candidate_ex=_typed(
+                doc, "candidate_ex", lambda v: isinstance(v, list) and all(map(_is_bit, v)),
+                "a list of 0s and 1s",
+            ),
+            ex=_typed(doc, "ex", _is_bit, "0 or 1"),
             usage=[
                 UsageRow(u["model"], u["stage"], int(u["calls"]), int(u["input_tokens"]),
                          int(u["output_tokens"]))
                 for u in doc["usage"]
             ],
-            wall_ms=float(doc.get("wall_ms", 0.0)),
-            error=doc.get("error"),
+            wall_ms=float(_typed(
+                doc, "wall_ms", lambda v: type(v) in (int, float), "a number", 0.0
+            )),
+            error=_typed(doc, "error", lambda v: v is None or _is_str(v), "a string or null",
+                         None),
         )
 
     def llm_calls(self) -> int:
@@ -343,6 +408,22 @@ class RunRecord:
         )
 
 
+def _is_str(value: object) -> bool:
+    return isinstance(value, str)
+
+
+def _is_bit(value: object) -> bool:
+    return type(value) is int and value in (0, 1)
+
+
+def _typed(doc: dict, key: str, valid: Callable[[object], bool], what: str, *default):
+    """doc[key], or default when the key is absent, which valid must accept."""
+    value = doc.get(key, *default) if default else doc[key]
+    if not valid(value):
+        raise TypeError(f"{key} must be {what}, not {value!r}")
+    return value
+
+
 def _candidate_to_dict(candidate: SqlCandidate) -> dict:
     execution = None
     if candidate.execution is not None:
@@ -352,8 +433,8 @@ def _candidate_to_dict(candidate: SqlCandidate) -> dict:
         "spec_index": candidate.spec_index,
         "sql": candidate.sql,
         "raw_response": candidate.raw_response,
-        "input_tokens": candidate.usage.input_tokens,
-        "output_tokens": candidate.usage.output_tokens,
+        "input_tokens": candidate.input_tokens,
+        "output_tokens": candidate.output_tokens,
         "execution": execution,
     }
 
@@ -373,7 +454,8 @@ def _candidate_from_dict(doc: dict) -> SqlCandidate:
         spec_index=int(doc["spec_index"]),
         sql=doc["sql"],
         raw_response=doc.get("raw_response", ""),
-        usage=TokenUsage(int(doc.get("input_tokens", 0)), int(doc.get("output_tokens", 0))),
+        input_tokens=int(doc.get("input_tokens", 0)),
+        output_tokens=int(doc.get("output_tokens", 0)),
         execution=execution,
     )
 
@@ -443,16 +525,19 @@ class PipelineRunner:
     over config.specs followed by the selection stage; sweep runs the same
     candidate stage over its own slate.  Slots that share a format and
     linker model share one linker call.  Both give each question one
-    QuestionExecutor (executor): one read-only connection to its database,
-    opened at its first execution and closed when the question's executions
-    are done or it raises, and a memo in which a distinct SQL text runs
-    once per question, the reference included.  No connection outlives its
-    question.  A question's model calls follow its dependency graph (see
-    generate_candidates), and an escalated tournament submits all its
-    comparisons together.  It serves one question per call; run_questions
-    walks the dataset.  A few-shot store smaller than config.fewshot_k is
-    reported once, at load.  The pool threads exit when the runner is
-    closed or garbage-collected.
+    QuestionExecutor (executor): a memo in which a distinct SQL text runs
+    once per question, the reference included, on one read-only connection
+    to its database.  The runner owns those connections (connections): a
+    question takes an idle one, or opens one, at its first execution and
+    hands it back when its executions are done, so a database's schema is
+    parsed once per connection, and a database never has more connections
+    than questions that ran on it at once.  A question that raises closes
+    its connection instead.  A question's model calls follow its dependency
+    graph (see generate_candidates), and an escalated tournament submits
+    all its comparisons together.  It serves one question per call;
+    run_questions walks the dataset.  A few-shot store smaller than
+    config.fewshot_k is reported once, at load.  The pool threads exit, and
+    the connections close, when the runner is closed or garbage-collected.
     """
 
     def __init__(
@@ -474,6 +559,9 @@ class PipelineRunner:
             if config.descriptions_path else {}
         )
         self.throttle = CallThrottle(config.max_in_flight)
+        self.connections = ConnectionPool()
+        # closes the pool's connections on close(), or when the runner is collected
+        self._close_connections = weakref.finalize(self, self.connections.close)
         self._catalogs: dict[str, SchemaCatalog] = {}
         self._catalog_locks: dict[str, threading.Lock] = {}
         self._catalog_locks_lock = threading.Lock()
@@ -486,6 +574,7 @@ class PipelineRunner:
 
     def close(self) -> None:
         self.throttle.close()
+        self._close_connections()
 
     def gateway(self, question_id: str = "?") -> LlmGateway:
         """A fresh gateway and ledger for one question, around the runner's throttle."""
@@ -520,7 +609,8 @@ class PipelineRunner:
     def executor(self, db_path: str) -> QuestionExecutor:
         """A question's executor under the config's timeout and result precision."""
         return QuestionExecutor(
-            db_path, self.config.execution_timeout_s, self.config.result_precision
+            db_path, self.connections, self.config.execution_timeout_s,
+            self.config.result_precision,
         )
 
     def candidates(

@@ -16,12 +16,14 @@ Results are reduced to a canonical multiset digest so that queries
 land in the same vote group, while NULL and empty string stay distinct.
 Each row and each cell value is canonicalized once per result, however
 many times it repeats.  A question runs its SQL on one read-only
-connection per database (open_read_only), which the harness opens at the
-question's first execution and closes when the question ends, so SQLite
-parses the schema once per question rather than once per execution.  The
-harness runs each distinct SQL text once per question and hands the one
-frozen result to every slot, and to the reference query, that share the
-text.
+connection to its database, set up by open_read_only: the harness's
+runner lends it an idle connection at the question's first execution, or
+opens one, and takes it back when the question's executions end, so
+SQLite parses the schema once per connection rather than once per
+execution or per question.  The connection keeps no prepared statements
+and a small page cache, since it outlives its question.  The harness runs
+each distinct SQL text once per question and hands the one frozen result
+to every slot, and to the reference query, that share the text.
 
 Groups vote: a confident distribution accepts the top group's answer; an
 ambiguous one escalates the group representatives to a pairwise LLM
@@ -200,21 +202,33 @@ def _read_only(action: int, *_details) -> int:
     return sqlite3.SQLITE_OK if action in _READ_ONLY_ACTIONS else sqlite3.SQLITE_DENY
 
 
+# the page cache of a candidate connection, in KiB (a negative cache_size):
+# a connection lives as long as its runner, and SQLite's default is 2 MB
+_PAGE_CACHE_KIB = 64
+
+
 def open_read_only(db_path: str | Path) -> sqlite3.Connection:
     """A read-only connection for candidates, its authorizer installed.
 
-    The authorizer is in place before any statement runs, so every
-    statement execute_candidate runs on the connection is compiled under
-    it.  The schema is loaded first, so the first statement on the
+    This is the one place a candidate connection is set up.  It keeps no
+    prepared statements (cached_statements=0): a question runs each
+    distinct text once, so on a connection that outlives its question the
+    cache would only hold statements no one runs again.  Its page cache is
+    bounded to _PAGE_CACHE_KIB.  It may be closed, and handed from question
+    to question, on any thread (check_same_thread=False); only the holder
+    uses it.  The schema is loaded next, so the first statement on the
     connection compiles as a later one does: SQLite refuses a CREATE on a
     connection whose schema is not loaded yet with SQLITE_SCHEMA
     (OperationalError), and with SQLITE_AUTH (DatabaseError) once it is.
-    A file whose schema cannot be read stays as it is, and each statement
-    meets that error as it would on a fresh connection.  The caller closes
-    the connection.
+    The authorizer comes last, in place before any statement
+    execute_candidate runs, so every one is compiled under it.  A file
+    whose schema cannot be read stays as it is, and each statement meets
+    that error as it would on a fresh connection.  The caller closes the
+    connection.
     """
-    conn = connect_read_only(db_path)
+    conn = connect_read_only(db_path, cached_statements=0, check_same_thread=False)
     try:
+        conn.execute(f"PRAGMA cache_size = -{_PAGE_CACHE_KIB}").close()
         conn.execute("SELECT 1 FROM sqlite_master LIMIT 0").close()
     except sqlite3.Error:
         pass
@@ -264,9 +278,9 @@ def execute_candidate(
 ) -> ExecutionResult:
     """Run one query read-only and classify the outcome.
 
-    db is a connection from open_read_only, which a question reuses for
-    all its executions and closes itself, or a database path, which is
-    opened for this one query and closed again.  The statement is compiled
+    db is a connection from open_read_only, which the caller reuses for
+    later executions and closes, or a database path, which is opened for
+    this one query and closed again.  The statement is compiled
     under an authorizer that allows only selecting, reading, functions and
     recursive CTEs, so writes, ATTACH and PRAGMA come back as "not
     authorized" errors before they run.  Every call sets its own deadline

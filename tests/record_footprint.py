@@ -1,8 +1,10 @@
-"""Print the bytes one run record retains, measured with tracemalloc.
+"""Print the bytes one run record, and one catalog, retain, measured with tracemalloc.
 
 Runs the toy dataset of tests/helpers.py through run_benchmark with the
 scripted backend, then frees the records and counts the traced bytes that
-went with them.  Run it from the root of a checkout:
+went with them; then introspects the toy database and counts the bytes
+that go with the catalog when it is freed.  Run it from the root of a
+checkout:
 
     PYTHONPATH=src:tests python tests/record_footprint.py
 """
@@ -12,7 +14,9 @@ import gc
 import tempfile
 import tracemalloc
 from pathlib import Path
+from typing import Callable
 
+from ensql.catalog import introspect
 from ensql.config import PipelineConfig
 from ensql.harness import load_dataset, run_benchmark
 
@@ -23,27 +27,34 @@ from helpers import ScriptedBackend, ToyScript, write_toy_dataset
 REPEATS = 20
 
 
-def bytes_per_record() -> tuple[float, int]:
-    """(traced bytes freed with the records / records, records)."""
+def _freed(make: Callable[[], object]) -> int:
+    """The traced bytes freed with what make() returns."""
+    tracemalloc.start()
+    try:
+        made = make()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del made
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def footprint() -> tuple[float, int, int]:
+    """(bytes per toy record, toy records, bytes of the toy catalog)."""
     with tempfile.TemporaryDirectory() as directory:
         items = load_dataset(write_toy_dataset(Path(directory))) * REPEATS
-        tracemalloc.start()
-        try:
-            records, _ = run_benchmark(
-                PipelineConfig.default(), items, ScriptedBackend(ToyScript()),
-                record_timing=False,
-            )
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0]
-            count = len(records)
-            del records
-            gc.collect()
-            freed = held - tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-    return freed / count, count
+        # run_benchmark gives one record per item
+        freed = _freed(lambda: run_benchmark(
+            PipelineConfig.default(), items, ScriptedBackend(ToyScript()),
+            record_timing=False,
+        )[0])
+        catalog_bytes = _freed(lambda: introspect(items[0].db_path))
+    return freed / len(items), len(items), catalog_bytes
 
 
 if __name__ == "__main__":
-    per_record, count = bytes_per_record()
+    per_record, count, catalog_bytes = footprint()
     print(f"{per_record:.0f} bytes retained per record ({count} toy records)")
+    print(f"{catalog_bytes} bytes retained by the introspected toy catalog")

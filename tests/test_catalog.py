@@ -66,6 +66,12 @@ class TestIntrospect:
         assert catalog.db_id == "toy_shop"
         assert tuple(t.name for t in catalog.tables) == ("users", "products", "orders")
 
+    def test_columns_and_foreign_keys_have_no_instance_dict(self, toy_db):
+        catalog = introspect(toy_db)
+        objects = [catalog.tables[0].columns[0], catalog.foreign_keys[0]]
+        assert [type(o).__name__ for o in objects] == ["ColumnDef", "ForeignKeyDef"]
+        assert not any(hasattr(o, "__dict__") for o in objects)
+
     def test_primary_keys_and_nullability(self, toy_db):
         catalog = introspect(toy_db)
         users = catalog.table("users")

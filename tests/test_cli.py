@@ -274,6 +274,15 @@ class TestMalformedInputFiles:
         ("report --records {golden} --price-table {bad}", '{"m": {}}', ": bad price table"),
         ("report --records {golden} --price-table {bad}",
          '{"m": {"input_per_million": "x", "output_per_million": 1}}', ": bad price table"),
+        ("report --records {golden} --price-table {bad}",
+         '{"m": {"input_per_million": "NaN", "output_per_million": 1}}',
+         ": bad price table: model 'm' has a price of NaN"),
+        ("report --records {golden} --price-table {bad}",
+         '{"m": {"input_per_million": 1, "output_per_million": Infinity}}',
+         ": bad price table: model 'm' has a price of Infinity"),
+        ("report --records {golden} --price-table {bad}",
+         '{"m": {"input_per_million": -0.5, "output_per_million": 1}}',
+         ": bad price table: model 'm' has a price of -0.5"),
         ("report --records {golden} --price-table {bad}", "{oops",
          ": bad price table: not valid JSON"),
         ("report --records {golden} --price-table {bad}", "[" * 100_000,
@@ -283,7 +292,8 @@ class TestMalformedInputFiles:
         (REPLAY_RUN + " --fewshot-store {bad}", '"q"', ":1: bad store record"),
         ("run --dataset {bad} --replay {fixture}", "{}", ": bad dataset"),
     ], ids=["records", "replay_list", "replay_tokens", "price_missing_key",
-            "price_not_a_number", "price_not_json", "price_nested_too_deep",
+            "price_not_a_number", "price_nan", "price_infinite", "price_negative",
+            "price_not_json", "price_nested_too_deep",
             "descriptions", "config", "fewshot_store", "dataset"])
     def test_refused_with_its_path(self, cli_env, tmp_path, capsys, command, text, problem):
         bad = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import json
 import re
@@ -215,7 +216,8 @@ class TestRunRecordSerialization:
             spec_index=0,
             sql="SELECT COUNT(*) FROM users",
             raw_response="```sql\nSELECT COUNT(*) FROM users\n```",
-            usage=TokenUsage(100, 20),
+            input_tokens=100,
+            output_tokens=20,
             execution=ExecutionResult(
                 status=ExecStatus.OK,
                 signature="abc123",
@@ -291,6 +293,47 @@ class TestRunRecordSerialization:
         path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="bad.jsonl:1: bad run record"):
             read_records(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("question_id", 5), ("db_id", None), ("question", ["q"]), ("gold_sql", 1),
+        ("gold_ok", "yes"), ("gold_ok", 1), ("ex", 2), ("ex", True), ("ex", "1"),
+        ("candidate_ex", [1, "1", 1, 1, 1]), ("candidate_ex", [1, 1, 1, 1, 0.0]),
+        ("candidate_ex", "11111"), ("wall_ms", "0.0"), ("wall_ms", False), ("error", 0),
+    ])
+    def test_a_scalar_of_the_wrong_type_names_its_line(self, tmp_path, key, value):
+        lines = (GOLDEN_DIR / "toy_run_records.jsonl").read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[1])
+        doc[key] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([lines[0], json.dumps(doc)]) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"bad.jsonl:2: bad run record: {key} must be"):
+            read_records(path)
+
+    def test_golden_records_load_and_write_back_byte_identical(self, tmp_path):
+        golden = GOLDEN_DIR / "toy_run_records.jsonl"
+        records = read_records(golden)
+        assert {r.error for r in records} == {None}
+        write_records(records, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == golden.read_bytes()
+
+    def test_sql_that_is_not_its_reply_s_block_is_kept(self, tmp_path):
+        # a failed candidate's empty sql, and sql that a reply's block does not give
+        lines = (GOLDEN_DIR / "toy_run_records.jsonl").read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[0])
+        doc["candidates"][0]["sql"] = "SELECT 4"
+        doc["candidates"][1]["sql"] = ""
+        doc["candidates"][2]["raw_response"] = "no block here"
+        path = tmp_path / "edited.jsonl"
+        path.write_text(json.dumps(doc, ensure_ascii=False) + "\n", encoding="utf-8")
+        candidates = read_records(path)[0].candidates
+        assert [c.sql for c in candidates[:4]] == [
+            "SELECT 4", "", "SELECT COUNT(*) FROM users", "SELECT COUNT(*) FROM users"
+        ]
+        assert [c._sql for c in candidates[:4]] == [
+            "SELECT 4", "", "SELECT COUNT(*) FROM users", None
+        ]
+        write_records(read_records(path), tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
 class TestAggregateRecords:
@@ -841,9 +884,14 @@ def _is_open(conn: sqlite3.Connection) -> bool:
 
 
 class TestConnectionLifecycle:
-    """A question runs its SQL on one connection, closed when it returns or raises."""
+    """A runner lends each question one connection per database and closes them all.
 
-    def test_each_question_opens_one_connection_and_closes_it(
+    A question takes an idle connection, or opens one, at its first
+    execution and hands it back when its executions end; one that raises
+    closes it.  The runner's close(), or its collection, closes the rest.
+    """
+
+    def test_a_two_worker_run_opens_at_most_two_and_closes_them(
         self, toy_dataset, connections
     ):
         items = load_dataset(toy_dataset)
@@ -852,24 +900,59 @@ class TestConnectionLifecycle:
             workers=2, record_timing=False,
         )
         assert [r.ex for r in records] == [q["ex"] for q in TOY_BENCH]
-        # every question executes, so one connection each is at most one each
-        assert sorted(path for path, _ in connections) == sorted(i.db_path for i in items)
+        assert 1 <= len(connections) <= 2
+        assert {path for path, _ in connections} == {items[0].db_path}
         assert not any(_is_open(conn) for _, conn in connections)
+
+    def test_questions_in_turn_share_one_connection_until_close(
+        self, toy_dataset, connections
+    ):
+        items = load_dataset(toy_dataset)[:3]
+        runner = PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript()))
+        # each question on a thread of its own, and close() on this one
+        with ThreadPoolExecutor(1) as pool:
+            ex = [pool.submit(runner.run_item, item).result().ex for item in items]
+        with ThreadPoolExecutor(1) as pool:
+            ex.append(pool.submit(runner.run_item, items[0]).result().ex)
+        assert ex == [q["ex"] for q in TOY_BENCH[:3]] + [TOY_BENCH[0]["ex"]]
+        assert len(connections) == 1
+        assert _is_open(connections[0][1])
+        runner.close()
+        assert not _is_open(connections[0][1])
+
+    def test_a_runner_that_is_never_closed_closes_them_when_collected(
+        self, toy_dataset, connections
+    ):
+        runner = PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript()))
+        runner.run_item(load_dataset(toy_dataset)[0])
+        assert _is_open(connections[0][1])
+        del runner
+        gc.collect()
+        assert not _is_open(connections[0][1])
 
     def test_run_item_closes_its_connection_when_it_raises(
         self, toy_dataset, connections, monkeypatch
     ):
+        scoring = harness.matches
+
         def broken(result, gold):  # raises while the connection is open
-            assert _is_open(connections[0][1])
+            assert _is_open(connections[-1][1])
             raise RuntimeError("scoring broke")
 
-        monkeypatch.setattr(harness, "matches", broken)
-        item = load_dataset(toy_dataset)[1]
+        items = load_dataset(toy_dataset)
         with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+            runner.run_item(items[0])
+            monkeypatch.setattr(harness, "matches", broken)
             with pytest.raises(RuntimeError, match="scoring broke"):
-                runner.run_item(item)
-        assert len(connections) == 1
-        assert not _is_open(connections[0][1])
+                runner.run_item(items[1])
+            # the failed question closed the connection it took, not returned it
+            assert len(connections) == 1
+            assert not _is_open(connections[0][1])
+            monkeypatch.setattr(harness, "matches", scoring)
+            assert runner.run_item(items[1]).ex == TOY_BENCH[1]["ex"]
+            assert len(connections) == 2
+            assert _is_open(connections[1][1])
+        assert not _is_open(connections[1][1])
 
     def test_a_question_that_executes_nothing_opens_nothing(
         self, toy_db, connections, monkeypatch
@@ -885,18 +968,17 @@ class TestConnectionLifecycle:
         assert record.selection.confidence is Confidence.LOW
         assert connections == []
 
-    def test_sweep_closes_each_question_s_connection(
-        self, toy_dataset, connections, monkeypatch
-    ):
+    def test_sweep_closes_every_connection(self, toy_dataset, connections, monkeypatch):
         items = load_dataset(toy_dataset, limit=3)
         results = sweep(
             PipelineConfig.default(), items, ScriptedBackend(_sweep_script()),
             formats=[RepresentationFormat.DDL], levels=[FilterLevel.NO_FILTERING], n=1,
         )
         assert [r.ex for r in results] == [1.0]
-        assert sorted(path for path, _ in connections) == sorted(i.db_path for i in items)
+        assert 1 <= len(connections) <= PipelineConfig.default().workers
         assert not any(_is_open(conn) for _, conn in connections)
-        # the reference has run when the candidate stage raises
+        # the reference has run when the candidate stage raises, and each
+        # failed question closes its connection rather than handing it back
         connections.clear()
 
         def broken(*args):
@@ -910,6 +992,12 @@ class TestConnectionLifecycle:
             )
         assert len(connections) == len(items)
         assert not any(_is_open(conn) for _, conn in connections)
+
+    def test_build_fewshot_store_opens_none(self, toy_dataset, connections):
+        with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+            store = build_fewshot_store(runner, load_dataset(toy_dataset))
+        assert len(store) == len(TOY_BENCH)
+        assert connections == []
 
     def test_execution_accuracy_closes_its_connection(self, toy_db, connections):
         assert execution_accuracy("SELECT 4", "SELECT COUNT(*) FROM users", toy_db) == 1
@@ -932,9 +1020,11 @@ class TestConnectionLifecycle:
             "OperationalError: unable to open database file" if content is None
             else "DatabaseError: file is not a database"
         )
-        with harness.QuestionExecutor(path) as execute:
-            results = [execute(sql) for sql in texts]
-        assert [recorded(r) for r in results] == [recorded(r) for r in fresh]
+        with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+            for _ in range(2):
+                with runner.executor(str(path)) as execute:
+                    results = [execute(sql) for sql in texts]
+                assert [recorded(r) for r in results] == [recorded(r) for r in fresh]
         assert not any(_is_open(conn) for _, conn in connections)
         with pytest.raises(GoldExecutionError, match=re.escape(fresh[0].error_text)):
             execution_accuracy("SELECT 1", texts[0], path)

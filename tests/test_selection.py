@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -12,9 +13,11 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ensql import catalog, selection
+from ensql import catalog, harness, selection
+from ensql.config import PipelineConfig
 from ensql.gateway import CostLedger, LlmGateway
 from ensql.generation import SqlCandidate
+from ensql.harness import BenchmarkItem, PipelineRunner
 from ensql.selection import (
     Confidence,
     Decision,
@@ -569,6 +572,18 @@ _LONG_COUNT = (
 )
 
 
+# a statement that might leave a reused connection changed, with its budget
+_FIRST_STATEMENTS = [
+    pytest.param("DELETE FROM notes", 30.0, id="refused"),
+    pytest.param("SELECT * FROM ghost", 30.0, id="failed"),
+    pytest.param("SELECT body FROM notes WHERE id = 2", 30.0, id="invalid_utf8"),
+    pytest.param(
+        "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r) "
+        "SELECT COUNT(*) FROM r", 0.2, id="timed_out",
+    ),
+]
+
+
 class TestReusedConnection:
     """A statement on a reused connection gives what a fresh connection gives."""
 
@@ -587,15 +602,21 @@ class TestReusedConnection:
         assert list(tmp_path.iterdir()) == []
         assert hashlib.sha256(Path(toy_db).read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("first, timeout_s", [
-        pytest.param("DELETE FROM notes", 30.0, id="refused"),
-        pytest.param("SELECT * FROM ghost", 30.0, id="failed"),
-        pytest.param("SELECT body FROM notes WHERE id = 2", 30.0, id="invalid_utf8"),
-        pytest.param(
-            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r) "
-            "SELECT COUNT(*) FROM r", 0.2, id="timed_out",
-        ),
-    ])
+    def test_a_connection_is_set_up_before_its_first_statement(self, toy_db, monkeypatch):
+        options = {}
+        connect = selection.connect_read_only
+        monkeypatch.setattr(selection, "connect_read_only", lambda path, **kwargs: (
+            options.update(kwargs) or connect(path, **kwargs)
+        ))
+        with closing(open_read_only(toy_db)) as conn:
+            # no prepared statement outlives its execution, and any thread may close it
+            assert options == {"cached_statements": 0, "check_same_thread": False}
+            refused = execute_candidate("PRAGMA cache_size", conn)
+            assert refused.error_text == "DatabaseError: not authorized"
+            conn.set_authorizer(None)
+            assert conn.execute("PRAGMA cache_size").fetchone() == (-selection._PAGE_CACHE_KIB,)
+
+    @pytest.mark.parametrize("first, timeout_s", _FIRST_STATEMENTS)
     def test_the_next_statement_is_unaffected(self, notes_db, first, timeout_s):
         with closing(open_read_only(notes_db)) as conn:
             before = execute_candidate(first, conn, timeout_s=timeout_s)
@@ -607,6 +628,35 @@ class TestReusedConnection:
                 after = execute_candidate(good, conn)
                 assert after.ok, (good, after)
                 assert recorded(after) == recorded(execute_candidate(good, notes_db))
+
+    @pytest.mark.parametrize("first, timeout_s", _FIRST_STATEMENTS)
+    def test_the_next_question_on_a_runner_is_unaffected(
+        self, notes_db, monkeypatch, first, timeout_s
+    ):
+        # two run_item calls on one runner: the second reuses the first's connection
+        goods = (_LONG_COUNT, "SELECT id, body FROM notes WHERE id != 2")
+        slates = iter([(first,) * 5, goods + goods[:1] * 3])
+        monkeypatch.setattr(harness, "generate_candidates", lambda specs, *rest: [
+            SqlCandidate(spec_index=index, sql=sql) for index, sql in enumerate(next(slates))
+        ])
+        opened = []
+        monkeypatch.setattr(
+            harness, "open_read_only", lambda path: opened.append(path) or open_read_only(path)
+        )
+        config = dataclasses.replace(PipelineConfig.default(), execution_timeout_s=timeout_s)
+        with PipelineRunner(config, ScriptedBackend(lambda request: "A")) as runner:
+            before, after = (
+                runner.run_item(BenchmarkItem(qid, "notes", "q", "", db_path=notes_db))
+                for qid in "12"
+            )
+        assert opened == [notes_db]
+        assert recorded(before.candidates[0].execution) == recorded(
+            execute_candidate(first, notes_db, timeout_s=timeout_s)
+        )
+        assert [recorded(c.execution) for c in after.candidates[:2]] == [
+            recorded(execute_candidate(good, notes_db)) for good in goods
+        ]
+        assert all(c.execution.ok for c in after.candidates)
 
 
 def _candidate(i, sql="SELECT 1", signature="sig", status=ExecStatus.OK,
