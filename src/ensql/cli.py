@@ -98,7 +98,10 @@ def _resolve_backend(args: argparse.Namespace) -> ChatBackend:
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    """The --config file (else the default), with the command's overriding flags."""
+    """The --config file (else the default), with the command's overriding flags.
+
+    An override is checked as the config key it replaces is.
+    """
     if getattr(args, "config", None):
         config = PipelineConfig.load(args.config)
     else:
@@ -107,10 +110,13 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         "fewshot_store_path": getattr(args, "fewshot_store", None),
         "descriptions_path": getattr(args, "descriptions", None),
         "sample_k": getattr(args, "sample_k", None),
+        "workers": getattr(args, "workers", None),
     }
-    return dataclasses.replace(
+    config = dataclasses.replace(
         config, **{key: value for key, value in overrides.items() if value is not None}
     )
+    config.validate()
+    return config
 
 
 class _RunProgress:
@@ -161,7 +167,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             items,
             backend,
             out_path=args.out,
-            workers=args.workers,
             record_timing=not args.replay,
             price_table=price_table,
             progress=_RunProgress(len(items), price_table),
@@ -240,7 +245,7 @@ def cmd_link_eval(args: argparse.Namespace) -> int:
         except LinkingResolutionError as exc:
             gateway.warn("cannot resolve reference SQL (%s); skipped", exc)
             return SKIPPED
-        request = linker_request(fmt, model, catalog, item, config.max_tokens)
+        request = linker_request(fmt, model, catalog, item)
         # a failed linker run scores as an empty prediction
         return link(f"{fmt.value}:{model}", request, gateway) or LinkingPrediction({}), gold
 
@@ -264,9 +269,9 @@ def cmd_link_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_build_fewshot_store(args: argparse.Namespace) -> int:
-    items = load_dataset(args.dataset, args.split, args.db_root, args.limit)
     # the store being built is this command's output, never its input
     config = dataclasses.replace(_load_config(args), fewshot_store_path=None)
+    items = load_dataset(args.dataset, args.split, args.db_root, args.limit)
     failed: list[Failed] = []
     with PipelineRunner(config, ChatBackend()) as runner:
         store = build_fewshot_store(runner, items, RepresentationFormat.parse(args.format),

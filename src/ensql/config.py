@@ -8,12 +8,16 @@ slots (unfiltered and fully filtered), two compact-tagged slots sharing a
 single linker prediction at the table-only and full levels, and one fully
 filtered DDL slot, with one generator model across all slots.  Configs load
 from JSON and validation happens at startup so a bad slate fails before any
-model call.
+model call.  A JSON value is the field's value, except for the keys whose
+spelling differs (_PARSERS), and validate() checks every field's type and
+range, however the config was made.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 from .catalog import FilterLevel
 from .files import read_json
@@ -43,8 +47,6 @@ class PipelineConfig:
     sample_k: int = 3
     category_threshold: int = 20
     execution_timeout_s: float = 30.0
-    result_precision: int = 6
-    max_tokens: int = 2048
     workers: int = 4
     max_in_flight: int = 8
     confidence_rules: dict[int, frozenset[tuple[int, ...]]] = field(default_factory=dict)
@@ -54,69 +56,30 @@ class PipelineConfig:
 
     @classmethod
     def default(cls) -> "PipelineConfig":
-        config = cls(
-            specs=[
-                CandidateSpec(RepresentationFormat.COMMENTED_TUPLES, FilterLevel.NO_FILTERING),
-                CandidateSpec(
-                    RepresentationFormat.COMMENTED_TUPLES,
-                    FilterLevel.FULL_FILTERING,
-                    DEFAULT_LINKER_PRIMARY,
-                ),
-                CandidateSpec(
-                    RepresentationFormat.COMPACT_TAGGED,
-                    FilterLevel.TABLE_ONLY,
-                    DEFAULT_LINKER_PRIMARY,
-                ),
-                CandidateSpec(
-                    RepresentationFormat.COMPACT_TAGGED,
-                    FilterLevel.FULL_FILTERING,
-                    DEFAULT_LINKER_PRIMARY,
-                ),
-                CandidateSpec(
-                    RepresentationFormat.DDL,
-                    FilterLevel.FULL_FILTERING,
-                    DEFAULT_LINKER_SECONDARY,
-                ),
-            ]
-        )
-        config.validate()
-        return config
+        fmt, level = RepresentationFormat, FilterLevel
+        return cls(specs=[
+            CandidateSpec(fmt.COMMENTED_TUPLES, level.NO_FILTERING),
+            CandidateSpec(fmt.COMMENTED_TUPLES, level.FULL_FILTERING, DEFAULT_LINKER_PRIMARY),
+            CandidateSpec(fmt.COMPACT_TAGGED, level.TABLE_ONLY, DEFAULT_LINKER_PRIMARY),
+            CandidateSpec(fmt.COMPACT_TAGGED, level.FULL_FILTERING, DEFAULT_LINKER_PRIMARY),
+            CandidateSpec(fmt.DDL, level.FULL_FILTERING, DEFAULT_LINKER_SECONDARY),
+        ])
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        """The default config with doc's keys set, checked by validate()."""
         if not isinstance(doc, dict):
             raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-        config = cls.default()
-        known = set(config.__dict__)
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        try:
-            if "specs" in doc:
-                config.specs = [_parse_spec_entry(entry) for entry in doc["specs"]]
-            for key in (
-                "generator_model",
-                "judge_model",
-                "price_table_path",
-                "fewshot_store_path",
-                "descriptions_path",
-            ):
-                if key in doc:
-                    setattr(config, key, doc[key])
-            if "judge_schema_format" in doc:
-                config.judge_schema_format = RepresentationFormat.parse(
-                    doc["judge_schema_format"]
-                )
-            for key in ("fewshot_k", "sample_k", "category_threshold", "max_tokens",
-                        "workers", "max_in_flight", "result_precision"):
-                if key in doc:
-                    setattr(config, key, int(doc[key]))
-            if "execution_timeout_s" in doc:
-                config.execution_timeout_s = float(doc["execution_timeout_s"])
-            if "confidence_rules" in doc:
-                config.confidence_rules = _parse_confidence_rules(doc["confidence_rules"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+        values = {}
+        for key, value in doc.items():
+            try:
+                values[key] = _PARSERS[key](value) if key in _PARSERS else value
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad config value for {key}: {exc}") from exc
+        config = replace(cls.default(), **values)
         config.validate()
         return config
 
@@ -125,29 +88,30 @@ class PipelineConfig:
         return read_json(path, cls.from_dict, ConfigError, "config")
 
     def validate(self) -> None:
-        """Fail fast on an unusable configuration."""
+        """Fail fast on an unusable configuration: every field's type and range.
+
+        from_dict, a config built by hand and a command's overrides of a
+        loaded one all pass through here.
+        """
+        for key, (valid, what) in _FIELD_RULES.items():
+            value = getattr(self, key)
+            if not valid(value):
+                raise ConfigError(f"bad config value for {key}: {value!r} is not {what}")
         if not self.specs:
             raise ConfigError("config needs at least one candidate spec")
         for position, entry in enumerate(self.specs):
+            if not isinstance(entry, CandidateSpec):
+                raise ConfigError(f"spec {position}: {entry!r} is not a CandidateSpec")
             filtered = entry.filter_level is not FilterLevel.NO_FILTERING
-            if filtered and not entry.linker_model:
+            if filtered and not _is_name(entry.linker_model):
                 raise ConfigError(
-                    f"spec {position}: {entry.filter_level.value} requires a linker model"
+                    f"spec {position}: {entry.filter_level.value} requires a linker model "
+                    f"(a non-empty string), not {entry.linker_model!r}"
                 )
-            if not filtered and entry.linker_model:
+            if not filtered and entry.linker_model is not None:
                 raise ConfigError(
                     f"spec {position}: no-filtering spec must not set a linker model"
                 )
-        if not self.generator_model:
-            raise ConfigError("generator_model must be set")
-        if not self.judge_model:
-            raise ConfigError("judge_model must be set")
-        if self.fewshot_k < 0:
-            raise ConfigError("fewshot_k must be non-negative")
-        if self.workers < 1 or self.max_in_flight < 1:
-            raise ConfigError("workers and max_in_flight must be positive")
-        if self.execution_timeout_s <= 0:
-            raise ConfigError("execution_timeout_s must be positive")
         n = len(self.specs)
         if n not in DEFAULT_ESCALATION_RULES and n not in self.confidence_rules:
             raise ConfigError(
@@ -162,6 +126,44 @@ class PipelineConfig:
         )
 
 
+def is_json_int(value: object) -> bool:
+    """An integer as JSON spells one: an int, and not a bool, which Python counts as one."""
+    return type(value) is int
+
+
+def _is_name(value: object) -> bool:
+    return isinstance(value, str) and bool(value)
+
+
+def _count(low: int) -> tuple[Callable[[object], bool], str]:
+    return (lambda value: is_json_int(value) and value >= low), f"an integer of at least {low}"
+
+
+_NAME = (_is_name, "a non-empty string")
+_PATH = (lambda value: value is None or isinstance(value, str), "a string or null")
+
+# every field but specs and confidence_rules: what validate() requires of it
+_FIELD_RULES: dict[str, tuple[Callable[[object], bool], str]] = {
+    "generator_model": _NAME,
+    "judge_model": _NAME,
+    "judge_schema_format": (
+        lambda value: isinstance(value, RepresentationFormat), "a representation format"
+    ),
+    "fewshot_k": _count(0),
+    "sample_k": _count(0),
+    "category_threshold": _count(0),
+    "execution_timeout_s": (
+        lambda value: type(value) in (int, float) and math.isfinite(value) and value > 0,
+        "a finite number above 0",
+    ),
+    "workers": _count(1),
+    "max_in_flight": _count(1),
+    "price_table_path": _PATH,
+    "fewshot_store_path": _PATH,
+    "descriptions_path": _PATH,
+}
+
+
 def _parse_spec_entry(entry: dict) -> CandidateSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"spec entry must be an object, got {type(entry).__name__}")
@@ -173,8 +175,6 @@ def _parse_spec_entry(entry: dict) -> CandidateSpec:
         level = FilterLevel.parse(entry["filter_level"])
     except KeyError as exc:
         raise ConfigError(f"spec entry missing {exc.args[0]}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return CandidateSpec(fmt, level, entry.get("linker_model"))
 
 
@@ -189,7 +189,9 @@ def _parse_confidence_rules(doc: dict) -> dict[int, frozenset[tuple[int, ...]]]:
             raise ConfigError(f"confidence_rules key {key!r} is not an integer") from exc
         table = set()
         for dist in distributions:
-            normalized = tuple(sorted((int(d) for d in dist), reverse=True))
+            if not all(map(is_json_int, dist)):
+                raise ConfigError(f"confidence_rules[{n}]: {dist!r} holds a non-integer size")
+            normalized = tuple(sorted(dist, reverse=True))
             if any(d < 1 for d in normalized):
                 raise ConfigError(f"confidence_rules[{n}]: {dist} has a group under 1 vote")
             if sum(normalized) != n:
@@ -199,3 +201,12 @@ def _parse_confidence_rules(doc: dict) -> dict[int, frozenset[tuple[int, ...]]]:
             table.add(normalized)
         rules[n] = frozenset(table)
     return rules
+
+
+# the keys whose JSON spelling is not the field's value; every other key's
+# JSON value is the field's value as it stands
+_PARSERS: dict[str, Callable[[object], object]] = {
+    "specs": lambda entries: [_parse_spec_entry(entry) for entry in entries],
+    "judge_schema_format": RepresentationFormat.parse,
+    "confidence_rules": _parse_confidence_rules,
+}

@@ -18,7 +18,9 @@ format: render memoises it on the catalog.  Output is canonicalized: every
 line right-stripped and the document ends with exactly one newline.
 Identifier text is emitted verbatim in the prompt-oriented formats; the two
 formats that embed names inside string literals (inline_tables, sqlalchemy)
-escape single quotes with a backslash, and json_raw relies on JSON escaping.
+escape a single quote SQL-style, by doubling it (''); commented_tuples'
+category value lists escape one with a backslash (\\'); json_raw relies
+on JSON escaping.
 """
 from __future__ import annotations
 

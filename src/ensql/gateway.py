@@ -38,9 +38,11 @@ STAGE_SELECTION = "selection"
 LLM_STAGES = (STAGE_LINKING, STAGE_GENERATION, STAGE_SELECTION)
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
-# how often HttpChatBackend retries a transient failure, and its first backoff
+# how often HttpChatBackend retries a transient failure, its first backoff,
+# and the seconds one attempt may take
 MAX_RETRIES = 3
 BACKOFF_S = 1.0
+TIMEOUT_S = 120.0
 ENV_API_KEY = "OPENAI_API_KEY"
 ENV_BASE_URL = "OPENAI_BASE_URL"
 
@@ -153,13 +155,11 @@ class HttpChatBackend(ChatBackend):
         base_url: str | None = None,
         api_key: str | None = None,
         *,
-        timeout_s: float = 120.0,
         session: object | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.base_url = (base_url or os.environ.get(ENV_BASE_URL) or DEFAULT_BASE_URL).rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY, "")
-        self.timeout_s = timeout_s
         import requests
 
         self._session = session or requests.Session()
@@ -179,9 +179,7 @@ class HttpChatBackend(ChatBackend):
                 self._sleep(backoff if retry_after is None else retry_after)
             retry_after = None
             try:
-                resp = self._session.post(
-                    url, json=payload, headers=headers, timeout=self.timeout_s
-                )
+                resp = self._session.post(url, json=payload, headers=headers, timeout=TIMEOUT_S)
             except self._transport_errors as exc:
                 last_error = f"transport failure: {exc}"
                 log.warning("POST %s failed (attempt %d): %s", url, attempt + 1, exc)

@@ -274,7 +274,6 @@ def slot_request(
     prediction: LinkingPrediction | None,
     catalog: SchemaCatalog,
     fewshots: Sequence[FewShotExample] = (),
-    max_tokens: int = 2048,
 ) -> ChatRequest:
     """The generation request, for model, of the slot spec.
 
@@ -286,7 +285,7 @@ def slot_request(
         filtered = apply_filter(catalog, prediction, spec.filter_level)
     schema_text = render(filtered, spec.format)
     messages = build_generation_prompt(schema_text, question, hint, fewshots)
-    return ChatRequest(model=model, messages=tuple(messages), max_tokens=max_tokens)
+    return ChatRequest(model=model, messages=tuple(messages))
 
 
 def generate_slot(index: int, request: ChatRequest, gateway: LlmGateway) -> SqlCandidate:

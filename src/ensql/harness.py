@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .catalog import FilterLevel, SchemaCatalog, introspect
-from .config import ConfigError, PipelineConfig
+from .config import ConfigError, PipelineConfig, is_json_int
 from .files import read_json, read_jsonl
 from .formats import RepresentationFormat, render
 from .gateway import (
@@ -230,31 +230,23 @@ class QuestionExecutor:
 
     Calling it with a SQL text runs execute_candidate at most once per text;
     every slot, and the reference query, with the same text get the one
-    frozen result.  Results of different texts whose recorded fields
-    (status, signature, row_count, error_text and preview; not elapsed_ms)
-    are equal are one object too, so a record holds each distinct result
-    once.  The connection is taken from connections at the first execution
-    and handed back by close(), which the question calls when its
-    executions end; a question that raises closes it instead.  A database
-    that cannot be opened is handed to each execution as its path, which
-    comes back as the open's Error result.  It belongs to one question on
-    one thread, and no two questions share one.
+    frozen result.  Equal results of different texts (equality covers the
+    fields a record keeps, not elapsed_ms) are one object too, so a record
+    holds each distinct result once.  The connection is taken from
+    connections at the first execution and handed back by close(), which
+    the question calls when its executions end; a question that raises
+    closes it instead.  A database that cannot be opened is handed to each
+    execution as its path, which comes back as the open's Error result.  It
+    belongs to one question on one thread, and no two questions share one.
     """
 
-    def __init__(
-        self,
-        db_path: str | Path,
-        connections: ConnectionPool,
-        timeout_s: float = 30.0,
-        precision: int = 6,
-    ):
+    def __init__(self, db_path: str | Path, connections: ConnectionPool, timeout_s: float = 30.0):
         self.db_path = db_path
         self.timeout_s = timeout_s
-        self.precision = precision
         self.connections = connections
         self._conn: sqlite3.Connection | None = None
         self._by_sql: dict[str, ExecutionResult] = {}
-        self._by_fields: dict[tuple, ExecutionResult] = {}
+        self._by_fields: dict[ExecutionResult, ExecutionResult] = {}
 
     def __enter__(self) -> "QuestionExecutor":
         return self
@@ -275,10 +267,8 @@ class QuestionExecutor:
     def __call__(self, sql: str) -> ExecutionResult:
         result = self._by_sql.get(sql)
         if result is None:
-            result = execute_candidate(sql, self._db(), self.timeout_s, self.precision)
-            fields = (result.status, result.signature, result.row_count,
-                      result.error_text, result.preview)
-            result = self._by_sql[sql] = self._by_fields.setdefault(fields, result)
+            result = execute_candidate(sql, self._db(), self.timeout_s)
+            result = self._by_sql[sql] = self._by_fields.setdefault(result, result)
         return result
 
     def _db(self) -> sqlite3.Connection | str | Path:
@@ -305,7 +295,6 @@ def execution_accuracy(
     gold_sql: str,
     db_path: str | Path,
     timeout_s: float = 30.0,
-    precision: int = 6,
 ) -> int:
     """1 when the prediction's result multiset matches the reference's.
 
@@ -315,7 +304,7 @@ def execution_accuracy(
     reference's is not executed again.  Its one connection is closed on return.
     """
     with closing(ConnectionPool()) as connections, QuestionExecutor(
-        db_path, connections, timeout_s, precision
+        db_path, connections, timeout_s
     ) as execute:
         gold = scorable_reference(execute(gold_sql))
         return int(matches(execute(pred_sql), gold))
@@ -380,8 +369,10 @@ class RunRecord:
             ),
             ex=_typed(doc, "ex", _is_bit, "0 or 1"),
             usage=[
-                UsageRow(u["model"], u["stage"], int(u["calls"]), int(u["input_tokens"]),
-                         int(u["output_tokens"]))
+                UsageRow(u["model"], u["stage"], *(
+                    _typed(u, key, is_json_int, "an integer")
+                    for key in ("calls", "input_tokens", "output_tokens")
+                ))
                 for u in doc["usage"]
             ],
             wall_ms=float(_typed(
@@ -413,7 +404,7 @@ def _is_str(value: object) -> bool:
 
 
 def _is_bit(value: object) -> bool:
-    return type(value) is int and value in (0, 1)
+    return is_json_int(value) and value in (0, 1)
 
 
 def _typed(doc: dict, key: str, valid: Callable[[object], bool], what: str, *default):
@@ -451,11 +442,11 @@ def _candidate_from_dict(doc: dict) -> SqlCandidate:
             preview=raw.get("preview"),
         )
     return SqlCandidate(
-        spec_index=int(doc["spec_index"]),
+        spec_index=_typed(doc, "spec_index", is_json_int, "an integer"),
         sql=doc["sql"],
         raw_response=doc.get("raw_response", ""),
-        input_tokens=int(doc.get("input_tokens", 0)),
-        output_tokens=int(doc.get("output_tokens", 0)),
+        input_tokens=_typed(doc, "input_tokens", is_json_int, "an integer", 0),
+        output_tokens=_typed(doc, "output_tokens", is_json_int, "an integer", 0),
         execution=execution,
     )
 
@@ -607,11 +598,8 @@ class PipelineRunner:
         return catalog
 
     def executor(self, db_path: str) -> QuestionExecutor:
-        """A question's executor under the config's timeout and result precision."""
-        return QuestionExecutor(
-            db_path, self.connections, self.config.execution_timeout_s,
-            self.config.result_precision,
-        )
+        """A question's executor under the config's execution timeout."""
+        return QuestionExecutor(db_path, self.connections, self.config.execution_timeout_s)
 
     def candidates(
         self,
@@ -627,7 +615,7 @@ class PipelineRunner:
         config = self.config
         candidates = generate_candidates(
             specs, config.generator_model, self.catalog_for(item.db_id, item.db_path),
-            item, gateway, self.fewshot_store, config.fewshot_k, config.max_tokens,
+            item, gateway, self.fewshot_store, config.fewshot_k,
         )
         for candidate in candidates:
             if candidate.execution is None:
@@ -686,11 +674,10 @@ def linker_request(
     model: str,
     catalog: SchemaCatalog,
     item: BenchmarkItem,
-    max_tokens: int,
 ) -> ChatRequest:
     """The request of one linker run: the schema rendered in fmt, for model."""
     messages = build_linking_prompt(render(catalog, fmt), item.question, item.hint)
-    return ChatRequest(model=model, messages=tuple(messages), max_tokens=max_tokens)
+    return ChatRequest(model=model, messages=tuple(messages))
 
 
 def link(run_id: str, request: ChatRequest, gateway: LlmGateway) -> LinkingPrediction | None:
@@ -717,7 +704,6 @@ def generate_candidates(
     gateway: LlmGateway,
     fewshot_store: FewShotStore | None = None,
     fewshot_k: int = 0,
-    max_tokens: int = 2048,
 ) -> list[SqlCandidate]:
     """One candidate per spec, in order, each started once its inputs exist.
 
@@ -735,7 +721,7 @@ def generate_candidates(
     inputs: dict[Future, str] = {  # linker run id
         gateway.submit(
             link, run_id,
-            linker_request(spec.format, spec.linker_model, catalog, item, max_tokens),
+            linker_request(spec.format, spec.linker_model, catalog, item),
             gateway,
         ): run_id
         for run_id, spec in linker_runs.items()
@@ -759,8 +745,7 @@ def generate_candidates(
                     index, spec.linker_run,
                 )
             request = slot_request(
-                spec, model, item.question, item.hint, prediction, catalog, fewshots,
-                max_tokens,
+                spec, model, item.question, item.hint, prediction, catalog, fewshots
             )
             slots[index] = gateway.submit(generate_slot, index, request, gateway)
 
@@ -962,7 +947,7 @@ def run_benchmark(
     ) as out_fh:
         run_questions(
             items, runner.run_item,
-            max(1, workers if workers is not None else config.workers), progress=settle,
+            workers if workers is not None else config.workers, progress=settle,
         )
     return records, aggregate_records(records, price_table)
 

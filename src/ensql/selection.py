@@ -41,7 +41,7 @@ import sqlite3
 import time
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -66,14 +66,17 @@ class ExecStatus(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class ExecutionResult:
-    """Outcome of running one query: a digest for Ok, an error class otherwise."""
+    """Outcome of running one query: a digest for Ok, an error class otherwise.
+
+    Equality and hash cover the fields a record keeps, so not elapsed_ms.
+    """
 
     status: ExecStatus
     signature: str | None = None
     row_count: int | None = None
     error_text: str | None = None
     preview: str | None = None
-    elapsed_ms: float | None = None
+    elapsed_ms: float | None = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -89,7 +92,11 @@ class ExecutionResult:
         return f"error:{error_class}"
 
 
-def _canonical_cell(value: object, precision: int) -> str:
+# decimal places a numeric cell is rounded to before results are compared
+_DECIMALS = 6
+
+
+def _canonical_cell(value: object) -> str:
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -99,10 +106,10 @@ def _canonical_cell(value: object, precision: int) -> str:
     if isinstance(value, float):
         if not math.isfinite(value):
             return f"num:{value!r}"
-        rounded = round(value, precision)
+        rounded = round(value, _DECIMALS)
         if rounded == int(rounded):
             return f"int:{int(rounded)}"
-        return f"num:{rounded:.{precision}f}"
+        return f"num:{rounded:.{_DECIMALS}f}"
     if isinstance(value, bytes):
         return "bytes:" + value.hex()
     return "text:" + str(value)
@@ -123,14 +130,13 @@ class _Canonicalizer:
     canonicalize equally, so a repeated row or cell is encoded once.
     """
 
-    def __init__(self, precision: int):
-        self.precision = precision
+    def __init__(self):
         self.rows: list[str] = []
         self._row_texts: dict[tuple, str] = {}
         self._cell_texts: dict[object, str] = {}
 
     def _cell(self, value: object) -> str:
-        text = encode_basestring_ascii(_canonical_cell(value, self.precision))
+        text = encode_basestring_ascii(_canonical_cell(value))
         if len(self._cell_texts) < _CELL_MEMO_LIMIT:
             self._cell_texts[value] = text
         return text
@@ -163,18 +169,18 @@ class _Canonicalizer:
         return hashlib.sha256("\n".join(rows).encode("utf-8")).hexdigest()
 
 
-def normalize_result(rows: Sequence[Sequence[object]], precision: int = 6) -> str:
+def normalize_result(rows: Sequence[Sequence[object]]) -> str:
     """Canonical digest of a result multiset.
 
     Row order is ignored (rows are sorted after canonicalization) but column
     order within a row is preserved and duplicate rows keep their
     multiplicity.  Numeric cells unify ints with whole floats and round the
-    rest to `precision` decimals; text is compared byte-for-byte; NULL never
+    rest to six decimals; text is compared byte-for-byte; NULL never
     equals empty string.  Cells are SQLite values (None, int, float, str,
     bytes; a bool counts as an int).  execute_candidate computes the same
     digest while it streams a result.
     """
-    canonicalizer = _Canonicalizer(precision)
+    canonicalizer = _Canonicalizer()
     canonicalizer.feed(map(tuple, rows))
     return canonicalizer.digest()
 
@@ -243,14 +249,9 @@ _FETCH_BATCH = 512
 _PREVIEW_ROWS = 5
 
 
-def _stream(
-    conn: sqlite3.Connection,
-    sql: str,
-    precision: int,
-    deadline: float,
-) -> tuple[str, int, str] | None:
+def _stream(conn: sqlite3.Connection, sql: str, deadline: float) -> tuple[str, int, str] | None:
     """(signature, row count, preview) of sql's rows, None past the deadline."""
-    canonicalizer = _Canonicalizer(precision)
+    canonicalizer = _Canonicalizer()
     head: list[tuple] = []
     with closing(conn.execute(sql)) as cursor:
         # no columns: empty text, only a comment, or a statement such as REINDEX
@@ -274,7 +275,6 @@ def execute_candidate(
     sql: str,
     db: str | Path | sqlite3.Connection,
     timeout_s: float = 30.0,
-    precision: int = 6,
 ) -> ExecutionResult:
     """Run one query read-only and classify the outcome.
 
@@ -318,9 +318,7 @@ def execute_candidate(
     try:
         conn = open_read_only(db) if owned else db
         conn.set_progress_handler(_watchdog, 5000)
-        streamed = _read_decoded(
-            conn, lambda: _stream(conn, sql, precision, deadline)
-        )
+        streamed = _read_decoded(conn, lambda: _stream(conn, sql, deadline))
         if streamed is not None:  # None: the deadline passed between batches
             signature, row_count, preview = streamed
             return _result(

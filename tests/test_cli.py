@@ -307,6 +307,43 @@ class TestMalformedInputFiles:
         assert "Traceback" not in err
 
 
+class TestConfigValuesAreChecked:
+    """A bad config value is refused before any input is opened, with no traceback."""
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"execution_timeout_s": NaN}', "execution_timeout_s"),
+        ('{"fewshot_store_path": 3}', "fewshot_store_path"),
+        ('{"descriptions_path": 7}', "descriptions_path"),
+        ('{"workers": true}', "workers"),
+        ('{"sample_k": 2.7}', "sample_k"),
+        ('{"generator_model": 5}', "generator_model"),
+        ('{"result_precision": 6}', "result_precision"),
+        ('{"max_tokens": 2048}', "max_tokens"),
+    ])
+    def test_in_a_config_file(self, tmp_path, capsys, text, key):
+        # neither the database nor the replay fixture exists: the config loads first
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        assert main(["ask", "--db", str(tmp_path / "none.sqlite"), "--question", "q",
+                     "--replay", str(tmp_path / "none.jsonl"), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"error: {config}: bad config")
+        assert key in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, key", [
+        ("build-fewshot-store --dataset {dataset} --out {out} --sample-k -1", "sample_k"),
+        ("run --dataset {dataset} --replay {fixture} --out {out} --workers 0", "workers"),
+    ])
+    def test_in_a_flag(self, cli_env, tmp_path, capsys, command, key):
+        out = tmp_path / "out.jsonl"
+        assert main(command.format(out=out, **cli_env).split()) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"error: bad config value for {key}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestBuildFewshotStore:
     def test_offline_store(self, cli_env, tmp_path, capsys):
         out = tmp_path / "store.jsonl"

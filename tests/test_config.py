@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from collections import Counter
@@ -151,6 +152,7 @@ class TestFromDict:
         block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
         config = PipelineConfig.from_dict(json.loads(block))
         assert config.specs == PipelineConfig.default().specs
+        assert set(json.loads(block)) == {f.name for f in dataclasses.fields(PipelineConfig)}
 
 
 class TestValidate:
@@ -251,3 +253,57 @@ class TestLoad:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="not valid JSON"):
             PipelineConfig.load(path)
+
+
+# (key, its JSON text) pairs that a config must refuse, naming the key
+_BAD_VALUES = [
+    ("execution_timeout_s", "NaN"), ("execution_timeout_s", "Infinity"),
+    ("execution_timeout_s", "-Infinity"), ("execution_timeout_s", "0"),
+    ("execution_timeout_s", "-1.5"), ("execution_timeout_s", "true"),
+    ("execution_timeout_s", '"30"'),
+    ("fewshot_store_path", "3"), ("descriptions_path", "7"), ("price_table_path", "[]"),
+    ("workers", "true"), ("sample_k", "2.7"), ("fewshot_k", '"3"'),
+    ("max_in_flight", "1.0"), ("category_threshold", "null"),
+    ("sample_k", "-1"), ("fewshot_k", "-1"), ("category_threshold", "-1"),
+    ("workers", "0"), ("max_in_flight", "0"),
+    ("generator_model", "5"), ("judge_model", "null"), ("generator_model", '""'),
+    ("judge_schema_format", "5"),
+]
+
+
+class TestEveryValueIsChecked:
+    """A bad value is refused, naming its key, however the config was made."""
+
+    @pytest.mark.parametrize("key, text", _BAD_VALUES)
+    def test_load_refuses_it(self, tmp_path, key, text):
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"{key}": {text}}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"config.json: bad config: bad config value for {key}"):
+            PipelineConfig.load(path)
+
+    @pytest.mark.parametrize("key, text", [
+        (key, text) for key, text in _BAD_VALUES if key != "judge_schema_format"
+    ])
+    def test_validate_refuses_it_in_a_hand_built_config(self, key, text):
+        config = dataclasses.replace(PipelineConfig.default(), **{key: json.loads(text)})
+        with pytest.raises(ConfigError, match=f"bad config value for {key}"):
+            config.validate()
+
+    @pytest.mark.parametrize("key", ["result_precision", "max_tokens"])
+    def test_removed_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+            PipelineConfig.from_dict({key: 6})
+
+    @pytest.mark.parametrize("linker", [5, "", ["gpt-4o"]])
+    def test_a_filtering_spec_needs_a_linker_model_that_is_a_non_empty_string(self, linker):
+        spec = {"format": "ddl", "filter_level": "full_filtering", "linker_model": linker}
+        with pytest.raises(ConfigError, match="spec 0: full_filtering requires a linker model"):
+            PipelineConfig.from_dict({"specs": [spec], "confidence_rules": {"1": [[1]]}})
+
+    @pytest.mark.parametrize("dist", [[2.5, 2.5], [True, 4], ["3", 2], "5"])
+    def test_rule_sizes_are_integers(self, dist):
+        with pytest.raises(ConfigError, match="confidence_rules"):
+            PipelineConfig.from_dict({"confidence_rules": {"5": [dist]}})
+
+    def test_a_whole_number_timeout_is_kept(self):
+        assert PipelineConfig.from_dict({"execution_timeout_s": 2}).execution_timeout_s == 2

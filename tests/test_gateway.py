@@ -23,6 +23,7 @@ from ensql.gateway import (
     STAGE_GENERATION,
     STAGE_LINKING,
     STAGE_SELECTION,
+    TIMEOUT_S,
     TokenUsage,
     TransportError,
     request_digest,
@@ -113,6 +114,21 @@ class TestHttpChatBackend:
         assert call["url"] == "https://fake.test/v1/chat/completions"
         assert call["payload"]["temperature"] == 0.0
         assert call["headers"]["Authorization"] == "Bearer sk-test"
+
+    def test_payload_carries_the_request_max_tokens_under_the_fixed_timeout(self):
+        timeouts = []
+
+        class TimedSession(FakeSession):
+            def post(self, url, json=None, headers=None, timeout=None):
+                timeouts.append(timeout)
+                return super().post(url, json, headers, timeout)
+
+        session = TimedSession([FakeResponse(200, ok_doc()), FakeResponse(200, ok_doc())])
+        backend = HttpChatBackend(api_key="", session=session, sleep=lambda s: None)
+        backend.complete(ChatRequest(model="m", messages=MESSAGES))
+        backend.complete(REQUEST)
+        assert [call["payload"]["max_tokens"] for call in session.calls] == [2048, 64]
+        assert timeouts == [TIMEOUT_S, TIMEOUT_S] == [120.0, 120.0]
 
     def test_rate_limit_retries_with_exponential_backoff(self):
         backend, session, sleeps = make_backend(

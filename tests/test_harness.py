@@ -6,6 +6,7 @@ import re
 import sqlite3
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 
@@ -299,11 +300,16 @@ class TestRunRecordSerialization:
         ("gold_ok", "yes"), ("gold_ok", 1), ("ex", 2), ("ex", True), ("ex", "1"),
         ("candidate_ex", [1, "1", 1, 1, 1]), ("candidate_ex", [1, 1, 1, 1, 0.0]),
         ("candidate_ex", "11111"), ("wall_ms", "0.0"), ("wall_ms", False), ("error", 0),
+        # a count in the first usage row or the first candidate
+        ("usage.calls", 2.9), ("usage.input_tokens", "3"), ("usage.output_tokens", True),
+        ("candidates.spec_index", 2.9), ("candidates.input_tokens", "3"),
+        ("candidates.output_tokens", True),
     ])
     def test_a_scalar_of_the_wrong_type_names_its_line(self, tmp_path, key, value):
         lines = (GOLDEN_DIR / "toy_run_records.jsonl").read_text(encoding="utf-8").splitlines()
         doc = json.loads(lines[1])
-        doc[key] = value
+        *within, key = key.split(".")
+        (doc[within[0]][0] if within else doc)[key] = value
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join([lines[0], json.dumps(doc)]) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=f"bad.jsonl:2: bad run record: {key} must be"):
@@ -1090,6 +1096,16 @@ class TestRecordShape:
 
 
 class TestRunBenchmark:
+    def test_requests_ask_for_2048_tokens_and_the_judge_for_8(self, toy_dataset):
+        backend = ScriptedBackend(ToyScript())
+        records, _ = run_benchmark(PipelineConfig.default(), load_dataset(toy_dataset),
+                                   backend, workers=1, record_timing=False)
+        judged = sum(r.selection.pairwise_calls for r in records)
+        assert judged > 0
+        assert sorted(Counter(r.max_tokens for r in backend.requests).items()) == [
+            (8, judged), (2048, len(backend.requests) - judged)
+        ]
+
     def test_parallel_run_streams_in_dataset_order(self, toy_dataset, tmp_path):
         items = load_dataset(toy_dataset)
         items.append(

@@ -121,10 +121,7 @@ class TestNormalizeResultOracle:
             tuple(rng.choice(_ORACLE_CELLS) for _ in range(width))
             for _ in range(rng.randint(0, 60))
         ]
-        for precision in (6, 2, 0):
-            assert normalize_result(rows, precision) == _reference_normalize_result(
-                rows, precision
-            )
+        assert normalize_result(rows) == _reference_normalize_result(rows, 6)
 
     @pytest.mark.parametrize("rows", [
         [],
@@ -169,7 +166,7 @@ class TestCanonicalizationProperties:
     def test_digest_ignores_row_order_and_batching(self, rows, data):
         shuffled = data.draw(st.permutations(rows))
         cuts = data.draw(st.lists(st.integers(0, len(rows)), max_size=5))
-        canonicalizer = selection._Canonicalizer(6)
+        canonicalizer = selection._Canonicalizer()
         for batch in _cut(shuffled, cuts):
             canonicalizer.feed(batch)
         assert canonicalizer.digest() == normalize_result(rows)
@@ -269,6 +266,12 @@ class TestExecuteCandidate:
         err = execute_candidate("SELECT * FROM ghost", toy_db)
         assert ok.group_key().startswith("ok:")
         assert err.group_key() == "error:OperationalError"
+
+    def test_equality_and_hash_leave_out_elapsed_ms(self, toy_db):
+        first = execute_candidate("SELECT 1", toy_db)
+        again = dataclasses.replace(first, elapsed_ms=first.elapsed_ms + 1000.0)
+        assert again == first and hash(again) == hash(first)
+        assert dataclasses.replace(first, preview="other") != first
 
 
     def test_attach_is_refused_and_creates_no_file(self, toy_db, tmp_path):
@@ -426,11 +429,11 @@ def _slow_cells(monkeypatch, seconds):
     """Make every cell canonicalization busy-wait for the given time."""
     original = selection._canonical_cell
 
-    def slow(value, precision):
+    def slow(value):
         until = time.perf_counter() + seconds
         while time.perf_counter() < until:
             pass
-        return original(value, precision)
+        return original(value)
 
     monkeypatch.setattr(selection, "_canonical_cell", slow)
 
