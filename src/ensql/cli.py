@@ -208,7 +208,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    catalog = introspect(args.db, sample_k=args.sample_k)
+    catalog = introspect(args.db, sample_k=_load_config(args).sample_k)
     if args.format == "all":
         for fmt, text in render_all(catalog).items():
             sys.stdout.write(f"=== {fmt.value} ===\n{text}\n")

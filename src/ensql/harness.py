@@ -14,6 +14,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import random
 import sqlite3
 import statistics
@@ -186,13 +187,19 @@ def matches(result: ExecutionResult, gold: ExecutionResult) -> bool:
 class ConnectionPool:
     """Idle read-only connections to candidate databases, by database path.
 
-    A question takes a connection at its first execution (take), an idle
-    one when there is one and otherwise a new one from open_read_only, and
-    hands it back when its executions end (put).  Only the question holding
-    a connection uses it, so a path never has more connections than
-    questions that ran on it at once.  close() closes every idle connection
-    and makes put close the ones still held; a pool that is never closed
-    closes them when its owner is collected (see PipelineRunner).
+    A statement takes a connection when it starts (take), an idle one when
+    there is one and otherwise a new one from open_read_only, and hands it
+    back when it ends (put); a statement whose execution raises closes its
+    connection instead.  Only the statement holding a connection uses it,
+    so a path never has more connections than statements that ran on it at
+    once.  A question's batch runs its texts one after another on its own
+    thread, so it holds one connection, and one more for each helper that
+    joins the batch; a helper joins when a statement's first step has run
+    for one interpreter switch interval, and only first steps overlap,
+    since the rest of each statement holds the question's lock (see
+    QuestionExecutor).  close() closes every idle connection and makes put
+    close the ones still held; a pool that is never closed closes them
+    when its owner is collected (see PipelineRunner).
     """
 
     def __init__(self):
@@ -225,59 +232,163 @@ class ConnectionPool:
                 conn.close()
 
 
-class QuestionExecutor:
-    """One question's executions, on one read-only connection to its database.
+def _spare_cpus() -> int:
+    """The CPUs this process may run on, less the one a question's thread uses."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    return cpus - 1
 
-    Calling it with a SQL text runs execute_candidate at most once per text;
-    every slot, and the reference query, with the same text get the one
-    frozen result.  Equal results of different texts (equality covers the
-    fields a record keeps, not elapsed_ms) are one object too, so a record
-    holds each distinct result once.  The connection is taken from
-    connections at the first execution and handed back by close(), which
-    the question calls when its executions end; a question that raises
-    closes it instead.  A database that cannot be opened is handed to each
+
+# the helpers every batch in the process shares, one thread per spare CPU.
+# One pool per process, not per runner: each new thread keeps a malloc arena
+# of its own (about 1 MB after its first sort).  It is made when a first step
+# first runs long, so a run of quick statements, or one on a single CPU,
+# never starts it.
+_helpers: ThreadPoolExecutor | None = None
+_helpers_lock = threading.Lock()
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            _helpers = ThreadPoolExecutor(_spare_cpus(), thread_name_prefix="ensql-sql")
+        return _helpers
+
+
+class _Batch:
+    """A question's distinct SQL texts, worked through by its thread and helpers.
+
+    Each worker claims the next unclaimed text, runs it and claims again
+    until none is left.  The question's thread is the first worker; a helper
+    joins (join) when a statement's first step has run for one interpreter
+    switch interval, while the batch has a text left and a spare CPU it has
+    not yet used.  run returns once every claimed text has its result, and
+    raises the first error a worker met; workers claim nothing after one.
+    """
+
+    def __init__(self, execute: "QuestionExecutor", texts: list[str]):
+        self.execute = execute
+        self.texts = texts
+        self.claimed = 0
+        self.running = 0
+        self.helpers = _spare_cpus()  # helpers that may still join
+        self.error: BaseException | None = None
+        self.changed = threading.Condition()
+
+    def run(self) -> None:
+        self.work()
+        with self.changed:
+            self.changed.wait_for(lambda: self.running == 0)
+        if self.error is not None:
+            raise self.error
+
+    def work(self) -> None:
+        while True:
+            with self.changed:
+                if self.error is not None or self.claimed == len(self.texts):
+                    return
+                sql = self.texts[self.claimed]
+                self.claimed += 1
+                self.running += 1
+            result = error = None
+            try:
+                result = self.execute._statement(sql, self.join)
+            except BaseException as exc:  # handed to the question's thread by run
+                error = exc
+            with self.changed:
+                self.running -= 1
+                if error is None:
+                    self.execute._keep(sql, result)
+                elif self.error is None:
+                    self.error = error
+                self.changed.notify_all()
+            if error is not None:
+                return
+
+    def join(self) -> None:
+        """Start a helper on the batch when a text and a spare CPU are left.
+
+        A statement's progress handler calls it, so it never raises: a pool
+        that is shut down leaves the batch to the workers it has.
+        """
+        with self.changed:
+            if self.helpers == 0 or self.claimed == len(self.texts):
+                return
+            self.helpers -= 1
+        try:
+            _helper_pool().submit(self.work)  # work hands its errors to run
+        except RuntimeError:
+            pass
+
+
+class QuestionExecutor:
+    """One question's executions: a memo of results by SQL text.
+
+    run executes a question's distinct texts as one batch (see _Batch); a
+    call with one text runs it as a batch of one and returns its result.  A
+    text runs at most once per question, and every slot, and the reference
+    query, with the same text get the one frozen result.  Equal results of
+    different texts (equality covers the fields a record keeps, not
+    elapsed_ms) are one object too, so a record holds each distinct result
+    once.
+
+    Each statement takes a connection from connections for as long as it
+    runs (see ConnectionPool).  The question's thread works through a batch
+    itself; a helper from the process-wide pool of (CPUs available - 1)
+    threads joins only when a statement's first step (SQLite's prepare and
+    first sqlite3_step, where an aggregate or a sort does its work with the
+    GIL released) has run for sys.getswitchinterval().  Only first steps
+    overlap: the rest of every statement (fetching, canonicalization and
+    the preview) holds the question's lock, and the wait for that lock does
+    not count against timeout_s.  With one CPU, or when every first step is
+    quick, no helper starts and a batch runs its texts in order on the
+    question's thread.  A database that cannot be opened is handed to each
     execution as its path, which comes back as the open's Error result.  It
-    belongs to one question on one thread, and no two questions share one.
+    belongs to one question, and no two questions share one.
     """
 
     def __init__(self, db_path: str | Path, connections: ConnectionPool, timeout_s: float = 30.0):
         self.db_path = db_path
         self.timeout_s = timeout_s
         self.connections = connections
-        self._conn: sqlite3.Connection | None = None
+        self._turn = threading.Lock()
         self._by_sql: dict[str, ExecutionResult] = {}
         self._by_fields: dict[ExecutionResult, ExecutionResult] = {}
 
-    def __enter__(self) -> "QuestionExecutor":
-        return self
-
-    def __exit__(self, exc_type, *exc_info) -> None:
-        self.close(failed=exc_type is not None)
-
-    def close(self, failed: bool = False) -> None:
-        """Hand the connection back to the pool, or close it when the question failed."""
-        conn, self._conn = self._conn, None
-        if conn is None:
-            return
-        if failed:
-            conn.close()
-        else:
-            self.connections.put(self.db_path, conn)
-
     def __call__(self, sql: str) -> ExecutionResult:
-        result = self._by_sql.get(sql)
-        if result is None:
-            result = execute_candidate(sql, self._db(), self.timeout_s)
-            result = self._by_sql[sql] = self._by_fields.setdefault(result, result)
+        self.run((sql,))
+        return self._by_sql[sql]
+
+    def run(self, texts: Iterable[str]) -> None:
+        """Execute, as one batch, each of texts that has no result yet."""
+        todo = [sql for sql in dict.fromkeys(texts) if sql not in self._by_sql]
+        if todo:
+            _Batch(self, todo).run()
+
+    def _statement(self, sql: str, on_slow: Callable[[], None]) -> ExecutionResult:
+        """Run sql on a connection taken from the pool for this statement alone."""
+        try:
+            conn = self.connections.take(self.db_path)
+        except sqlite3.Error:
+            conn = None
+        try:
+            result = execute_candidate(
+                sql, self.db_path if conn is None else conn, self.timeout_s,
+                turn=self._turn, on_slow=on_slow,
+            )
+        except BaseException:
+            if conn is not None:
+                conn.close()
+            raise
+        if conn is not None:
+            self.connections.put(self.db_path, conn)
         return result
 
-    def _db(self) -> sqlite3.Connection | str | Path:
-        if self._conn is None:
-            try:
-                self._conn = self.connections.take(self.db_path)
-            except sqlite3.Error:
-                return self.db_path
-        return self._conn
+    def _keep(self, sql: str, result: ExecutionResult) -> None:
+        self._by_sql[sql] = self._by_fields.setdefault(result, result)
 
 
 def scorable_reference(gold: ExecutionResult) -> ExecutionResult:
@@ -301,11 +412,10 @@ def execution_accuracy(
     The reference query must succeed; a failing reference raises
     GoldExecutionError since such an item cannot be scored at all.  A
     failing prediction simply scores 0.  A prediction whose text is the
-    reference's is not executed again.  Its one connection is closed on return.
+    reference's is not executed again.  Its connections are closed on return.
     """
-    with closing(ConnectionPool()) as connections, QuestionExecutor(
-        db_path, connections, timeout_s
-    ) as execute:
+    with closing(ConnectionPool()) as connections:
+        execute = QuestionExecutor(db_path, connections, timeout_s)
         gold = scorable_reference(execute(gold_sql))
         return int(matches(execute(pred_sql), gold))
 
@@ -355,14 +465,15 @@ class RunRecord:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunRecord":
         """The record of a to_dict document; a field of the wrong type raises TypeError."""
+        candidates = [_candidate_from_dict(c) for c in doc["candidates"]]
         return cls(
             question_id=_typed(doc, "question_id", _is_str, "a string"),
             db_id=_typed(doc, "db_id", _is_str, "a string"),
             question=_typed(doc, "question", _is_str, "a string"),
             gold_sql=_typed(doc, "gold_sql", _is_str, "a string"),
             gold_ok=_typed(doc, "gold_ok", lambda v: isinstance(v, bool), "a bool"),
-            candidates=[_candidate_from_dict(c) for c in doc["candidates"]],
-            selection=_selection_from_dict(doc.get("selection")),
+            candidates=candidates,
+            selection=_selection_from_dict(doc.get("selection"), candidates),
             candidate_ex=_typed(
                 doc, "candidate_ex", lambda v: isinstance(v, list) and all(map(_is_bit, v)),
                 "a list of 0s and 1s",
@@ -454,16 +565,30 @@ def _candidate_from_dict(doc: dict) -> SqlCandidate:
 def _selection_to_dict(selection: SelectionOutcome | None) -> dict | None:
     if selection is None:
         return None
-    return {**asdict(selection), "distribution": list(selection.distribution),
-            "confidence": selection.confidence.value, "method": selection.method.value}
+    return {
+        "chosen_index": selection.chosen_index,
+        "chosen_sql": selection.chosen_sql,
+        "distribution": list(selection.distribution),
+        "confidence": selection.confidence.value,
+        "method": selection.method.value,
+        "pairwise_calls": selection.pairwise_calls,
+        "chosen_votes": selection.chosen_votes,
+    }
 
 
-def _selection_from_dict(doc: dict | None) -> SelectionOutcome | None:
+def _selection_from_dict(
+    doc: dict | None, candidates: Sequence[SqlCandidate]
+) -> SelectionOutcome | None:
+    """The outcome of a record; it reads chosen_sql from the chosen candidate
+    when that candidate gives the written text, and holds the text otherwise."""
     if doc is None:
         return None
+    index, chosen_sql = int(doc["chosen_index"]), doc["chosen_sql"]
+    if 0 <= index < len(candidates) and candidates[index].sql == chosen_sql:
+        chosen_sql = candidates[index]
     return SelectionOutcome(
-        chosen_index=int(doc["chosen_index"]),
-        chosen_sql=doc["chosen_sql"],
+        chosen_index=index,
+        chosen_sql=chosen_sql,
         distribution=tuple(int(d) for d in doc["distribution"]),
         confidence=Confidence(doc["confidence"]),
         method=SelectionMethod(doc["method"]),
@@ -517,18 +642,23 @@ class PipelineRunner:
     candidate stage over its own slate.  Slots that share a format and
     linker model share one linker call.  Both give each question one
     QuestionExecutor (executor): a memo in which a distinct SQL text runs
-    once per question, the reference included, on one read-only connection
-    to its database.  The runner owns those connections (connections): a
-    question takes an idle one, or opens one, at its first execution and
-    hands it back when its executions are done, so a database's schema is
-    parsed once per connection, and a database never has more connections
-    than questions that ran on it at once.  A question that raises closes
-    its connection instead.  A question's model calls follow its dependency
-    graph (see generate_candidates), and an escalated tournament submits
-    all its comparisons together.  It serves one question per call;
-    run_questions walks the dataset.  A few-shot store smaller than
-    config.fewshot_k is reported once, at load.  The pool threads exit, and
-    the connections close, when the runner is closed or garbage-collected.
+    once per question, the reference included.  run_item executes the
+    slate's texts and the reference as one batch on the question's thread;
+    a helper from a process-wide pool of (CPUs available - 1) threads
+    joins only when a statement's first step (SQLite's prepare and first
+    step) has run for sys.getswitchinterval(), and only first steps
+    overlap, since the rest of every statement holds the question's lock.
+    The runner owns the read-only connections (connections): each
+    statement takes an idle one, or opens one, and hands it back when it
+    ends, or closes it when its execution raises, so a database's schema
+    is parsed once per connection, and a database never has more
+    connections than statements that ran on it at once.  A question's
+    model calls follow its dependency graph (see generate_candidates), and
+    an escalated tournament submits all its comparisons together.  It
+    serves one question per call; run_questions walks the dataset.  A
+    few-shot store smaller than config.fewshot_k is reported once, at load.
+    The pool threads exit, and the connections close, when the runner is
+    closed or garbage-collected; the helper threads are the process's.
     """
 
     def __init__(
@@ -607,19 +737,24 @@ class PipelineRunner:
         gateway: LlmGateway,
         specs: Sequence[CandidateSpec],
         execute: QuestionExecutor,
+        reference: str = "",
     ) -> list[SqlCandidate]:
         """The candidate stage: link, generate and execute one slate.
 
-        execute is the question's executor, so each distinct SQL text runs once.
+        execute is the question's executor, so each distinct SQL text runs
+        once.  The slate's texts run as one batch, with reference, when
+        given, after them.
         """
         config = self.config
         candidates = generate_candidates(
             specs, config.generator_model, self.catalog_for(item.db_id, item.db_path),
             item, gateway, self.fewshot_store, config.fewshot_k,
         )
-        for candidate in candidates:
-            if candidate.execution is None:
-                candidate.execution = execute(candidate.sql)
+        pending = [candidate for candidate in candidates if candidate.execution is None]
+        texts = [candidate.sql for candidate in pending]
+        execute.run(texts + [reference] if reference else texts)
+        for candidate in pending:
+            candidate.execution = execute(candidate.sql)
         return candidates
 
     def run_item(self, item: BenchmarkItem) -> RunRecord:
@@ -627,20 +762,20 @@ class PipelineRunner:
         gateway = self.gateway(item.question_id)
         config = self.config
         gold_ok = False
-        with self.executor(item.db_path) as execute:
-            candidates = self.candidates(item, gateway, config.specs, execute)
-            candidate_ex = [0] * len(candidates)
-            if item.gold_sql:
-                try:
-                    gold = scorable_reference(execute(item.gold_sql))
-                except GoldExecutionError as exc:
-                    gateway.warn(
-                        "reference query failed (%s); excluded from accuracy",
-                        exc.gold.error_text,
-                    )
-                else:
-                    gold_ok = True
-                    candidate_ex = [int(matches(c.execution, gold)) for c in candidates]
+        execute = self.executor(item.db_path)
+        candidates = self.candidates(item, gateway, config.specs, execute, item.gold_sql)
+        candidate_ex = [0] * len(candidates)
+        if item.gold_sql:
+            try:
+                gold = scorable_reference(execute(item.gold_sql))
+            except GoldExecutionError as exc:
+                gateway.warn(
+                    "reference query failed (%s); excluded from accuracy",
+                    exc.gold.error_text,
+                )
+            else:
+                gold_ok = True
+                candidate_ex = [int(matches(c.execution, gold)) for c in candidates]
 
         judge = PairwiseJudge(gateway, config.judge_model)
         outcome = select(
@@ -1141,15 +1276,13 @@ def sweep(
         chosen_items = random.Random(seed).sample(chosen_items, keep)
 
     def score(item: BenchmarkItem) -> list[tuple[str, bool]] | str:
-        with runner.executor(item.db_path) as execute:
-            try:
-                gold = scorable_reference(execute(item.gold_sql))
-            except GoldExecutionError:
-                log.warning("sweep: skipping %s (reference failed)", item.question_id)
-                return SKIPPED
-            candidates = runner.candidates(
-                item, runner.gateway(item.question_id), specs, execute
-            )
+        execute = runner.executor(item.db_path)
+        try:
+            gold = scorable_reference(execute(item.gold_sql))
+        except GoldExecutionError:
+            log.warning("sweep: skipping %s (reference failed)", item.question_id)
+            return SKIPPED
+        candidates = runner.candidates(item, runner.gateway(item.question_id), specs, execute)
         return [(c.execution.group_key(), matches(c.execution, gold)) for c in candidates]
 
     with PipelineRunner(config, chat_backend) as runner:

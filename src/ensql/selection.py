@@ -15,15 +15,26 @@ Results are reduced to a canonical multiset digest so that queries
 
 land in the same vote group, while NULL and empty string stay distinct.
 Each row and each cell value is canonicalized once per result, however
-many times it repeats.  A question runs its SQL on one read-only
-connection to its database, set up by open_read_only: the harness's
-runner lends it an idle connection at the question's first execution, or
-opens one, and takes it back when the question's executions end, so
-SQLite parses the schema once per connection rather than once per
-execution or per question.  The connection keeps no prepared statements
-and a small page cache, since it outlives its question.  The harness runs
-each distinct SQL text once per question and hands the one frozen result
-to every slot, and to the reference query, that share the text.
+many times it repeats.  Each statement runs on a read-only connection set
+up by open_read_only: the harness's runner lends the statement an idle
+connection to its database, or opens one, and takes it back when the
+statement ends, so SQLite parses the schema once per connection rather
+than once per execution or per question, and a database has no more
+connections than statements that ran on it at once.  The connection keeps
+no prepared statements and a small page cache, since it outlives its
+statement.  The harness runs each distinct SQL text once per question and
+hands the one frozen result to every slot, and to the reference query,
+that share the text.
+
+A question's distinct texts run as one batch on the question's thread.  A
+statement's first step (SQLite's prepare and first sqlite3_step, where an
+aggregate or a sort does all its work with the GIL released) that runs for
+one interpreter switch interval calls a helper thread, from a process-wide
+pool of one per spare CPU, to take the batch's next text.  Only first
+steps overlap: the rest of each statement (fetching, canonicalization and
+the preview) holds the question's lock, and the wait for it does not count
+against the statement's budget.  With one CPU, or quick first steps, no
+helper starts and the batch runs its texts in order.
 
 Groups vote: a confident distribution accepts the top group's answer; an
 ambiguous one escalates the group representatives to a pairwise LLM
@@ -38,14 +49,16 @@ import logging
 import math
 import re
 import sqlite3
+import sys
+import threading
 import time
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .catalog import _read_decoded, connect_read_only
 from .gateway import ChatRequest, GatewayError, LlmGateway, STAGE_SELECTION
@@ -249,25 +262,87 @@ _FETCH_BATCH = 512
 _PREVIEW_ROWS = 5
 
 
-def _stream(conn: sqlite3.Connection, sql: str, deadline: float) -> tuple[str, int, str] | None:
+class _Clock:
+    """One statement's time: its deadline, its first-step hook and its turn.
+
+    The first step is SQLite's prepare plus its first sqlite3_step, where an
+    aggregate or a sort does all its work with the GIL released.  first_step
+    starts timing it just before the statement is prepared, so opening the
+    connection does not count toward on_slow's switch interval.
+    Entering the clock ends the first step and takes the turn, a lock held
+    for the rest of the statement; the wait for the turn moves the start and
+    the deadline back, so it counts neither against the budget nor in
+    elapsed_ms.  on_slow is called at most once.
+    """
+
+    __slots__ = ("started", "deadline", "timed_out", "_slow_at", "_on_slow", "_turn")
+
+    def __init__(self, timeout_s: float, turn: threading.Lock | None,
+                 on_slow: Callable[[], None] | None):
+        self.started = time.monotonic()
+        self.deadline = self.started + timeout_s
+        self.timed_out = False
+        self._turn = turn
+        self._on_slow = on_slow
+        self._slow_at = math.inf
+
+    def first_step(self) -> None:
+        if self._on_slow is not None:
+            self._slow_at = time.monotonic() + sys.getswitchinterval()
+
+    def watchdog(self) -> int:
+        """The progress handler: 1 interrupts the statement past its deadline."""
+        now = time.monotonic()
+        if now > self.deadline:
+            self.timed_out = True
+            return 1
+        if now > self._slow_at:  # still in a first step that has run a switch interval
+            on_slow, self._on_slow, self._slow_at = self._on_slow, None, math.inf
+            on_slow()
+        return 0
+
+    def passed(self) -> bool:
+        return time.monotonic() > self.deadline
+
+    def elapsed_ms(self) -> float:
+        return (time.monotonic() - self.started) * 1000.0
+
+    def __enter__(self) -> "_Clock":
+        self._on_slow, self._slow_at = None, math.inf
+        if self._turn is not None:
+            waiting = time.monotonic()
+            self._turn.acquire()
+            waited = time.monotonic() - waiting
+            self.started += waited
+            self.deadline += waited
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._turn is not None:
+            self._turn.release()
+
+
+def _stream(conn: sqlite3.Connection, sql: str, clock: _Clock) -> tuple[str, int, str] | None:
     """(signature, row count, preview) of sql's rows, None past the deadline."""
-    canonicalizer = _Canonicalizer()
-    head: list[tuple] = []
+    clock.first_step()
     with closing(conn.execute(sql)) as cursor:
         # no columns: empty text, only a comment, or a statement such as REINDEX
         if cursor.description is None:
             raise sqlite3.ProgrammingError("not a query: the statement returns no columns")
-        while batch := cursor.fetchmany(_FETCH_BATCH):
-            if len(head) < _PREVIEW_ROWS:
-                head += batch[:_PREVIEW_ROWS - len(head)]
-            canonicalizer.feed(batch)
-            if time.monotonic() > deadline:
+        with clock:
+            canonicalizer = _Canonicalizer()
+            head: list[tuple] = []
+            while batch := cursor.fetchmany(_FETCH_BATCH):
+                if len(head) < _PREVIEW_ROWS:
+                    head += batch[:_PREVIEW_ROWS - len(head)]
+                canonicalizer.feed(batch)
+                if clock.passed():
+                    return None
+            row_count = len(canonicalizer.rows)
+            signature = canonicalizer.digest()
+            preview = _preview(head, row_count)
+            if clock.passed():
                 return None
-    row_count = len(canonicalizer.rows)
-    signature = canonicalizer.digest()
-    preview = _preview(head, row_count)
-    if time.monotonic() > deadline:
-        return None
     return signature, row_count, preview
 
 
@@ -275,6 +350,9 @@ def execute_candidate(
     sql: str,
     db: str | Path | sqlite3.Connection,
     timeout_s: float = 30.0,
+    *,
+    turn: threading.Lock | None = None,
+    on_slow: Callable[[], None] | None = None,
 ) -> ExecutionResult:
     """Run one query read-only and classify the outcome.
 
@@ -292,40 +370,41 @@ def execute_candidate(
     elapsed_ms covers all of it.  Text is decoded as strict UTF-8; a result
     holding invalid UTF-8 is fetched again, under the same deadline, with
     invalid bytes replaced by U+FFFD.
+
+    A batch of statements (see harness.QuestionExecutor) passes two hooks.
+    The first step is SQLite's prepare plus its first sqlite3_step, which
+    runs with the GIL released.  on_slow is called once, from the progress
+    handler that also keeps the deadline, when the first step has run for
+    one interpreter switch interval (sys.getswitchinterval()); it must not
+    raise, or the statement is interrupted.  turn is a lock held for the
+    rest of the statement (fetching, canonicalization and the preview), so
+    statements that share it overlap only in their first steps; the time
+    spent waiting for it counts neither against timeout_s nor in elapsed_ms.
+
     Never raises for query-level problems: syntax errors, missing tables,
     unopenable databases and statements that return no columns (empty
     text, a lone comment) come back as Error results, and queries that
     exceed timeout_s are interrupted and come back as Timeout results with
     the budget recorded.
     """
-    started = time.monotonic()
-    deadline = started + timeout_s
-    timed_out = False
-
-    def _watchdog() -> int:
-        nonlocal timed_out
-        if time.monotonic() > deadline:
-            timed_out = True
-            return 1
-        return 0
+    clock = _Clock(timeout_s, turn, on_slow)
 
     def _result(status: ExecStatus, **fields) -> ExecutionResult:
-        elapsed_ms = (time.monotonic() - started) * 1000.0
-        return ExecutionResult(status=status, elapsed_ms=elapsed_ms, **fields)
+        return ExecutionResult(status=status, elapsed_ms=clock.elapsed_ms(), **fields)
 
     owned = not isinstance(db, sqlite3.Connection)
     conn = None
     try:
         conn = open_read_only(db) if owned else db
-        conn.set_progress_handler(_watchdog, 5000)
-        streamed = _read_decoded(conn, lambda: _stream(conn, sql, deadline))
+        conn.set_progress_handler(clock.watchdog, 5000)
+        streamed = _read_decoded(conn, lambda: _stream(conn, sql, clock))
         if streamed is not None:  # None: the deadline passed between batches
             signature, row_count, preview = streamed
             return _result(
                 ExecStatus.OK, signature=signature, row_count=row_count, preview=preview
             )
     except (sqlite3.Error, sqlite3.Warning) as exc:
-        if not timed_out:
+        if not clock.timed_out:
             return _result(ExecStatus.ERROR, error_text=f"{type(exc).__name__}: {exc}")
     finally:
         if owned and conn is not None:
@@ -546,17 +625,72 @@ class Confidence(str, Enum):
     LOW = "low"
 
 
-@dataclass(frozen=True, slots=True)
 class SelectionOutcome:
-    """The selected candidate plus how and how confidently it was chosen."""
+    """The selected candidate plus how and how confidently it was chosen.
+
+    chosen_sql is read from the chosen candidate on each access rather than
+    held, since a long run keeps every record; an outcome made from a text
+    (one built by hand, or read from a record whose candidates do not give
+    it) holds that text.  Outcomes are frozen, and compare and hash by
+    chosen_sql's value.
+    """
+
+    __slots__ = ("chosen_index", "_chosen", "distribution", "confidence", "method",
+                 "pairwise_calls", "chosen_votes")
+    _NAMES = ("chosen_index", "chosen_sql", "distribution", "confidence", "method",
+              "pairwise_calls", "chosen_votes")
 
     chosen_index: int
-    chosen_sql: str
     distribution: tuple[int, ...]
     confidence: Confidence
     method: SelectionMethod
     pairwise_calls: int
     chosen_votes: int
+
+    def __init__(
+        self,
+        chosen_index: int,
+        chosen_sql: "SqlCandidate | str",
+        distribution: tuple[int, ...],
+        confidence: Confidence,
+        method: SelectionMethod,
+        pairwise_calls: int,
+        chosen_votes: int,
+    ):
+        """chosen_sql is the chosen text, or the chosen candidate to read it from."""
+        values = (chosen_index, chosen_sql, distribution, confidence, method,
+                  pairwise_calls, chosen_votes)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:  # copy and pickle through __init__
+        return SelectionOutcome, tuple(getattr(self, name) for name in self.__slots__)
+
+    @property
+    def chosen_sql(self) -> str:
+        chosen = self._chosen
+        return chosen if isinstance(chosen, str) else chosen.sql
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._NAMES)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SelectionOutcome):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{n}={v!r}" for n, v in zip(self._NAMES, self._fields()))
+        return f"SelectionOutcome({pairs})"
 
 
 def select(
@@ -591,7 +725,7 @@ def select(
         group_size = next(g.count for g in groups if position in g.members)
         return SelectionOutcome(
             chosen_index=position,
-            chosen_sql=candidates[position].sql,
+            chosen_sql=candidates[position],
             distribution=distribution,
             confidence=confidence,
             method=method,

@@ -180,6 +180,13 @@ class TestRender:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_negative_sample_k_is_refused(self, cli_env, capsys):
+        rc = main(["render", "--db", cli_env["db"], "--sample-k", "-1"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: bad config value for sample_k: -1 is not an integer of at least 0\n"
+
 
 class TestLinkEval:
     def test_scores_replayed_linker(self, cli_env, capsys):

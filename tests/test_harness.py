@@ -2,8 +2,10 @@ import dataclasses
 import gc
 import itertools
 import json
+import os
 import re
 import sqlite3
+import sys
 import threading
 import time
 from collections import Counter
@@ -860,8 +862,8 @@ class TestExecutionMemo:
         ])
         item = BenchmarkItem("t", "toy_shop", "q", "SELECT 1", db_path=toy_db)
         with PipelineRunner(config, ScriptedBackend(ToyScript())) as runner:
-            with runner.executor(item.db_path) as execute:
-                candidates = runner.candidates(item, runner.gateway(), config.specs, execute)
+            execute = runner.executor(item.db_path)
+            candidates = runner.candidates(item, runner.gateway(), config.specs, execute)
         assert [sql for sql, _, _ in executions] == [slow]
         assert {c.execution.group_key() for c in candidates} == {"timeout"}
 
@@ -890,11 +892,11 @@ def _is_open(conn: sqlite3.Connection) -> bool:
 
 
 class TestConnectionLifecycle:
-    """A runner lends each question one connection per database and closes them all.
+    """A runner lends each statement a connection to its database and closes them all.
 
-    A question takes an idle connection, or opens one, at its first
-    execution and hands it back when its executions end; one that raises
-    closes it.  The runner's close(), or its collection, closes the rest.
+    A statement takes an idle connection, or opens one, and hands it back
+    when it ends; one whose execution raises closes it.  The runner's
+    close(), or its collection, closes the rest.
     """
 
     def test_a_two_worker_run_opens_at_most_two_and_closes_them(
@@ -939,22 +941,25 @@ class TestConnectionLifecycle:
     def test_run_item_closes_its_connection_when_it_raises(
         self, toy_dataset, connections, monkeypatch
     ):
-        scoring = harness.matches
+        execute = harness.execute_candidate
+        used = []
 
-        def broken(result, gold):  # raises while the connection is open
-            assert _is_open(connections[-1][1])
-            raise RuntimeError("scoring broke")
+        def broken(sql, db, *args, **kwargs):  # raises while its connection is open
+            used.append(db)
+            assert _is_open(db)
+            raise RuntimeError("execution broke")
 
         items = load_dataset(toy_dataset)
         with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
             runner.run_item(items[0])
-            monkeypatch.setattr(harness, "matches", broken)
-            with pytest.raises(RuntimeError, match="scoring broke"):
+            monkeypatch.setattr(harness, "execute_candidate", broken)
+            with pytest.raises(RuntimeError, match="execution broke"):
                 runner.run_item(items[1])
-            # the failed question closed the connection it took, not returned it
+            # the statement that raised closed the connection it took, not returned it
             assert len(connections) == 1
+            assert used == [connections[0][1]]
             assert not _is_open(connections[0][1])
-            monkeypatch.setattr(harness, "matches", scoring)
+            monkeypatch.setattr(harness, "execute_candidate", execute)
             assert runner.run_item(items[1]).ex == TOY_BENCH[1]["ex"]
             assert len(connections) == 2
             assert _is_open(connections[1][1])
@@ -983,8 +988,8 @@ class TestConnectionLifecycle:
         assert [r.ex for r in results] == [1.0]
         assert 1 <= len(connections) <= PipelineConfig.default().workers
         assert not any(_is_open(conn) for _, conn in connections)
-        # the reference has run when the candidate stage raises, and each
-        # failed question closes its connection rather than handing it back
+        # the reference has run when the candidate stage raises: its statement
+        # handed its connection back, and the runner closes it
         connections.clear()
 
         def broken(*args):
@@ -996,7 +1001,8 @@ class TestConnectionLifecycle:
                 PipelineConfig.default(), items, ScriptedBackend(_sweep_script()),
                 formats=[RepresentationFormat.DDL], levels=[FilterLevel.NO_FILTERING], n=1,
             )
-        assert len(connections) == len(items)
+        # each item ran one statement, and at most one per worker ran at once
+        assert 1 <= len(connections) <= min(len(items), PipelineConfig.default().workers)
         assert not any(_is_open(conn) for _, conn in connections)
 
     def test_build_fewshot_store_opens_none(self, toy_dataset, connections):
@@ -1028,12 +1034,172 @@ class TestConnectionLifecycle:
         )
         with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
             for _ in range(2):
-                with runner.executor(str(path)) as execute:
-                    results = [execute(sql) for sql in texts]
+                execute = runner.executor(str(path))
+                results = [execute(sql) for sql in texts]
                 assert [recorded(r) for r in results] == [recorded(r) for r in fresh]
         assert not any(_is_open(conn) for _, conn in connections)
         with pytest.raises(GoldExecutionError, match=re.escape(fresh[0].error_text)):
             execution_accuracy("SELECT 1", texts[0], path)
+
+
+def _grouped_count(rows: int, modulus: int) -> str:
+    """An aggregate that does all its work in its first step: about 50 ms at 50,000 rows."""
+    return (
+        f"WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r WHERE n < {rows}) "
+        f"SELECT n % {modulus}, COUNT(*) FROM r GROUP BY n % {modulus}"
+    )
+
+
+@pytest.fixture()
+def intervals(monkeypatch):
+    """Every call into ensql.harness.execute_candidate: (sql, thread, start, end, result)."""
+    calls = []
+    original = harness.execute_candidate
+
+    def timed(sql, db, *args, **kwargs):
+        start = time.monotonic()
+        result = original(sql, db, *args, **kwargs)
+        calls.append((sql, threading.get_ident(), start, time.monotonic(), result))
+        return result
+
+    monkeypatch.setattr(harness, "execute_candidate", timed)
+    return calls
+
+
+class _Submissions:
+    """A stand-in helper pool that counts the tasks handed to it and runs none."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def submit(self, fn, *args):
+        self.tasks.append(fn)
+
+
+class TestBatch:
+    """A question's distinct texts run as one batch; only slow first steps get a helper."""
+
+    SLOW = (_grouped_count(50_000, 7), _grouped_count(50_000, 11))
+
+    def _run_slate(self, toy_db, monkeypatch, slate):
+        monkeypatch.setattr(harness, "generate_candidates", lambda specs, *rest: [
+            SqlCandidate(spec_index=index, sql=sql) for index, sql in enumerate(slate)
+        ])
+        item = BenchmarkItem("t", "toy_shop", "q", "", db_path=toy_db)
+        with PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript())) as runner:
+            return runner.run_item(item)
+
+    @pytest.mark.skipif(harness._spare_cpus() < 1, reason="needs at least two CPUs")
+    def test_two_slow_aggregates_overlap(self, toy_db, monkeypatch, intervals):
+        a, b = self.SLOW
+        record = self._run_slate(toy_db, monkeypatch, [a, b, a, b, a])
+        assert sorted(sql for sql, *_ in intervals) == sorted(self.SLOW)
+        (_, first_thread, first_start, first_end, _), (_, second_thread, second_start,
+                                                        second_end, _) = intervals
+        assert first_thread != second_thread
+        assert max(first_start, second_start) < min(first_end, second_end)
+        fresh = {sql: recorded(harness.execute_candidate(sql, toy_db)) for sql in self.SLOW}
+        assert [recorded(c.execution) for c in record.candidates] == [
+            fresh[sql] for sql in (a, b, a, b, a)
+        ]
+
+    def test_the_toy_dataset_submits_no_helper(self, toy_dataset, monkeypatch):
+        pool = _Submissions()
+        monkeypatch.setattr(harness, "_helper_pool", lambda: pool)
+        records, _ = run_benchmark(
+            PipelineConfig.default(), load_dataset(toy_dataset),
+            ScriptedBackend(ToyScript()), record_timing=False,
+        )
+        assert [r.ex for r in records] == [q["ex"] for q in TOY_BENCH]
+        assert pool.tasks == []
+
+    def test_one_cpu_creates_no_helper_pool(self, toy_db, monkeypatch, intervals):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness, "_helpers", None)
+        a, b = self.SLOW
+        record = self._run_slate(toy_db, monkeypatch, [a, b, a, b, a])
+        assert harness._helpers is None
+        # the texts ran in order, one after the other, on the question's thread
+        assert [sql for sql, *_ in intervals] == [a, b]
+        assert len({thread for _, thread, *_ in intervals}) == 1
+        assert intervals[0][3] <= intervals[1][2]
+        assert all(c.execution.ok for c in record.candidates)
+
+    def test_a_shut_down_helper_pool_leaves_the_statement_running(
+        self, toy_db, monkeypatch, intervals
+    ):
+        pool = ThreadPoolExecutor(1)
+        pool.shutdown()
+        asked = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(harness, "_helper_pool", lambda: asked.append(pool) or pool)
+        a, b = self.SLOW
+        record = self._run_slate(toy_db, monkeypatch, [a, b, a, b, a])
+        assert asked  # a first step ran long enough to call for a helper
+        assert len({thread for _, thread, *_ in intervals}) == 1
+        fresh = {sql: recorded(harness.execute_candidate(sql, toy_db)) for sql in self.SLOW}
+        assert [recorded(c.execution) for c in record.candidates] == [
+            fresh[sql] for sql in (a, b, a, b, a)
+        ]
+        assert all(c.execution.ok for c in record.candidates)
+
+    def test_concurrent_batches_with_many_helpers_run_each_text_once(
+        self, toy_db, monkeypatch, intervals
+    ):
+        # four questions at once, three helpers each may take, and a switch
+        # interval so short that nearly every first step calls for a helper
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr(harness, "_helpers", None)
+        slates = {
+            str(q): [_grouped_count(2_000 + 10 * q + k, 3 + k) for k in range(5)]
+            for q in range(8)
+        }
+        monkeypatch.setattr(harness, "generate_candidates", lambda specs, m, c, item, *rest: [
+            SqlCandidate(spec_index=index, sql=sql)
+            for index, sql in enumerate(slates[item.question_id])
+        ])
+        items = [
+            BenchmarkItem(q, "toy_shop", "q", slate[0], db_path=toy_db)
+            for q, slate in slates.items()
+        ]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            records, _ = run_benchmark(
+                PipelineConfig.default(), items, ScriptedBackend(ToyScript()),
+                workers=4, record_timing=False,
+            )
+        finally:
+            sys.setswitchinterval(old)
+            if harness._helpers is not None:
+                harness._helpers.shutdown(wait=True)
+        texts = [sql for sql, *_ in intervals]
+        assert sorted(texts) == sorted(sql for slate in slates.values() for sql in slate)
+        assert len({thread for _, thread, *_ in intervals}) > 4  # helpers ran texts too
+        fresh = {sql: recorded(harness.execute_candidate(sql, toy_db)) for sql in texts}
+        for record in records:
+            assert record.gold_ok and record.candidate_ex == [1, 0, 0, 0, 0]
+            assert [recorded(c.execution) for c in record.candidates] == [
+                fresh[sql] for sql in slates[record.question_id]
+            ]
+
+    def test_waiting_for_the_turn_is_not_charged_to_the_budget(self, toy_db):
+        # a statement whose first step is done waits while another holds the
+        # question's lock, as one streaming a long result does
+        sql = _grouped_count(20_000, 3)
+        alone = harness.execute_candidate(sql, toy_db, 0.2)
+        assert alone.ok
+        turn = threading.Lock()
+        waited = []
+        with ThreadPoolExecutor(1) as pool:
+            with turn:
+                future = pool.submit(harness.execute_candidate, sql, toy_db, 0.2, turn=turn)
+                time.sleep(0.4)
+                waited.append(future.done())
+            result = future.result()
+        assert waited == [False]
+        assert recorded(result) == recorded(alone)
+        assert result.elapsed_ms < 200
 
 
 class TestRecordShape:

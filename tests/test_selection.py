@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import pickle
 import random
 import sqlite3
 import tempfile
@@ -26,6 +28,7 @@ from ensql.selection import (
     MissingPolicyError,
     PairwiseJudge,
     SelectionMethod,
+    SelectionOutcome,
     confidence_policy,
     execute_candidate,
     group_votes,
@@ -245,6 +248,26 @@ class TestExecuteCandidate:
         assert result.status is ExecStatus.ERROR
         with_count = execute_candidate("SELECT COUNT(*) FROM orders", toy_db)
         assert with_count.preview == "1 row(s): (5,)"
+
+    def test_on_slow_times_the_first_step_alone(self, toy_db, monkeypatch):
+        def counting(rows):
+            return (
+                f"WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r "
+                f"WHERE n < {rows}) SELECT COUNT(*) FROM r"
+            )
+
+        calls = []
+        opened = selection.open_read_only
+        # a slow open does not count: about 0.5 ms of steps, with progress calls
+        monkeypatch.setattr(selection, "open_read_only", lambda db: (
+            time.sleep(0.05) or opened(db)
+        ))
+        assert execute_candidate(counting(1_000), toy_db, on_slow=lambda: calls.append(1)).ok
+        assert calls == []
+        monkeypatch.undo()
+        # a first step of a few switch intervals calls it once
+        assert execute_candidate(counting(200_000), toy_db, on_slow=lambda: calls.append(1)).ok
+        assert calls == [1]
 
     def test_timeout(self, toy_db):
         slow = (
@@ -642,17 +665,21 @@ class TestReusedConnection:
         monkeypatch.setattr(harness, "generate_candidates", lambda specs, *rest: [
             SqlCandidate(spec_index=index, sql=sql) for index, sql in enumerate(next(slates))
         ])
-        opened = []
-        monkeypatch.setattr(
-            harness, "open_read_only", lambda path: opened.append(path) or open_read_only(path)
-        )
+        used = []
+        execute = harness.execute_candidate
+        monkeypatch.setattr(harness, "execute_candidate", lambda sql, db, *args, **kwargs: (
+            used.append((sql, db)) or execute(sql, db, *args, **kwargs)
+        ))
         config = dataclasses.replace(PipelineConfig.default(), execution_timeout_s=timeout_s)
         with PipelineRunner(config, ScriptedBackend(lambda request: "A")) as runner:
             before, after = (
                 runner.run_item(BenchmarkItem(qid, "notes", "q", "", db_path=notes_db))
                 for qid in "12"
             )
-        assert opened == [notes_db]
+        # question 2's first statement runs on the connection question 1 handed
+        # back; _LONG_COUNT's first step may start a helper on a second one
+        assert used[0][0] == first and isinstance(used[0][1], sqlite3.Connection)
+        assert used[1] == (goods[0], used[0][1])
         assert recorded(before.candidates[0].execution) == recorded(
             execute_candidate(first, notes_db, timeout_s=timeout_s)
         )
@@ -837,6 +864,21 @@ class TestSelect:
         assert outcome.pairwise_calls == 0
         assert outcome.distribution == (5,)
         assert outcome.chosen_votes == 5
+
+    def test_the_outcome_reads_its_text_from_the_chosen_candidate(self):
+        candidates = [_candidate(i, sql=f"SELECT {i}") for i in range(5)]
+        outcome = select(candidates)
+        assert outcome.chosen_sql == "SELECT 0"
+        by_text = SelectionOutcome(
+            0, "SELECT 0", (5,), Confidence.HIGH, SelectionMethod.REGULAR_VOTE, 0, 5
+        )
+        assert outcome == by_text and hash(outcome) == hash(by_text)
+        assert len({outcome, by_text}) == 1
+        assert repr(outcome) == repr(by_text)
+        assert pickle.loads(pickle.dumps(outcome)) == outcome == copy.copy(outcome)
+        for name in ("chosen_index", "chosen_sql", "confidence"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(outcome, name, None)
 
     def test_top_group_representative_is_lowest_index(self):
         candidates = [
