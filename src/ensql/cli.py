@@ -13,7 +13,6 @@ import functools
 import logging
 import os
 import sys
-from decimal import Decimal
 from pathlib import Path
 
 from .catalog import CatalogError, FilterLevel, introspect
@@ -33,18 +32,12 @@ from .harness import (
     DEFAULT_COMBO_CAP,
     SKIPPED,
     BenchmarkItem,
-    DatasetError,
     Failed,
-    RunRecord,
     SweepError,
-    aggregate_records,
-    bounds_analysis,
     build_fewshot_store,
-    ex_by_vote,
     link,
     linker_request,
     load_dataset,
-    read_records,
     run_benchmark,
     run_questions,
     sweep,
@@ -56,6 +49,15 @@ from .linking import (
     LinkingResolutionError,
     derive_gold_linking,
     linking_metrics,
+)
+from .records import (
+    DatasetError,
+    RunRecord,
+    Tally,
+    aggregate_records,
+    bounds_analysis,
+    ex_by_vote,
+    read_records,
 )
 
 log = logging.getLogger(__name__)
@@ -120,33 +122,20 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 class _RunProgress:
-    """run_benchmark's progress hook: one stderr line per finished question.
-
-    The line shows questions done of total, EX so far over the scored
-    questions, and calls and dollars per question so far, counted as the
-    report counts them (errored questions count only as done).
-    """
+    """run_benchmark's progress hook: one stderr line per finished question,
+    with EX, calls and dollars per question so far, counted as the report is."""
 
     def __init__(self, total: int, price_table: PriceTable):
         self.total = total
-        self.price_table = price_table
-        self.done = self.worked = self.scored = self.correct = self.calls = 0
-        self.dollars = Decimal(0)
+        self.tally = Tally(price_table)
 
     def __call__(self, record: RunRecord) -> None:
-        self.done += 1
-        if not record.error:
-            self.worked += 1
-            self.calls += record.llm_calls()
-            self.dollars += record.dollars(self.price_table)
-            if record.gold_ok:
-                self.scored += 1
-                self.correct += record.ex
-        ex = 100.0 * self.correct / self.scored if self.scored else 0.0
-        worked = max(self.worked, 1)
+        tally = self.tally
+        tally.add(record)
         print(
-            f"{self.done}/{self.total} questions, EX {ex:.2f} over {self.scored} scored,"
-            f" {self.calls / worked:.1f} calls and ${self.dollars / worked:.6f} per question",
+            f"{tally.items}/{self.total} questions, EX {100.0 * tally.ex:.2f} over"
+            f" {tally.scored} scored, {tally.calls_avg:.1f} calls and"
+            f" ${tally.cost_usd_avg:.6f} per question",
             file=sys.stderr,
         )
 
@@ -360,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--db", required=True, help="SQLite database file")
     p_render.add_argument("--format", default="all",
                           help="format name or 'all' (default: all)")
-    p_render.add_argument("--sample-k", type=int, default=3,
-                          help="value examples per column (default: 3)")
+    p_render.add_argument("--sample-k", type=int,
+                          help="value examples per column (default from config)")
     p_render.set_defaults(func=cmd_render)
 
     p_link = sub.add_parser("link-eval", help="score schema linking against reference SQL")

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from .catalog import FilterLevel
-from .files import read_json
+from .files import is_json_int, read_json
 from .formats import RepresentationFormat
 from .generation import CandidateSpec
 from .selection import DEFAULT_ESCALATION_RULES
@@ -124,11 +124,6 @@ class PipelineConfig:
             (spec.linker_model for spec in self.specs if spec.linker_model),
             DEFAULT_LINKER_PRIMARY,
         )
-
-
-def is_json_int(value: object) -> bool:
-    """An integer as JSON spells one: an int, and not a bool, which Python counts as one."""
-    return type(value) is int
 
 
 def _is_name(value: object) -> bool:

@@ -4,6 +4,7 @@ read_json reads a whole document (config, dataset, price table, descriptions),
 read_jsonl one object a line (run records, replay fixtures, few-shot stores).
 Every fault, from the file, its JSON, its top-level type or the caller's
 parse, is raised as the caller's error class, naming the path (and line).
+is_json_int is the check of a count such a file holds.
 """
 from __future__ import annotations
 
@@ -14,6 +15,11 @@ from typing import Callable
 
 # what parse raises on well-formed JSON of the wrong shape
 _PARSE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, InvalidOperation)
+
+
+def is_json_int(value: object) -> bool:
+    """An integer as JSON spells one: an int, and not a bool, which Python counts as one."""
+    return type(value) is int
 
 
 def read_json(path: str | Path, parse: Callable, error: type, what: str, kind: type = dict):

@@ -25,7 +25,7 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .files import read_json, read_jsonl
+from .files import is_json_int, read_json, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -226,7 +226,9 @@ def _replay_entry(record: dict) -> tuple[str, ChatResponse]:
     digest, text = record["digest"], record["text"]
     if not (isinstance(digest, str) and isinstance(text, str)):
         raise TypeError("digest and text must be strings")
-    usage = TokenUsage(int(record["input_tokens"]), int(record["output_tokens"]))
+    usage = TokenUsage(record["input_tokens"], record["output_tokens"])
+    if not (is_json_int(usage.input_tokens) and is_json_int(usage.output_tokens)):
+        raise TypeError("input_tokens and output_tokens must be integers")
     return digest, ChatResponse(text=text, usage=usage)
 
 

@@ -1,9 +1,7 @@
-"""Benchmark harness: datasets, the per-question pipeline, and analyses.
+"""Benchmark harness: datasets and the per-question pipeline.
 
-Runs the full engine over BIRD/SPIDER-style datasets, streams one JSON
-record per question to disk in dataset order, and aggregates execution
-accuracy alongside call, token, and dollar accounting.  Also home to the
-selection-quality analyses (accuracy bounds, accuracy by vote count) and
+Runs the full engine over BIRD/SPIDER-style datasets and streams one run
+record per question (see records) to disk in dataset order; also home to
 the representation-combination sweep.  run_questions is the one loop over
 a dataset; run_benchmark, sweep, link-eval and build_fewshot_store each
 hand it a step.
@@ -11,27 +9,23 @@ hand it a step.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import math
 import os
 import random
 import sqlite3
-import statistics
 import threading
 import time
 import weakref
-from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from contextlib import closing, nullcontext
-from dataclasses import asdict, dataclass, field
-from decimal import Decimal
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .catalog import FilterLevel, SchemaCatalog, introspect
-from .config import ConfigError, PipelineConfig, is_json_int
-from .files import read_json, read_jsonl
+from .config import ConfigError, PipelineConfig
+from .files import read_json
 from .formats import RepresentationFormat, render
 from .gateway import (
     CallThrottle,
@@ -39,12 +33,9 @@ from .gateway import (
     ChatRequest,
     CostLedger,
     GatewayError,
-    LLM_STAGES,
     LlmGateway,
     PriceTable,
     STAGE_LINKING,
-    TokenUsage,
-    UsageRow,
 )
 from .generation import (
     CandidateSpec,
@@ -61,13 +52,20 @@ from .linking import (
     build_linking_prompt,
     parse_linking_response,
 )
+# tests/test_acceptance.py imports RunRecord, aggregate_records, bounds_analysis
+# and ex_by_vote from this module
+from .records import (
+    DatasetError,
+    Report,
+    RunRecord,
+    aggregate_records,
+    bounds_analysis,
+    ex_by_vote,
+    record_line,
+)
 from .selection import (
-    Confidence,
-    ExecStatus,
     ExecutionResult,
     PairwiseJudge,
-    SelectionMethod,
-    SelectionOutcome,
     execute_candidate,
     group_votes,
     open_read_only,
@@ -75,10 +73,6 @@ from .selection import (
 )
 
 log = logging.getLogger(__name__)
-
-
-class DatasetError(Exception):
-    """The dataset layout or content is unusable."""
 
 
 class GoldExecutionError(Exception):
@@ -190,16 +184,10 @@ class ConnectionPool:
     A statement takes a connection when it starts (take), an idle one when
     there is one and otherwise a new one from open_read_only, and hands it
     back when it ends (put); a statement whose execution raises closes its
-    connection instead.  Only the statement holding a connection uses it,
-    so a path never has more connections than statements that ran on it at
-    once.  A question's batch runs its texts one after another on its own
-    thread, so it holds one connection, and one more for each helper that
-    joins the batch; a helper joins when a statement's first step has run
-    for one interpreter switch interval, and only first steps overlap,
-    since the rest of each statement holds the question's lock (see
-    QuestionExecutor).  close() closes every idle connection and makes put
-    close the ones still held; a pool that is never closed closes them
-    when its owner is collected (see PipelineRunner).
+    connection instead.  So a path never has more connections than
+    statements that ran on it at once (see QuestionExecutor).  close()
+    closes every idle connection and makes put close the ones still held; a
+    pool that is never closed closes them when its owner is collected.
     """
 
     def __init__(self):
@@ -243,9 +231,8 @@ def _spare_cpus() -> int:
 
 # the helpers every batch in the process shares, one thread per spare CPU.
 # One pool per process, not per runner: each new thread keeps a malloc arena
-# of its own (about 1 MB after its first sort).  It is made when a first step
-# first runs long, so a run of quick statements, or one on a single CPU,
-# never starts it.
+# of its own (about 1 MB after its first sort).  It is made when a helper
+# first joins a batch (see QuestionExecutor).
 _helpers: ThreadPoolExecutor | None = None
 _helpers_lock = threading.Lock()
 
@@ -262,11 +249,11 @@ class _Batch:
     """A question's distinct SQL texts, worked through by its thread and helpers.
 
     Each worker claims the next unclaimed text, runs it and claims again
-    until none is left.  The question's thread is the first worker; a helper
-    joins (join) when a statement's first step has run for one interpreter
-    switch interval, while the batch has a text left and a spare CPU it has
-    not yet used.  run returns once every claimed text has its result, and
-    raises the first error a worker met; workers claim nothing after one.
+    until none is left.  The question's thread is the first worker, and
+    join adds a helper while the batch has a text left and a spare CPU it
+    has not yet used (see QuestionExecutor).  run returns once every claimed
+    text has its result, and raises the first error a worker met; workers
+    claim nothing after one.
     """
 
     def __init__(self, execute: "QuestionExecutor", texts: list[str]):
@@ -335,19 +322,20 @@ class QuestionExecutor:
     elapsed_ms) are one object too, so a record holds each distinct result
     once.
 
-    Each statement takes a connection from connections for as long as it
-    runs (see ConnectionPool).  The question's thread works through a batch
-    itself; a helper from the process-wide pool of (CPUs available - 1)
-    threads joins only when a statement's first step (SQLite's prepare and
-    first sqlite3_step, where an aggregate or a sort does its work with the
-    GIL released) has run for sys.getswitchinterval().  Only first steps
-    overlap: the rest of every statement (fetching, canonicalization and
-    the preview) holds the question's lock, and the wait for that lock does
-    not count against timeout_s.  With one CPU, or when every first step is
-    quick, no helper starts and a batch runs its texts in order on the
-    question's thread.  A database that cannot be opened is handed to each
-    execution as its path, which comes back as the open's Error result.  It
-    belongs to one question, and no two questions share one.
+    Each statement takes a connection from connections for as long as it runs
+    (see ConnectionPool), so a batch holds one for the question's thread and
+    one for each helper.  The question's thread works through a batch itself; a
+    helper from the process-wide pool of (CPUs available - 1) threads joins
+    only when a statement's first step (SQLite's prepare and first
+    sqlite3_step, where an aggregate or a sort does its work with the GIL
+    released) has run for sys.getswitchinterval().  Only first steps overlap:
+    the rest of every statement (fetching, canonicalization and the preview)
+    holds the question's lock, and the wait for that lock does not count
+    against timeout_s.  With one CPU, or when every first step is quick, no
+    helper starts and a batch runs its texts in order on the question's thread.
+    A database that cannot be opened is handed to each execution as its path,
+    which comes back as the open's Error result.  It belongs to one question,
+    and no two questions share one.
     """
 
     def __init__(self, db_path: str | Path, connections: ConnectionPool, timeout_s: float = 30.0):
@@ -420,197 +408,6 @@ def execution_accuracy(
         return int(matches(execute(pred_sql), gold))
 
 
-# -- run records ----------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class RunRecord:
-    """Everything one question produced, serializable to a JSONL line.
-
-    wall_ms is 0.0 when timing is disabled (replay runs), keeping records
-    byte-identical across repeated replays.  error marks items that failed
-    before producing a selection; they are excluded from accuracy but
-    counted in the report.
-    """
-
-    question_id: str
-    db_id: str
-    question: str
-    gold_sql: str
-    gold_ok: bool
-    candidates: list[SqlCandidate] = field(default_factory=list)
-    selection: SelectionOutcome | None = None
-    candidate_ex: list[int] = field(default_factory=list)
-    ex: int = 0
-    usage: list[UsageRow] = field(default_factory=list)
-    wall_ms: float = 0.0
-    error: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "db_id": self.db_id,
-            "question": self.question,
-            "gold_sql": self.gold_sql,
-            "gold_ok": self.gold_ok,
-            "candidates": [_candidate_to_dict(c) for c in self.candidates],
-            "selection": _selection_to_dict(self.selection),
-            "candidate_ex": list(self.candidate_ex),
-            "ex": self.ex,
-            "usage": [asdict(u) for u in self.usage],
-            "wall_ms": self.wall_ms,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunRecord":
-        """The record of a to_dict document; a field of the wrong type raises TypeError."""
-        candidates = [_candidate_from_dict(c) for c in doc["candidates"]]
-        return cls(
-            question_id=_typed(doc, "question_id", _is_str, "a string"),
-            db_id=_typed(doc, "db_id", _is_str, "a string"),
-            question=_typed(doc, "question", _is_str, "a string"),
-            gold_sql=_typed(doc, "gold_sql", _is_str, "a string"),
-            gold_ok=_typed(doc, "gold_ok", lambda v: isinstance(v, bool), "a bool"),
-            candidates=candidates,
-            selection=_selection_from_dict(doc.get("selection"), candidates),
-            candidate_ex=_typed(
-                doc, "candidate_ex", lambda v: isinstance(v, list) and all(map(_is_bit, v)),
-                "a list of 0s and 1s",
-            ),
-            ex=_typed(doc, "ex", _is_bit, "0 or 1"),
-            usage=[
-                UsageRow(u["model"], u["stage"], *(
-                    _typed(u, key, is_json_int, "an integer")
-                    for key in ("calls", "input_tokens", "output_tokens")
-                ))
-                for u in doc["usage"]
-            ],
-            wall_ms=float(_typed(
-                doc, "wall_ms", lambda v: type(v) in (int, float), "a number", 0.0
-            )),
-            error=_typed(doc, "error", lambda v: v is None or _is_str(v), "a string or null",
-                         None),
-        )
-
-    def llm_calls(self) -> int:
-        return sum(u.calls for u in self.usage if u.stage in LLM_STAGES)
-
-    def total_tokens(self) -> int:
-        return sum(
-            u.input_tokens + u.output_tokens for u in self.usage if u.stage in LLM_STAGES
-        )
-
-    def dollars(self, table: PriceTable) -> Decimal:
-        """What this question's usage rows cost under table."""
-        return sum(
-            (table.dollars(u.model, TokenUsage(u.input_tokens, u.output_tokens))
-             for u in self.usage),
-            Decimal(0),
-        )
-
-
-def _is_str(value: object) -> bool:
-    return isinstance(value, str)
-
-
-def _is_bit(value: object) -> bool:
-    return is_json_int(value) and value in (0, 1)
-
-
-def _typed(doc: dict, key: str, valid: Callable[[object], bool], what: str, *default):
-    """doc[key], or default when the key is absent, which valid must accept."""
-    value = doc.get(key, *default) if default else doc[key]
-    if not valid(value):
-        raise TypeError(f"{key} must be {what}, not {value!r}")
-    return value
-
-
-def _candidate_to_dict(candidate: SqlCandidate) -> dict:
-    execution = None
-    if candidate.execution is not None:
-        execution = {**asdict(candidate.execution), "status": candidate.execution.status.value}
-        del execution["elapsed_ms"]  # intentionally dropped: it varies run to run
-    return {
-        "spec_index": candidate.spec_index,
-        "sql": candidate.sql,
-        "raw_response": candidate.raw_response,
-        "input_tokens": candidate.input_tokens,
-        "output_tokens": candidate.output_tokens,
-        "execution": execution,
-    }
-
-
-def _candidate_from_dict(doc: dict) -> SqlCandidate:
-    execution = None
-    if doc.get("execution") is not None:
-        raw = doc["execution"]
-        execution = ExecutionResult(
-            status=ExecStatus(raw["status"]),
-            signature=raw.get("signature"),
-            row_count=raw.get("row_count"),
-            error_text=raw.get("error_text"),
-            preview=raw.get("preview"),
-        )
-    return SqlCandidate(
-        spec_index=_typed(doc, "spec_index", is_json_int, "an integer"),
-        sql=doc["sql"],
-        raw_response=doc.get("raw_response", ""),
-        input_tokens=_typed(doc, "input_tokens", is_json_int, "an integer", 0),
-        output_tokens=_typed(doc, "output_tokens", is_json_int, "an integer", 0),
-        execution=execution,
-    )
-
-
-def _selection_to_dict(selection: SelectionOutcome | None) -> dict | None:
-    if selection is None:
-        return None
-    return {
-        "chosen_index": selection.chosen_index,
-        "chosen_sql": selection.chosen_sql,
-        "distribution": list(selection.distribution),
-        "confidence": selection.confidence.value,
-        "method": selection.method.value,
-        "pairwise_calls": selection.pairwise_calls,
-        "chosen_votes": selection.chosen_votes,
-    }
-
-
-def _selection_from_dict(
-    doc: dict | None, candidates: Sequence[SqlCandidate]
-) -> SelectionOutcome | None:
-    """The outcome of a record; it reads chosen_sql from the chosen candidate
-    when that candidate gives the written text, and holds the text otherwise."""
-    if doc is None:
-        return None
-    index, chosen_sql = int(doc["chosen_index"]), doc["chosen_sql"]
-    if 0 <= index < len(candidates) and candidates[index].sql == chosen_sql:
-        chosen_sql = candidates[index]
-    return SelectionOutcome(
-        chosen_index=index,
-        chosen_sql=chosen_sql,
-        distribution=tuple(int(d) for d in doc["distribution"]),
-        confidence=Confidence(doc["confidence"]),
-        method=SelectionMethod(doc["method"]),
-        pairwise_calls=int(doc["pairwise_calls"]),
-        chosen_votes=int(doc["chosen_votes"]),
-    )
-
-
-def _record_line(record: RunRecord) -> str:
-    """One JSONL line of a records file."""
-    return json.dumps(record.to_dict(), ensure_ascii=False) + "\n"
-
-
-def write_records(records: Iterable[RunRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(_record_line, records))
-
-
-def read_records(path: str | Path) -> list[RunRecord]:
-    return read_jsonl(path, RunRecord.from_dict, DatasetError, "run record")
-
-
 # -- the per-question pipeline ----------------------------------------------------
 
 
@@ -631,34 +428,18 @@ class PipelineRunner:
     catalog_for, the only catalog cache, introspects each database path once.
     Each catalog memoises its rendered schema texts, so the full schema is
     rendered once per database and format for the runner's life.  The runner
-    owns one CallThrottle for the whole run: config.max_in_flight caps the
-    model calls in flight across every question it serves, however many
-    questions run at once (run_benchmark's workers).  Each question gets its
-    own gateway and ledger around that throttle, so per-question usage is
-    exact; run totals are aggregate_records over the records' usage rows.
+    owns the run's one CallThrottle, of config.max_in_flight calls.  Each
+    question gets its own gateway and ledger around it, so per-question
+    usage is exact; run totals are aggregate_records over the records.
 
     run_item is the candidate stage (candidates: link, generate, execute)
     over config.specs followed by the selection stage; sweep runs the same
-    candidate stage over its own slate.  Slots that share a format and
-    linker model share one linker call.  Both give each question one
-    QuestionExecutor (executor): a memo in which a distinct SQL text runs
-    once per question, the reference included.  run_item executes the
-    slate's texts and the reference as one batch on the question's thread;
-    a helper from a process-wide pool of (CPUs available - 1) threads
-    joins only when a statement's first step (SQLite's prepare and first
-    step) has run for sys.getswitchinterval(), and only first steps
-    overlap, since the rest of every statement holds the question's lock.
-    The runner owns the read-only connections (connections): each
-    statement takes an idle one, or opens one, and hands it back when it
-    ends, or closes it when its execution raises, so a database's schema
-    is parsed once per connection, and a database never has more
-    connections than statements that ran on it at once.  A question's
-    model calls follow its dependency graph (see generate_candidates), and
-    an escalated tournament submits all its comparisons together.  It
-    serves one question per call; run_questions walks the dataset.  A
-    few-shot store smaller than config.fewshot_k is reported once, at load.
-    The pool threads exit, and the connections close, when the runner is
-    closed or garbage-collected; the helper threads are the process's.
+    candidate stage over its own slate.  Each question gets one
+    QuestionExecutor (executor), which runs the slate's texts and the
+    reference as one batch on connections the runner lends (connections).
+    A few-shot store smaller than config.fewshot_k is reported once, at
+    load.  The throttle's threads exit, and the connections close, when the
+    runner is closed or garbage-collected.
     """
 
     def __init__(
@@ -891,117 +672,6 @@ def generate_candidates(
     return [slots[index].result() for index in range(len(specs))]
 
 
-# -- reports and aggregation ------------------------------------------------------
-
-
-@dataclass
-class Report:
-    """Benchmark aggregates in the shape of the headline results table."""
-
-    items: int
-    scored: int
-    gold_failures: int
-    failed: int
-    ex: float
-    calls_typical: float
-    calls_avg: float
-    tokens_k_avg: float
-    cost_usd_avg: Decimal
-    cost_usd_total: Decimal
-    escalated: int
-    # why the escalated questions ended as they did; the three sum to escalated
-    escalated_judged: int
-    escalated_all_failed: int
-    escalated_one_group: int
-
-    def render_text(self) -> str:
-        typical = (
-            str(int(self.calls_typical))
-            if float(self.calls_typical).is_integer()
-            else f"{self.calls_typical:.1f}"
-        )
-        calls_cell = f"{typical}({self.calls_avg:.1f})"
-        lines = [
-            f"items: {self.items} (scored {self.scored}, "
-            f"reference failures {self.gold_failures}, errors {self.failed})",
-            "",
-            "EX     | LLM Calls Typical(Avg.) | Tokens (K) | Cost ($)",
-            f"{100.0 * self.ex:<6.2f} | {calls_cell:<23} | "
-            f"{self.tokens_k_avg:<10.2f} | {self.cost_usd_avg:.6f}",
-            "",
-            f"total cost ($): {self.cost_usd_total:.6f}",
-            f"escalated to pairwise selection: {self.escalated}",
-            f"  judged tournament: {self.escalated_judged}",
-            f"  all candidates failed: {self.escalated_all_failed}",
-            f"  one surviving group: {self.escalated_one_group}",
-        ]
-        return "\n".join(lines)
-
-
-def _escalation_reason(record: RunRecord) -> str:
-    """Why an escalated question ended as it did, from fields records carry.
-
-    "judged" when the tournament made judge calls; "all_failed" when the
-    chosen candidate did not execute Ok, so no Ok group existed; otherwise
-    "one_group": a single Ok group survived and no judge was needed.
-    """
-    selection = record.selection
-    if selection.pairwise_calls > 0:
-        return "judged"
-    chosen = record.candidates[selection.chosen_index].execution
-    if chosen is None or not chosen.ok:
-        return "all_failed"
-    return "one_group"
-
-
-def aggregate_records(
-    records: Sequence[RunRecord], price_table: PriceTable | None = None
-) -> Report:
-    """Fold run records into a Report; pure, so re-aggregation is stable.
-
-    Accuracy averages over items whose reference query succeeded and that
-    produced a selection; call/token/cost averages cover every item that
-    did pipeline work (including reference failures), while errored items
-    count only toward the failure tally.
-    """
-    table = price_table or PriceTable.default()
-    worked = [r for r in records if not r.error]
-    failed = len(records) - len(worked)
-    scored = [r for r in worked if r.gold_ok]
-    gold_failures = len(worked) - len(scored)
-
-    ex = sum(r.ex for r in scored) / len(scored) if scored else 0.0
-    calls = [r.llm_calls() for r in worked]
-    tokens = [r.total_tokens() for r in worked]
-    calls_typical = float(statistics.median(calls)) if calls else 0.0
-    calls_avg = sum(calls) / len(calls) if calls else 0.0
-    tokens_k_avg = (sum(tokens) / len(tokens)) / 1000.0 if tokens else 0.0
-
-    total_cost = sum((record.dollars(table) for record in worked), Decimal(0))
-    cost_avg = total_cost / len(worked) if worked else Decimal(0)
-    reasons = Counter(
-        _escalation_reason(r)
-        for r in worked
-        if r.selection is not None and r.selection.method is SelectionMethod.PAIRWISE_LLM
-    )
-    return Report(
-        items=len(records),
-        scored=len(scored),
-        gold_failures=gold_failures,
-        failed=failed,
-        ex=ex,
-        calls_typical=calls_typical,
-        calls_avg=calls_avg,
-        tokens_k_avg=tokens_k_avg,
-        cost_usd_avg=cost_avg,
-        cost_usd_total=total_cost,
-        escalated=sum(reasons.values()),
-        escalated_judged=reasons["judged"],
-        escalated_all_failed=reasons["all_failed"],
-        escalated_one_group=reasons["one_group"],
-    )
-
-
 # a step's outcome for a question it leaves out, such as an unscorable one
 SKIPPED = "skipped"
 
@@ -1056,9 +726,7 @@ def run_benchmark(
 ) -> tuple[list[RunRecord], Report]:
     """Run the pipeline over a dataset: run_questions with run_item as the step.
 
-    The PipelineRunner it builds loads the few-shot store and descriptions
-    the config names.  workers questions are in flight at once, and
-    config.max_in_flight caps the model calls in flight across all of them.
+    workers questions are in flight at once, on one PipelineRunner.
     Records stream to out_path as JSONL in dataset order regardless of
     completion order.  A question that raises is recorded as an errored
     record; the run never aborts on per-item failures.
@@ -1071,7 +739,7 @@ def run_benchmark(
             record = RunRecord(item.question_id, item.db_id, item.question, item.gold_sql,
                                gold_ok=False, error=f"{type(error).__name__}: {error}")
         if out_fh is not None:
-            out_fh.write(_record_line(record))
+            out_fh.write(record_line(record))
             out_fh.flush()
         if progress is not None:
             progress(record)
@@ -1085,79 +753,6 @@ def run_benchmark(
             workers if workers is not None else config.workers, progress=settle,
         )
     return records, aggregate_records(records, price_table)
-
-
-# -- selection-quality analyses ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundsRow:
-    """Accuracy bounds for items with a given candidate count."""
-
-    candidate_count: int
-    items: int
-    ex: float
-    lower: float  # every candidate correct: no selector could miss
-    upper: float  # some candidate correct: a perfect selector would score
-
-
-def _scored_groups(
-    records: Sequence[RunRecord], key: Callable[[RunRecord], int | None]
-) -> list[tuple[int, list[RunRecord]]]:
-    """Scored records grouped by key, in key order; a key of None leaves one out."""
-    groups: dict[int, list[RunRecord]] = {}
-    for record in records:
-        value = None if record.error or not record.gold_ok else key(record)
-        if value is not None:
-            groups.setdefault(value, []).append(record)
-    return sorted(groups.items())
-
-
-def _share(group: Sequence[RunRecord], score: Callable[[RunRecord], int]) -> float:
-    return sum(map(score, group)) / len(group)
-
-
-def bounds_analysis(records: Sequence[RunRecord]) -> list[BoundsRow]:
-    """Upper/lower accuracy bounds, grouped by candidate count."""
-    return [
-        BoundsRow(
-            candidate_count=count,
-            items=len(group),
-            ex=_share(group, lambda r: r.ex),
-            lower=_share(group, lambda r: all(r.candidate_ex)),
-            upper=_share(group, lambda r: any(r.candidate_ex)),
-        )
-        for count, group in _scored_groups(records, lambda r: len(r.candidate_ex) or None)
-    ]
-
-
-@dataclass(frozen=True)
-class VoteBucket:
-    """Accuracy among items whose chosen candidate got a given vote count."""
-
-    votes: int
-    items: int
-    ex: float
-    upper: float
-
-
-def ex_by_vote(records: Sequence[RunRecord]) -> list[VoteBucket]:
-    """Accuracy bucketed by the chosen candidate's vote count.
-
-    At the bucket where votes equal the candidate count all candidates
-    agreed, so realized accuracy equals the upper bound there.
-    """
-    return [
-        VoteBucket(
-            votes=votes,
-            items=len(group),
-            ex=_share(group, lambda r: r.ex),
-            upper=_share(group, lambda r: any(r.candidate_ex)),
-        )
-        for votes, group in _scored_groups(
-            records, lambda r: None if r.selection is None else r.selection.chosen_votes
-        )
-    ]
 
 
 # -- representation sweep ----------------------------------------------------------

@@ -1,13 +1,8 @@
 """Candidate execution, result canonicalization, voting, and selection.
 
-Candidates are executed against SQLite opened read-only, under an authorizer
-that lets a statement only select, read, call functions and recurse, and
-with a wall-clock budget that bounds the whole execution: SQLite, fetching,
-canonicalization and preview.  Rows are fetched in batches and
-canonicalized as they arrive, so elapsed_ms includes canonicalization.
-Text is decoded as strict UTF-8; a result holding invalid UTF-8 is fetched
-once more, under the same deadline, with the invalid bytes replaced.
-Results are reduced to a canonical multiset digest so that queries
+Candidates are executed read-only under a wall-clock budget (see
+execute_candidate).  Results are reduced to a canonical multiset digest so
+that queries
 
 * returning the same rows in a different order,
 * differing only in int-vs-float typing of the same values, or
@@ -15,26 +10,9 @@ Results are reduced to a canonical multiset digest so that queries
 
 land in the same vote group, while NULL and empty string stay distinct.
 Each row and each cell value is canonicalized once per result, however
-many times it repeats.  Each statement runs on a read-only connection set
-up by open_read_only: the harness's runner lends the statement an idle
-connection to its database, or opens one, and takes it back when the
-statement ends, so SQLite parses the schema once per connection rather
-than once per execution or per question, and a database has no more
-connections than statements that ran on it at once.  The connection keeps
-no prepared statements and a small page cache, since it outlives its
-statement.  The harness runs each distinct SQL text once per question and
-hands the one frozen result to every slot, and to the reference query,
-that share the text.
-
-A question's distinct texts run as one batch on the question's thread.  A
-statement's first step (SQLite's prepare and first sqlite3_step, where an
-aggregate or a sort does all its work with the GIL released) that runs for
-one interpreter switch interval calls a helper thread, from a process-wide
-pool of one per spare CPU, to take the batch's next text.  Only first
-steps overlap: the rest of each statement (fetching, canonicalization and
-the preview) holds the question's lock, and the wait for it does not count
-against the statement's budget.  With one CPU, or quick first steps, no
-helper starts and the batch runs its texts in order.
+many times it repeats.  The harness lends execute_candidate its connection
+(from open_read_only) and the hooks of a question's batch of statements
+(see harness.QuestionExecutor).
 
 Groups vote: a confident distribution accepts the top group's answer; an
 ambiguous one escalates the group representatives to a pairwise LLM
@@ -265,14 +243,11 @@ _PREVIEW_ROWS = 5
 class _Clock:
     """One statement's time: its deadline, its first-step hook and its turn.
 
-    The first step is SQLite's prepare plus its first sqlite3_step, where an
-    aggregate or a sort does all its work with the GIL released.  first_step
-    starts timing it just before the statement is prepared, so opening the
-    connection does not count toward on_slow's switch interval.
-    Entering the clock ends the first step and takes the turn, a lock held
-    for the rest of the statement; the wait for the turn moves the start and
-    the deadline back, so it counts neither against the budget nor in
-    elapsed_ms.  on_slow is called at most once.
+    first_step starts timing the first step just before the statement is
+    prepared, so opening the connection does not count toward on_slow's
+    switch interval.  Entering the clock ends the first step and takes the
+    turn; the wait for the turn moves the start and the deadline back (see
+    execute_candidate).  on_slow is called at most once.
     """
 
     __slots__ = ("started", "deadline", "timed_out", "_slow_at", "_on_slow", "_turn")
@@ -371,15 +346,13 @@ def execute_candidate(
     holding invalid UTF-8 is fetched again, under the same deadline, with
     invalid bytes replaced by U+FFFD.
 
-    A batch of statements (see harness.QuestionExecutor) passes two hooks.
-    The first step is SQLite's prepare plus its first sqlite3_step, which
-    runs with the GIL released.  on_slow is called once, from the progress
-    handler that also keeps the deadline, when the first step has run for
-    one interpreter switch interval (sys.getswitchinterval()); it must not
-    raise, or the statement is interrupted.  turn is a lock held for the
-    rest of the statement (fetching, canonicalization and the preview), so
-    statements that share it overlap only in their first steps; the time
-    spent waiting for it counts neither against timeout_s nor in elapsed_ms.
+    on_slow and turn are the hooks of a question's batch (see
+    harness.QuestionExecutor).  on_slow is called at most once, from the
+    progress handler that keeps the deadline, when the first step (prepare
+    and the first sqlite3_step) has run for sys.getswitchinterval(); it must
+    not raise, or the statement is interrupted.  turn is a lock held for the
+    rest of the statement; the wait for it counts neither against timeout_s
+    nor in elapsed_ms.
 
     Never raises for query-level problems: syntax errors, missing tables,
     unopenable databases and statements that return no columns (empty

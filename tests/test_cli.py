@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -10,7 +11,8 @@ from ensql.cli import main
 from ensql.formats import RepresentationFormat, render
 from ensql.gateway import RecordingChatBackend
 from ensql.generation import FewShotStore, load_generation_system_prompt
-from ensql.harness import load_dataset, read_records, run_benchmark
+from ensql.harness import load_dataset, run_benchmark
+from ensql.records import read_records
 from ensql.config import PipelineConfig
 
 from conftest import GOLDEN_DIR
@@ -180,6 +182,14 @@ class TestRender:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_sample_k_defaults_to_the_config_s(self, cli_env, capsys, monkeypatch):
+        config = dataclasses.replace(PipelineConfig.default(), sample_k=1)
+        monkeypatch.setattr(PipelineConfig, "default", lambda: config)
+        assert main(["render", "--db", cli_env["db"], "--format", "compact_tagged"]) == 0
+        expected = render(introspect(cli_env["db"], sample_k=1),
+                          RepresentationFormat.COMPACT_TAGGED)
+        assert capsys.readouterr().out == expected
+
     def test_a_negative_sample_k_is_refused(self, cli_env, capsys):
         rc = main(["render", "--db", cli_env["db"], "--sample-k", "-1"])
         assert rc == 1
@@ -253,6 +263,13 @@ class TestReport:
         assert "accuracy bounds by candidate count:" in stdout
         assert "n=5: items 10" in stdout
         assert "accuracy by winning vote count:" in stdout
+
+    def test_the_golden_records_report_byte_for_byte(self, capsys):
+        # the same file is diffed against the installed console script's output
+        assert main(["report", "--records", str(GOLDEN_DIR / "toy_run_records.jsonl"),
+                     "--bounds", "--by-vote"]) == 0
+        golden = (GOLDEN_DIR / "toy_report.txt").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == golden
 
     def test_custom_price_table(self, records_path, tmp_path, capsys):
         table = tmp_path / "prices.json"
@@ -483,6 +500,25 @@ class TestDatasetLoop:
         errors = [line for line in err.splitlines() if line.startswith("error: ")]
         assert len(errors) == 1
         assert re.fullmatch(r"error: .*not a database.* \(question 99\)", errors[0])
+
+    def test_the_last_progress_line_counts_as_the_report(
+        self, cli_env, broken_dataset, capsys
+    ):
+        assert main(["run", "--dataset", broken_dataset, "--replay", cli_env["fixture"],
+                     "--workers", "2"]) == 0
+        out, err = capsys.readouterr()
+        n = len(TOY_BENCH) + 1
+        assert out.startswith(f"items: {n} (scored {n - 1}, reference failures 0, errors 1)")
+        progress = [line for line in err.splitlines() if " questions, EX " in line]
+        ex, scored, calls, dollars = re.fullmatch(
+            rf"{n}/{n} questions, EX (\S+) over (\d+) scored,"
+            r" (\S+) calls and \$(\S+) per question", progress[-1],
+        ).groups()
+        table = out.splitlines()
+        row = table[table.index(next(line for line in table if line.startswith("EX "))) + 1]
+        cells = [cell.strip() for cell in row.split("|")]
+        assert (cells[0], cells[1].split("(")[1].rstrip(")"), cells[3]) == (ex, calls, dollars)
+        assert scored == str(n - 1)
 
     @pytest.mark.parametrize("command", DATASET_COMMANDS)
     def test_workers_do_not_change_the_output(self, cli_env, command, tmp_path, capsys):

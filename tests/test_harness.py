@@ -32,21 +32,24 @@ from ensql.generation import CandidateSpec, SqlCandidate, load_generation_system
 from ensql.harness import (
     BenchmarkItem,
     ComboResult,
-    DatasetError,
     GoldExecutionError,
     PipelineRunner,
-    RunRecord,
     SweepError,
-    aggregate_records,
-    bounds_analysis,
     build_fewshot_store,
-    ex_by_vote,
     execution_accuracy,
     load_dataset,
     rank_combinations,
-    read_records,
     run_benchmark,
     sweep,
+)
+from ensql.records import (
+    DatasetError,
+    RunRecord,
+    Tally,
+    aggregate_records,
+    bounds_analysis,
+    ex_by_vote,
+    read_records,
     write_records,
 )
 from ensql.selection import (
@@ -306,12 +309,24 @@ class TestRunRecordSerialization:
         ("usage.calls", 2.9), ("usage.input_tokens", "3"), ("usage.output_tokens", True),
         ("candidates.spec_index", 2.9), ("candidates.input_tokens", "3"),
         ("candidates.output_tokens", True),
+        ("candidates.sql", 5), ("candidates.sql", None), ("candidates.raw_response", 0),
+        # the first candidate's execution
+        ("candidates.execution.signature", 7), ("candidates.execution.row_count", "many"),
+        ("candidates.execution.row_count", 4.0), ("candidates.execution.row_count", False),
+        ("candidates.execution.error_text", ["e"]), ("candidates.execution.preview", 1),
+        ("selection.chosen_index", True), ("selection.chosen_index", 0.0),
+        ("selection.chosen_sql", None), ("selection.distribution", [4, 1.0]),
+        ("selection.distribution", "41"), ("selection.pairwise_calls", 0.5),
+        ("selection.chosen_votes", "4"),
     ])
     def test_a_scalar_of_the_wrong_type_names_its_line(self, tmp_path, key, value):
         lines = (GOLDEN_DIR / "toy_run_records.jsonl").read_text(encoding="utf-8").splitlines()
         doc = json.loads(lines[1])
         *within, key = key.split(".")
-        (doc[within[0]][0] if within else doc)[key] = value
+        node = doc
+        for name in within:  # the first item of a list on the way
+            node = node[name][0] if isinstance(node[name], list) else node[name]
+        node[key] = value
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join([lines[0], json.dumps(doc)]) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=f"bad.jsonl:2: bad run record: {key} must be"):
@@ -426,6 +441,17 @@ class TestAggregateRecords:
         assert report.items == 0
         assert report.ex == 0.0
         assert report.cost_usd_total == Decimal(0)
+
+    def test_a_tally_reads_as_the_report_after_each_record(self):
+        records = self._records()
+        tally = Tally()
+        for n, record in enumerate(records, 1):
+            tally.add(record)
+            report = aggregate_records(records[:n])
+            assert tally.report() == report
+            assert (tally.items, tally.scored, tally.ex, tally.calls_avg, tally.cost_usd_avg) == (
+                report.items, report.scored, report.ex, report.calls_avg, report.cost_usd_avg
+            )
 
     def test_render_text_table(self):
         text = aggregate_records(self._records()).render_text()
