@@ -19,13 +19,14 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .files import is_json_int, read_json, read_jsonl
+from .threads import SharedPool
 
 log = logging.getLogger(__name__)
 
@@ -416,27 +417,28 @@ def price(ledger: CostLedger, table: PriceTable) -> CostReport:
 
 
 class CallThrottle:
-    """The cap on in-flight model calls and the pool that runs them.
+    """The cap on in-flight model calls, and where those calls run.
 
     One throttle serves a whole run: every gateway built around it shares
     its semaphore, so max_in_flight bounds concurrent backend calls across
-    all questions, and its pool, sized the same, runs only the model calls
-    those questions submit (prompts and few-shot retrieval stay on their
-    threads).  Pool threads start on demand and exit when the throttle is
-    closed or garbage-collected, so closing is optional.
+    all questions.  The calls those questions submit (prompts and few-shot
+    retrieval stay on their threads) run on the process's one call pool,
+    which every throttle shares and which has as many threads as the
+    largest max_in_flight asked for, so a throttle leaves no threads behind
+    and needs no closing.
     """
 
     def __init__(self, max_in_flight: int = 8):
+        self.max_in_flight = max_in_flight
         self.semaphore = threading.BoundedSemaphore(max_in_flight)
-        self._pool = ThreadPoolExecutor(max_in_flight, thread_name_prefix="ensql-call")
 
     def submit(self, fn: Callable, /, *args, **kwargs) -> Future:
-        """Run fn on the pool; tasks must never wait on other pool tasks."""
-        return self._pool.submit(fn, *args, **kwargs)
+        """Run fn on the call pool; a task must never wait on a queued one."""
+        return _calls.submit(self.max_in_flight, fn, *args, **kwargs)
 
-    def close(self) -> None:
-        """Finish queued tasks and stop the pool threads."""
-        self._pool.shutdown(wait=True)
+
+# the model-call threads every throttle in the process shares
+_calls = SharedPool("ensql-call")
 
 
 class LlmGateway:
@@ -444,9 +446,10 @@ class LlmGateway:
 
     Every complete() records usage to the ledger under the caller's stage
     label.  Calls hold the throttle's semaphore while in flight, and
-    submit() hands a task to the throttle's pool.  Gateways that share one
-    throttle share its cap and pool but keep their own ledgers; without a
-    throttle, the gateway gets a private CallThrottle() at its default cap.
+    submit() hands a task to the call pool that every gateway in the
+    process shares (see CallThrottle).  Gateways that share one throttle
+    share its cap but keep their own ledgers; without a throttle, the
+    gateway gets a private CallThrottle() at its default cap.
 
     A gateway serves one question, question_id, and owns what a failed
     call means for it (attempt) and the prefix that names it in warnings

@@ -71,6 +71,7 @@ from .selection import (
     open_read_only,
     select,
 )
+from .threads import SharedPool
 
 log = logging.getLogger(__name__)
 
@@ -229,20 +230,10 @@ def _spare_cpus() -> int:
     return cpus - 1
 
 
-# the helpers every batch in the process shares, one thread per spare CPU.
-# One pool per process, not per runner: each new thread keeps a malloc arena
-# of its own (about 1 MB after its first sort).  It is made when a helper
-# first joins a batch (see QuestionExecutor).
-_helpers: ThreadPoolExecutor | None = None
-_helpers_lock = threading.Lock()
-
-
-def _helper_pool() -> ThreadPoolExecutor:
-    global _helpers
-    with _helpers_lock:
-        if _helpers is None:
-            _helpers = ThreadPoolExecutor(_spare_cpus(), thread_name_prefix="ensql-sql")
-        return _helpers
+# the helpers every batch in the process shares, one thread per spare CPU
+# at most; a helper thread starts when one first joins a batch (see
+# QuestionExecutor)
+_helpers = SharedPool("ensql-sql")
 
 
 class _Batch:
@@ -299,14 +290,15 @@ class _Batch:
         """Start a helper on the batch when a text and a spare CPU are left.
 
         A statement's progress handler calls it, so it never raises: a pool
-        that is shut down leaves the batch to the workers it has.
+        that refuses work, as at interpreter exit, leaves the batch to the
+        workers it has.
         """
         with self.changed:
             if self.helpers == 0 or self.claimed == len(self.texts):
                 return
             self.helpers -= 1
         try:
-            _helper_pool().submit(self.work)  # work hands its errors to run
+            _helpers.submit(_spare_cpus(), self.work)  # work hands its errors to run
         except RuntimeError:
             pass
 
@@ -438,8 +430,9 @@ class PipelineRunner:
     QuestionExecutor (executor), which runs the slate's texts and the
     reference as one batch on connections the runner lends (connections).
     A few-shot store smaller than config.fewshot_k is reported once, at
-    load.  The throttle's threads exit, and the connections close, when the
-    runner is closed or garbage-collected.
+    load.  Model calls run on the call threads the whole process shares
+    (see CallThrottle), so a runner leaves no threads behind; its
+    connections close when the runner is closed or garbage-collected.
     """
 
     def __init__(
@@ -475,7 +468,6 @@ class PipelineRunner:
         self.close()
 
     def close(self) -> None:
-        self.throttle.close()
         self._close_connections()
 
     def gateway(self, question_id: str = "?") -> LlmGateway:

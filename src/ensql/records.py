@@ -88,10 +88,13 @@ class RunRecord:
             ),
             ex=_typed(doc, "ex", _is_bit, "0 or 1"),
             usage=[
-                UsageRow(u["model"], u["stage"], *(
-                    _typed(u, key, is_json_int, "an integer")
-                    for key in ("calls", "input_tokens", "output_tokens")
-                ))
+                UsageRow(
+                    _typed(u, "model", _is_str, "a string"),
+                    _typed(u, "stage", lambda v: v in _USAGE_STAGES,
+                           "one of " + ", ".join(_USAGE_STAGES)),
+                    *(_typed(u, key, is_json_int, "an integer")
+                      for key in ("calls", "input_tokens", "output_tokens")),
+                )
                 for u in doc["usage"]
             ],
             wall_ms=float(_typed(
@@ -115,6 +118,11 @@ class RunRecord:
              for u in self.usage),
             Decimal(0),
         )
+
+
+# the stages a usage row may name: LLM_STAGES, and the "embedding" stage
+# that records written by older versions carry
+_USAGE_STAGES = (*LLM_STAGES, "embedding")
 
 
 def _is_str(value: object) -> bool:
@@ -191,13 +199,15 @@ def _selection_to_dict(selection: SelectionOutcome | None) -> dict | None:
 def _selection_from_dict(
     doc: dict | None, candidates: Sequence[SqlCandidate]
 ) -> SelectionOutcome | None:
-    """The outcome of a record; it reads chosen_sql from the chosen candidate
-    when that candidate gives the written text, and holds the text otherwise."""
+    """The outcome of a record, whose chosen_index must pick one of its
+    candidates; it reads chosen_sql from the chosen candidate when that
+    candidate gives the written text, and holds the text otherwise."""
     if doc is None:
         return None
-    index = _typed(doc, "chosen_index", is_json_int, "an integer")
+    index = _typed(doc, "chosen_index", lambda v: is_json_int(v) and 0 <= v < len(candidates),
+                   f"the index of one of the record's {len(candidates)} candidates")
     chosen_sql = _typed(doc, "chosen_sql", _is_str, "a string")
-    if 0 <= index < len(candidates) and candidates[index].sql == chosen_sql:
+    if candidates[index].sql == chosen_sql:
         chosen_sql = candidates[index]
     return SelectionOutcome(
         chosen_index=index,

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 from decimal import Decimal
@@ -6,6 +7,7 @@ from decimal import Decimal
 import pytest
 import requests
 
+from ensql import gateway as gateway_module
 from ensql.config import PipelineConfig
 from ensql.gateway import (
     CallThrottle,
@@ -28,6 +30,8 @@ from ensql.gateway import (
     TransportError,
     request_digest,
 )
+
+from ensql.threads import SharedPool
 
 from helpers import ScriptedBackend
 
@@ -482,7 +486,97 @@ class TestLlmGateway:
             for gateway in (first, second) * 3
         ]
         assert [f.result(timeout=10).text for f in futures] == ["ok"] * 6
-        throttle.close()
         assert in_flight == [0, 2]
         assert [sum(row.calls for row in gateway.ledger.rows())
                 for gateway in (first, second)] == [3, 3]
+
+
+@pytest.fixture
+def call_pool(monkeypatch):
+    """A fresh process-wide call pool, so a test sees only the threads it starts."""
+    pool = SharedPool("ensql-call")
+    monkeypatch.setattr(gateway_module, "_calls", pool)
+    return pool
+
+
+def new_call_threads(before: set) -> list[threading.Thread]:
+    return [thread for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith("ensql-call")]
+
+
+class TestSharedCallPool:
+    """Every throttle runs its calls on the process's one call pool."""
+
+    def test_throttles_share_the_pool_s_threads_and_keep_their_caps(self, call_pool):
+        lock = threading.Lock()
+        threads = {2: set(), 3: set()}
+        in_flight = {2: [0, 0], 3: [0, 0]}  # cap -> [now, peak]
+
+        def call(cap):
+            with lock:
+                threads[cap].add(threading.current_thread())
+                in_flight[cap][0] += 1
+                in_flight[cap][1] = max(in_flight[cap])
+            time.sleep(0.01)
+            with lock:
+                in_flight[cap][0] -= 1
+            return "ok"
+
+        gateways = {
+            cap: LlmGateway(ScriptedBackend(lambda request, cap=cap: call(cap)),
+                            throttle=CallThrottle(cap))
+            for cap in (2, 3)
+        }
+        # the cap of 3 asks first, so the pool is built at its final size
+        futures = [
+            gateways[cap].submit(gateways[cap].complete, REQUEST, STAGE_GENERATION)
+            for cap in (3, 2) * 6
+        ]
+        assert [f.result(timeout=10).text for f in futures] == ["ok"] * 12
+        assert call_pool.size == 3
+        used = threads[2] | threads[3]
+        assert len(used) <= 3
+        assert all(thread.name.startswith("ensql-call") for thread in used)
+        assert in_flight[2][1] <= 2 and in_flight[3][1] <= 3
+
+    def test_a_larger_cap_than_any_before_gets_that_many_calls_at_once(self, call_pool):
+        before = set(threading.enumerate())
+        small = CallThrottle(8)
+        assert small.submit(lambda: "warm").result(timeout=10) == "warm"
+        meeting = threading.Barrier(20, timeout=10)  # broken unless 20 calls wait at once
+        large = LlmGateway(ScriptedBackend(lambda request: str(meeting.wait())),
+                           throttle=CallThrottle(20))
+        futures = [large.submit(large.complete, REQUEST, STAGE_GENERATION) for _ in range(20)]
+        assert sorted(int(f.result(timeout=20).text) for f in futures) == list(range(20))
+        assert call_pool.size == 20
+        # the pool of 8 that the larger one replaced lets its threads exit
+        deadline = time.monotonic() + 10
+        while len(new_call_threads(before)) > 20 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(new_call_threads(before)) <= 20
+
+    def test_throttles_growing_the_pool_at_once_lose_no_task_and_no_size(self, call_pool):
+        # more submitting threads than cores, each asking for sizes in its own
+        # order, with a switch interval so short that check-then-act races show
+        sizes = list(range(1, 13))
+        futures, lock = [], threading.Lock()
+
+        def submitter(seed):
+            for size in sizes[seed:] + sizes[:seed]:
+                future = CallThrottle(size).submit(lambda size=size: size)
+                with lock:
+                    futures.append(future)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submitter, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(f.result(timeout=10) for f in futures) == sorted(sizes * 8)
+        assert call_pool.size == max(sizes)

@@ -11,6 +11,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +60,7 @@ from ensql.selection import (
     SelectionMethod,
     SelectionOutcome,
 )
+from ensql.threads import SharedPool
 
 from conftest import GOLDEN_DIR
 from helpers import (
@@ -271,7 +273,9 @@ class TestRunRecordSerialization:
         assert record.total_tokens() == 900 + 60 + 2000 + 100
 
     def test_write_read_round_trip(self, tmp_path):
-        records = [self._full_record(), _record(qid="2", error="Boom: nope")]
+        errored = _record(qid="2", error="Boom: nope")
+        errored.selection = None  # as an errored item's record carries
+        records = [self._full_record(), errored]
         path = tmp_path / "records.jsonl"
         write_records(records, path)
         loaded = read_records(path)
@@ -307,6 +311,8 @@ class TestRunRecordSerialization:
         ("candidate_ex", "11111"), ("wall_ms", "0.0"), ("wall_ms", False), ("error", 0),
         # a count in the first usage row or the first candidate
         ("usage.calls", 2.9), ("usage.input_tokens", "3"), ("usage.output_tokens", True),
+        ("usage.model", None), ("usage.model", 5), ("usage.stage", None),
+        ("usage.stage", "judging"), ("usage.stage", ["generation"]),
         ("candidates.spec_index", 2.9), ("candidates.input_tokens", "3"),
         ("candidates.output_tokens", True),
         ("candidates.sql", 5), ("candidates.sql", None), ("candidates.raw_response", 0),
@@ -315,6 +321,7 @@ class TestRunRecordSerialization:
         ("candidates.execution.row_count", 4.0), ("candidates.execution.row_count", False),
         ("candidates.execution.error_text", ["e"]), ("candidates.execution.preview", 1),
         ("selection.chosen_index", True), ("selection.chosen_index", 0.0),
+        ("selection.chosen_index", 5), ("selection.chosen_index", -1),
         ("selection.chosen_sql", None), ("selection.distribution", [4, 1.0]),
         ("selection.distribution", "41"), ("selection.pairwise_calls", 0.5),
         ("selection.chosen_votes", "4"),
@@ -330,6 +337,22 @@ class TestRunRecordSerialization:
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join([lines[0], json.dumps(doc)]) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=f"bad.jsonl:2: bad run record: {key} must be"):
+            read_records(path)
+
+    @pytest.mark.parametrize("index", [9, -1])
+    def test_an_escalation_s_chosen_index_must_pick_a_candidate(self, tmp_path, index):
+        # the report reads an unjudged escalation's chosen candidate, so this
+        # record would otherwise read a wrong candidate or none at all
+        lines = (GOLDEN_DIR / "toy_run_records.jsonl").read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[2])
+        assert doc["selection"]["method"] == SelectionMethod.PAIRWISE_LLM.value
+        doc["selection"].update(chosen_index=index, pairwise_calls=0)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([*lines[:2], json.dumps(doc)]) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=(
+            "bad.jsonl:3: bad run record: chosen_index must be the index of one of "
+            f"the record's 5 candidates, not {index}"
+        )):
             read_records(path)
 
     def test_golden_records_load_and_write_back_byte_identical(self, tmp_path):
@@ -1098,7 +1121,7 @@ class _Submissions:
     def __init__(self):
         self.tasks = []
 
-    def submit(self, fn, *args):
+    def submit(self, size, fn, *args):
         self.tasks.append(fn)
 
 
@@ -1131,7 +1154,7 @@ class TestBatch:
 
     def test_the_toy_dataset_submits_no_helper(self, toy_dataset, monkeypatch):
         pool = _Submissions()
-        monkeypatch.setattr(harness, "_helper_pool", lambda: pool)
+        monkeypatch.setattr(harness, "_helpers", pool)
         records, _ = run_benchmark(
             PipelineConfig.default(), load_dataset(toy_dataset),
             ScriptedBackend(ToyScript()), record_timing=False,
@@ -1141,10 +1164,10 @@ class TestBatch:
 
     def test_one_cpu_creates_no_helper_pool(self, toy_db, monkeypatch, intervals):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(harness, "_helpers", None)
+        monkeypatch.setattr(harness, "_helpers", SharedPool("ensql-sql"))
         a, b = self.SLOW
         record = self._run_slate(toy_db, monkeypatch, [a, b, a, b, a])
-        assert harness._helpers is None
+        assert harness._helpers.size == 0
         # the texts ran in order, one after the other, on the question's thread
         assert [sql for sql, *_ in intervals] == [a, b]
         assert len({thread for _, thread, *_ in intervals}) == 1
@@ -1154,14 +1177,17 @@ class TestBatch:
     def test_a_shut_down_helper_pool_leaves_the_statement_running(
         self, toy_db, monkeypatch, intervals
     ):
-        pool = ThreadPoolExecutor(1)
-        pool.shutdown()
         asked = []
+
+        def refuse(size, fn):  # as a pool does at interpreter exit
+            asked.append(size)
+            raise RuntimeError("cannot schedule new futures after interpreter shutdown")
+
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(harness, "_helper_pool", lambda: asked.append(pool) or pool)
+        monkeypatch.setattr(harness, "_helpers", SimpleNamespace(submit=refuse))
         a, b = self.SLOW
         record = self._run_slate(toy_db, monkeypatch, [a, b, a, b, a])
-        assert asked  # a first step ran long enough to call for a helper
+        assert asked == [1]  # a first step ran long enough to call for the one helper
         assert len({thread for _, thread, *_ in intervals}) == 1
         fresh = {sql: recorded(harness.execute_candidate(sql, toy_db)) for sql in self.SLOW}
         assert [recorded(c.execution) for c in record.candidates] == [
@@ -1175,7 +1201,7 @@ class TestBatch:
         # four questions at once, three helpers each may take, and a switch
         # interval so short that nearly every first step calls for a helper
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        monkeypatch.setattr(harness, "_helpers", None)
+        monkeypatch.setattr(harness, "_helpers", SharedPool("ensql-sql"))
         slates = {
             str(q): [_grouped_count(2_000 + 10 * q + k, 3 + k) for k in range(5)]
             for q in range(8)
@@ -1197,8 +1223,7 @@ class TestBatch:
             )
         finally:
             sys.setswitchinterval(old)
-            if harness._helpers is not None:
-                harness._helpers.shutdown(wait=True)
+        assert harness._helpers.size == 3
         texts = [sql for sql, *_ in intervals]
         assert sorted(texts) == sorted(sql for slate in slates.values() for sql in slate)
         assert len({thread for _, thread, *_ in intervals}) > 4  # helpers ran texts too

@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from ensql import gateway
 from ensql.config import DEFAULT_LINKER_SECONDARY, PipelineConfig
 from ensql.gateway import (
     ChatBackend,
@@ -25,6 +26,7 @@ from ensql.gateway import (
 from ensql.generation import load_generation_system_prompt
 from ensql.harness import PipelineRunner, load_dataset, run_benchmark
 from ensql.linking import load_linking_system_prompt
+from ensql.threads import SharedPool
 
 from helpers import (
     EXPECTED_CALLS,
@@ -137,17 +139,41 @@ class TestRunWideCap:
         assert backend.in_flight_peak <= 3
 
     def test_unclosed_runners_leave_no_threads(self, items):
+        # the call and helper pools that every runner shares outlive them and
+        # start threads on demand, so the baseline is taken after one warm
+        # runner and counts the other threads; the next test bounds the pools'
+        def others():
+            return sum(not thread.name.startswith(("ensql-call", "ensql-sql"))
+                       for thread in threading.enumerate())
+
+        def run_one():
+            runner = PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript()))
+            runner.run_item(items[4])
+
+        run_one()
         gc.collect()
-        baseline = threading.active_count()
+        baseline = others()
+        for _ in range(15):
+            run_one()
+        gc.collect()
+        deadline = time.monotonic() + 10
+        while others() > baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert others() <= baseline
+
+    def test_runners_in_turn_leave_no_more_call_threads_than_the_cap(self, items, monkeypatch):
+        calls = SharedPool("ensql-call")
+        monkeypatch.setattr(gateway, "_calls", calls)
+        before = set(threading.enumerate())
         for _ in range(15):
             runner = PipelineRunner(PipelineConfig.default(), ScriptedBackend(ToyScript()))
             runner.run_item(items[4])
         del runner
         gc.collect()
-        deadline = time.monotonic() + 10
-        while threading.active_count() > baseline and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert threading.active_count() <= baseline
+        started = [thread for thread in threading.enumerate()
+                   if thread not in before and thread.name.startswith("ensql-call")]
+        assert calls.size == PipelineConfig.default().max_in_flight
+        assert 0 < len(started) <= calls.size
 
 
 DEFAULT_SPECS = PipelineConfig.default().specs
