@@ -5,211 +5,3 @@ narrowed by an LLM schema-linking pass), groups them by execution result,
 picks the majority answer when the vote is confident, and escalates to
 pairwise LLM comparison when it is not.
 """
-from .catalog import (
-    CatalogError,
-    ColumnDef,
-    FilterLevel,
-    ForeignKeyDef,
-    IntrospectionError,
-    MalformedDatabaseError,
-    SchemaCatalog,
-    TableDef,
-    UnreadableDatabaseError,
-    apply_filter,
-    introspect,
-)
-from .config import ConfigError, PipelineConfig
-from .formats import (
-    RepresentationFormat,
-    canonicalize,
-    render,
-    render_all,
-)
-from .gateway import (
-    CallThrottle,
-    ChatBackend,
-    ChatRequest,
-    ChatResponse,
-    CostLedger,
-    CostReport,
-    GatewayError,
-    HttpChatBackend,
-    LlmGateway,
-    ModelPrice,
-    PriceTable,
-    RecordingChatBackend,
-    ReplayChatBackend,
-    ReplayMissError,
-    TokenUsage,
-    TransportError,
-    UsageRow,
-    price,
-    request_digest,
-)
-from .generation import (
-    CandidateSpec,
-    FewShotExample,
-    FewShotStore,
-    NoCodeBlockError,
-    SqlCandidate,
-    build_generation_prompt,
-    embed_question,
-    extract_sql,
-    generate_slot,
-    retrieve_fewshots,
-    slot_request,
-)
-from .harness import (
-    BenchmarkItem,
-    ComboResult,
-    GoldExecutionError,
-    PipelineRunner,
-    SweepError,
-    build_fewshot_store,
-    execution_accuracy,
-    generate_candidates,
-    load_dataset,
-    rank_combinations,
-    run_benchmark,
-    sweep,
-)
-from .linking import (
-    GoldLinking,
-    LinkingMetrics,
-    LinkingParseError,
-    LinkingPrediction,
-    LinkingResolutionError,
-    build_linking_prompt,
-    derive_gold_linking,
-    linking_metrics,
-    parse_linking_response,
-)
-from .records import (
-    BoundsRow,
-    DatasetError,
-    Report,
-    RunRecord,
-    VoteBucket,
-    aggregate_records,
-    bounds_analysis,
-    ex_by_vote,
-    read_records,
-    write_records,
-)
-from .selection import (
-    Confidence,
-    Decision,
-    ExecStatus,
-    ExecutionResult,
-    MissingPolicyError,
-    PairwiseJudge,
-    SelectionMethod,
-    SelectionOutcome,
-    VoteGroup,
-    confidence_policy,
-    execute_candidate,
-    group_votes,
-    normalize_result,
-    open_read_only,
-    pairwise_select,
-    select,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BenchmarkItem",
-    "BoundsRow",
-    "CallThrottle",
-    "CandidateSpec",
-    "CatalogError",
-    "ChatBackend",
-    "ChatRequest",
-    "ChatResponse",
-    "ColumnDef",
-    "ComboResult",
-    "Confidence",
-    "ConfigError",
-    "CostLedger",
-    "CostReport",
-    "DatasetError",
-    "Decision",
-    "ExecStatus",
-    "ExecutionResult",
-    "FewShotExample",
-    "FewShotStore",
-    "FilterLevel",
-    "ForeignKeyDef",
-    "GatewayError",
-    "GoldExecutionError",
-    "GoldLinking",
-    "HttpChatBackend",
-    "IntrospectionError",
-    "LinkingMetrics",
-    "LinkingParseError",
-    "LinkingPrediction",
-    "LinkingResolutionError",
-    "LlmGateway",
-    "MalformedDatabaseError",
-    "MissingPolicyError",
-    "ModelPrice",
-    "NoCodeBlockError",
-    "PairwiseJudge",
-    "PipelineConfig",
-    "PipelineRunner",
-    "PriceTable",
-    "RecordingChatBackend",
-    "ReplayChatBackend",
-    "ReplayMissError",
-    "Report",
-    "RepresentationFormat",
-    "RunRecord",
-    "SchemaCatalog",
-    "SelectionMethod",
-    "SelectionOutcome",
-    "SqlCandidate",
-    "SweepError",
-    "TableDef",
-    "TokenUsage",
-    "TransportError",
-    "UnreadableDatabaseError",
-    "UsageRow",
-    "VoteBucket",
-    "VoteGroup",
-    "aggregate_records",
-    "apply_filter",
-    "bounds_analysis",
-    "build_fewshot_store",
-    "build_generation_prompt",
-    "build_linking_prompt",
-    "canonicalize",
-    "confidence_policy",
-    "derive_gold_linking",
-    "embed_question",
-    "ex_by_vote",
-    "execute_candidate",
-    "execution_accuracy",
-    "extract_sql",
-    "generate_candidates",
-    "generate_slot",
-    "group_votes",
-    "introspect",
-    "linking_metrics",
-    "load_dataset",
-    "normalize_result",
-    "open_read_only",
-    "pairwise_select",
-    "parse_linking_response",
-    "price",
-    "rank_combinations",
-    "read_records",
-    "render",
-    "render_all",
-    "request_digest",
-    "retrieve_fewshots",
-    "run_benchmark",
-    "select",
-    "slot_request",
-    "sweep",
-    "write_records",
-]

@@ -75,11 +75,20 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
                              "request digest when the command ends")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least low, else a usage error (exit 2)."""
+    def count(text: str) -> int:  # int's ValueError reads "invalid count value"
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is not an integer of at least {low}")
+        return int(text)
+    return count
+
+
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", required=True, help="dataset root or questions JSON file")
     parser.add_argument("--split", default="dev", help="dataset split name (default: dev)")
     parser.add_argument("--db-root", help="directory holding {db_id}/{db_id}.sqlite")
-    parser.add_argument("--limit", type=int, help="use only the first N questions")
+    parser.add_argument("--limit", type=_int_at_least(1), help="use only the first N questions")
 
 
 def _live_backend() -> HttpChatBackend:
@@ -392,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--linker-model",
                          help="model for the shared linking pass (default from config)")
     p_sweep.add_argument("--fewshot-store")
-    p_sweep.add_argument("--top", type=int, default=10, help="combinations to print (0: all)")
+    p_sweep.add_argument("--top", type=_int_at_least(0), default=10,
+                         help="combinations to print (0: all)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_report = sub.add_parser("report", help="re-aggregate a records file")

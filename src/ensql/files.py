@@ -4,7 +4,7 @@ read_json reads a whole document (config, dataset, price table, descriptions),
 read_jsonl one object a line (run records, replay fixtures, few-shot stores).
 Every fault, from the file, its JSON, its top-level type or the caller's
 parse, is raised as the caller's error class, naming the path (and line).
-is_json_int is the check of a count such a file holds.
+is_json_int and is_json_count check the integers and counts such a file holds.
 """
 from __future__ import annotations
 
@@ -20,6 +20,11 @@ _PARSE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, InvalidOperati
 def is_json_int(value: object) -> bool:
     """An integer as JSON spells one: an int, and not a bool, which Python counts as one."""
     return type(value) is int
+
+
+def is_json_count(value: object) -> bool:
+    """A count: a JSON integer of at least 0."""
+    return is_json_int(value) and value >= 0
 
 
 def read_json(path: str | Path, parse: Callable, error: type, what: str, kind: type = dict):

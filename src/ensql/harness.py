@@ -97,7 +97,6 @@ class BenchmarkItem:
     question: str
     gold_sql: str
     hint: str = ""
-    difficulty: str | None = None
     db_path: str = ""
 
 
@@ -165,7 +164,6 @@ def load_dataset(
                 question=str(question),
                 gold_sql=str(gold_sql),
                 hint=str(record.get("evidence") or ""),
-                difficulty=record.get("difficulty"),
                 db_path=str(db_path),
             )
         )

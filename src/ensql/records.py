@@ -15,7 +15,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .files import is_json_int, read_jsonl
+from .files import is_json_count, is_json_int, read_jsonl
 from .gateway import LLM_STAGES, PriceTable, TokenUsage, UsageRow
 from .generation import SqlCandidate
 from .selection import (
@@ -92,7 +92,7 @@ class RunRecord:
                     _typed(u, "model", _is_str, "a string"),
                     _typed(u, "stage", lambda v: v in _USAGE_STAGES,
                            "one of " + ", ".join(_USAGE_STAGES)),
-                    *(_typed(u, key, is_json_int, "an integer")
+                    *(_typed(u, key, is_json_count, "an integer of at least 0")
                       for key in ("calls", "input_tokens", "output_tokens")),
                 )
                 for u in doc["usage"]
@@ -167,8 +167,8 @@ def _candidate_from_dict(doc: dict) -> SqlCandidate:
         execution = ExecutionResult(
             status=ExecStatus(raw["status"]),
             signature=_typed(raw, "signature", _is_str_or_null, "a string or null", None),
-            row_count=_typed(raw, "row_count", lambda v: v is None or is_json_int(v),
-                             "an integer or null", None),
+            row_count=_typed(raw, "row_count", lambda v: v is None or is_json_count(v),
+                             "an integer of at least 0 or null", None),
             error_text=_typed(raw, "error_text", _is_str_or_null, "a string or null", None),
             preview=_typed(raw, "preview", _is_str_or_null, "a string or null", None),
         )
@@ -176,8 +176,8 @@ def _candidate_from_dict(doc: dict) -> SqlCandidate:
         spec_index=_typed(doc, "spec_index", is_json_int, "an integer"),
         sql=_typed(doc, "sql", _is_str, "a string"),
         raw_response=_typed(doc, "raw_response", _is_str, "a string", ""),
-        input_tokens=_typed(doc, "input_tokens", is_json_int, "an integer", 0),
-        output_tokens=_typed(doc, "output_tokens", is_json_int, "an integer", 0),
+        input_tokens=_typed(doc, "input_tokens", is_json_count, "an integer of at least 0", 0),
+        output_tokens=_typed(doc, "output_tokens", is_json_count, "an integer of at least 0", 0),
         execution=execution,
     )
 
@@ -213,24 +213,19 @@ def _selection_from_dict(
         chosen_index=index,
         chosen_sql=chosen_sql,
         distribution=tuple(_typed(
-            doc, "distribution", lambda v: isinstance(v, list) and all(map(is_json_int, v)),
-            "a list of integers",
+            doc, "distribution", lambda v: isinstance(v, list) and all(map(is_json_count, v)),
+            "a list of integers of at least 0",
         )),
         confidence=Confidence(doc["confidence"]),
         method=SelectionMethod(doc["method"]),
-        pairwise_calls=_typed(doc, "pairwise_calls", is_json_int, "an integer"),
-        chosen_votes=_typed(doc, "chosen_votes", is_json_int, "an integer"),
+        pairwise_calls=_typed(doc, "pairwise_calls", is_json_count, "an integer of at least 0"),
+        chosen_votes=_typed(doc, "chosen_votes", is_json_count, "an integer of at least 0"),
     )
 
 
 def record_line(record: RunRecord) -> str:
     """One JSONL line of a records file."""
     return json.dumps(record.to_dict(), ensure_ascii=False) + "\n"
-
-
-def write_records(records: Iterable[RunRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(record_line, records))
 
 
 def read_records(path: str | Path) -> list[RunRecord]:

@@ -87,6 +87,33 @@ class TestArgumentErrors:
         assert rc == 1
         assert "OPENAI_API_KEY" in capsys.readouterr().err
 
+    # neither the dataset nor the replay fixture exists: the flag is refused first
+    @pytest.mark.parametrize("limit, why", [
+        ("0", "0 is not an integer of at least 1"),
+        ("-1", "-1 is not an integer of at least 1"),
+        ("two", "invalid count value: 'two'"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "link-eval", "build-fewshot-store", "sweep"])
+    def test_a_limit_below_1_is_a_usage_error(self, tmp_path, capsys, command, limit, why):
+        argv = [command, "--dataset", str(tmp_path / "none"), "--limit", limit]
+        if command != "build-fewshot-store":
+            argv += ["--replay", str(tmp_path / "none.jsonl")]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"ensql {command}: error: argument --limit: {why}"
+        )
+
+    def test_a_negative_top_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--dataset", str(tmp_path / "none"),
+                  "--replay", str(tmp_path / "none.jsonl"), "--top", "-1"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "ensql sweep: error: argument --top: -1 is not an integer of at least 0"
+        )
+
 
 class TestRun:
     def test_replay_benchmark(self, cli_env, tmp_path, capsys):
@@ -445,6 +472,16 @@ class TestSweep:
         assert rc == 0
         assert "6 combinations of size 2" in capsys.readouterr().out
         assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
+
+    @pytest.mark.parametrize("top, shown", [("0", 6), ("2", 2), ("6", 6), ("9", 6)])
+    def test_top_prints_that_many_combinations(self, cli_env, capsys, top, shown):
+        rc = main(["sweep", "--dataset", cli_env["dataset"], "--replay", cli_env["fixture"],
+                   "--formats", "compact_tagged", "--levels", "none,table_only,full_filtering",
+                   "--n", "2", "--linker-model", "gpt-4o", "--top", top])
+        assert rc == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == f"6 combinations of size 2; top {shown}:"
+        assert len(rows) == shown
 
     def test_replays_a_run_fixture_recorded_with_descriptions(self, cli_env, described_env,
                                                               capsys, caplog):

@@ -287,8 +287,10 @@ class TestReplayAndRecording:
         '{"digest": "abc", "text": "t", "input_tokens": 2.9, "output_tokens": 1}',
         '{"digest": "abc", "text": "t", "input_tokens": 2, "output_tokens": true}',
         '{"digest": "abc", "text": "t", "input_tokens": "2", "output_tokens": 1}',
+        '{"digest": "abc", "text": "t", "input_tokens": -5, "output_tokens": 1}',
+        '{"digest": "abc", "text": "t", "input_tokens": 5, "output_tokens": -1}',
     ], ids=["not_an_object", "list_of_tokens", "fractional_tokens", "bool_tokens",
-            "string_tokens"])
+            "string_tokens", "negative_input_tokens", "negative_output_tokens"])
     def test_a_record_of_the_wrong_shape_names_its_line(self, tmp_path, line):
         path = tmp_path / "broken.jsonl"
         path.write_text(line + "\n", encoding="utf-8")

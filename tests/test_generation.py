@@ -420,3 +420,16 @@ class TestImportFootprint:
         assert steps["ex"] == 1
         assert steps["store"] == ["numpy"]
         assert steps["http"] == ["numpy", "requests"]
+
+    def test_the_package_import_loads_no_engine_module(self):
+        # each name is imported from its module, so the package itself re-exports nothing
+        import ensql
+
+        env = {**os.environ, "PYTHONPATH": str(Path(ensql.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys, ensql; print(json.dumps(sorted(sys.modules)))"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert [m for m in json.loads(done.stdout) if m.startswith("ensql.")] == []

@@ -51,7 +51,7 @@ from ensql.records import (
     bounds_analysis,
     ex_by_vote,
     read_records,
-    write_records,
+    record_line,
 )
 from ensql.selection import (
     Confidence,
@@ -277,7 +277,7 @@ class TestRunRecordSerialization:
         errored.selection = None  # as an errored item's record carries
         records = [self._full_record(), errored]
         path = tmp_path / "records.jsonl"
-        write_records(records, path)
+        path.write_text("".join(map(record_line, records)), encoding="utf-8")
         loaded = read_records(path)
         assert len(loaded) == 2
         assert loaded[0].selection == records[0].selection
@@ -325,6 +325,11 @@ class TestRunRecordSerialization:
         ("selection.chosen_sql", None), ("selection.distribution", [4, 1.0]),
         ("selection.distribution", "41"), ("selection.pairwise_calls", 0.5),
         ("selection.chosen_votes", "4"),
+        # a count below 0
+        ("usage.calls", -3), ("usage.input_tokens", -100000), ("usage.output_tokens", -1),
+        ("candidates.input_tokens", -1), ("candidates.output_tokens", -1),
+        ("candidates.execution.row_count", -1), ("selection.distribution", [4, -1]),
+        ("selection.pairwise_calls", -1), ("selection.chosen_votes", -1),
     ])
     def test_a_scalar_of_the_wrong_type_names_its_line(self, tmp_path, key, value):
         lines = (GOLDEN_DIR / "toy_run_records.jsonl").read_text(encoding="utf-8").splitlines()
@@ -359,7 +364,8 @@ class TestRunRecordSerialization:
         golden = GOLDEN_DIR / "toy_run_records.jsonl"
         records = read_records(golden)
         assert {r.error for r in records} == {None}
-        write_records(records, tmp_path / "again.jsonl")
+        (tmp_path / "again.jsonl").write_text(
+            "".join(map(record_line, records)), encoding="utf-8")
         assert (tmp_path / "again.jsonl").read_bytes() == golden.read_bytes()
 
     def test_sql_that_is_not_its_reply_s_block_is_kept(self, tmp_path):
@@ -378,7 +384,8 @@ class TestRunRecordSerialization:
         assert [c._sql for c in candidates[:4]] == [
             "SELECT 4", "", "SELECT COUNT(*) FROM users", None
         ]
-        write_records(read_records(path), tmp_path / "again.jsonl")
+        (tmp_path / "again.jsonl").write_text(
+            "".join(map(record_line, read_records(path))), encoding="utf-8")
         assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
