@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -82,6 +83,17 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"{text} is not an integer of at least {low}")
         return int(text)
     return count
+
+
+def _fraction(text: str) -> float:
+    """An argparse type: a number in (0, 1], else a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a fraction in (0, 1]")
+    return value
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
@@ -392,11 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", help="pipeline config JSON")
     p_sweep.add_argument("--formats", help="comma-separated formats (default: all)")
     p_sweep.add_argument("--levels", help="comma-separated filter levels (default: all)")
-    p_sweep.add_argument("--n", type=int, default=5, help="candidates per combination")
-    p_sweep.add_argument("--max-combos", type=int, default=DEFAULT_COMBO_CAP,
+    p_sweep.add_argument("--n", type=_int_at_least(1), default=5,
+                         help="candidates per combination")
+    p_sweep.add_argument("--max-combos", type=_int_at_least(1), default=DEFAULT_COMBO_CAP,
                          help="refuse sweeps larger than this many combinations")
-    p_sweep.add_argument("--subset", type=float,
-                         help="score a random fraction of the dataset")
+    p_sweep.add_argument("--subset", type=_fraction,
+                         help="score a random fraction, in (0, 1], of the dataset")
     p_sweep.add_argument("--seed", type=int, default=0, help="subset sampling seed")
     p_sweep.add_argument("--linker-model",
                          help="model for the shared linking pass (default from config)")

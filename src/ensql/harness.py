@@ -17,11 +17,12 @@ import sqlite3
 import threading
 import time
 import weakref
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .catalog import FilterLevel, SchemaCatalog, introspect
 from .config import ConfigError, PipelineConfig
@@ -69,11 +70,14 @@ from .selection import (
     execute_candidate,
     group_votes,
     open_read_only,
+    program_key,
     select,
 )
 from .threads import SharedPool
 
 log = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 
 class GoldExecutionError(Exception):
@@ -180,13 +184,14 @@ def matches(result: ExecutionResult, gold: ExecutionResult) -> bool:
 class ConnectionPool:
     """Idle read-only connections to candidate databases, by database path.
 
-    A statement takes a connection when it starts (take), an idle one when
-    there is one and otherwise a new one from open_read_only, and hands it
-    back when it ends (put); a statement whose execution raises closes its
-    connection instead.  So a path never has more connections than
-    statements that ran on it at once (see QuestionExecutor).  close()
-    closes every idle connection and makes put close the ones still held; a
-    pool that is never closed closes them when its owner is collected.
+    A statement, or a slow batch's keying of its texts, takes a connection
+    when it starts (take), an idle one when there is one and otherwise a new
+    one from open_read_only, and hands it back when it ends (put); a use
+    that raises closes its connection instead.  So a path never has more
+    connections than uses that ran on it at once (see QuestionExecutor).
+    close() closes every idle connection and makes put close the ones still
+    held; a pool that is never closed closes them when its owner is
+    collected.
     """
 
     def __init__(self):
@@ -240,17 +245,27 @@ class _Batch:
     Each worker claims the next unclaimed text, runs it and claims again
     until none is left.  The question's thread is the first worker, and
     join adds a helper while the batch has a text left and a spare CPU it
-    has not yet used (see QuestionExecutor).  run returns once every claimed
-    text has its result, and raises the first error a worker met; workers
-    claim nothing after one.
+    has not yet used (see QuestionExecutor).  join also marks the batch
+    slow, even when no helper can start.  The next worker to claim a text
+    after that first keys every text of the batch by its program
+    (selection.program_key), once, while the other workers wait: each
+    unclaimed text whose program an earlier text runs leaves the queue, and
+    takes that text's result when the batch ends.  So a quick batch never
+    computes a key.  run returns once every claimed text has its result,
+    and raises the first error a worker met; workers claim nothing after
+    one.
     """
 
     def __init__(self, execute: "QuestionExecutor", texts: list[str]):
         self.execute = execute
         self.texts = texts
-        self.claimed = 0
+        self.queue = deque(texts)  # the unclaimed texts, in order
         self.running = 0
         self.helpers = _spare_cpus()  # helpers that may still join
+        self.slow = False  # a first step has run for a switch interval
+        self.keying = False
+        # a dropped text -> the earlier text that runs its program; None until keyed
+        self.shared: dict[str, str] | None = None
         self.error: BaseException | None = None
         self.changed = threading.Condition()
 
@@ -260,39 +275,63 @@ class _Batch:
             self.changed.wait_for(lambda: self.running == 0)
         if self.error is not None:
             raise self.error
+        for sql, earlier in (self.shared or {}).items():
+            self.execute._keep(sql, self.execute._by_sql[earlier])
 
     def work(self) -> None:
         while True:
             with self.changed:
-                if self.error is not None or self.claimed == len(self.texts):
+                if self.keying:
+                    self.changed.wait_for(lambda: not self.keying)
+                if self.error is not None or not self.queue:
                     return
-                sql = self.texts[self.claimed]
-                self.claimed += 1
-                self.running += 1
+                key_texts = self.slow and self.shared is None
+                if key_texts:
+                    self.keying, self.shared = True, {}
+                else:
+                    sql = self.queue.popleft()
+                    self.running += 1
             result = error = None
             try:
-                result = self.execute._statement(sql, self.join)
+                if key_texts:
+                    result = self.execute._program_keys(self.texts)
+                else:
+                    result = self.execute._statement(sql, self.join)
             except BaseException as exc:  # handed to the question's thread by run
                 error = exc
             with self.changed:
-                self.running -= 1
-                if error is None:
-                    self.execute._keep(sql, result)
-                elif self.error is None:
+                if key_texts:
+                    self.keying = False
+                    if error is None:
+                        self._drop_repeats(result)
+                else:
+                    self.running -= 1
+                    if error is None:
+                        self.execute._keep(sql, result)
+                if error is not None and self.error is None:
                     self.error = error
                 self.changed.notify_all()
             if error is not None:
                 return
 
+    def _drop_repeats(self, keys: list[tuple | None]) -> None:
+        """Drop each unclaimed text whose key an earlier text has; the lock is held."""
+        first: dict[tuple, str] = {}
+        for sql, key in zip(self.texts, keys):
+            if key is not None and first.setdefault(key, sql) != sql and sql in self.queue:
+                self.shared[sql] = first[key]
+        self.queue = deque(sql for sql in self.queue if sql not in self.shared)
+
     def join(self) -> None:
-        """Start a helper on the batch when a text and a spare CPU are left.
+        """Mark the batch slow; start a helper when a text and a spare CPU are left.
 
         A statement's progress handler calls it, so it never raises: a pool
         that refuses work, as at interpreter exit, leaves the batch to the
         workers it has.
         """
         with self.changed:
-            if self.helpers == 0 or self.claimed == len(self.texts):
+            self.slow = True
+            if self.helpers == 0 or not self.queue:
                 return
             self.helpers -= 1
         try:
@@ -307,25 +346,30 @@ class QuestionExecutor:
     run executes a question's distinct texts as one batch (see _Batch); a
     call with one text runs it as a batch of one and returns its result.  A
     text runs at most once per question, and every slot, and the reference
-    query, with the same text get the one frozen result.  Equal results of
-    different texts (equality covers the fields a record keeps, not
-    elapsed_ms) are one object too, so a record holds each distinct result
-    once.
+    query, with the same text get the one frozen result.  In a slow batch,
+    texts that compile to one SQLite program (selection.program_key) run
+    that program once and share its result, so a program that calls
+    random() makes one draw for all its texts, as one text does for all its
+    slots.  Equal results of different texts (equality covers the fields a
+    record keeps, not elapsed_ms) are one object too, so a record holds each
+    distinct result once.
 
     Each statement takes a connection from connections for as long as it runs
-    (see ConnectionPool), so a batch holds one for the question's thread and
-    one for each helper.  The question's thread works through a batch itself; a
-    helper from the process-wide pool of (CPUs available - 1) threads joins
-    only when a statement's first step (SQLite's prepare and first
-    sqlite3_step, where an aggregate or a sort does its work with the GIL
-    released) has run for sys.getswitchinterval().  Only first steps overlap:
-    the rest of every statement (fetching, canonicalization and the preview)
-    holds the question's lock, and the wait for that lock does not count
-    against timeout_s.  With one CPU, or when every first step is quick, no
-    helper starts and a batch runs its texts in order on the question's thread.
-    A database that cannot be opened is handed to each execution as its path,
-    which comes back as the open's Error result.  It belongs to one question,
-    and no two questions share one.
+    (see ConnectionPool), and so does the keying of a slow batch, so a batch
+    holds one for the question's thread and one for each helper.  The
+    question's thread works through a batch itself; a helper from the
+    process-wide pool of (CPUs available - 1) threads joins only when a
+    statement's first step (SQLite's prepare and first sqlite3_step, where an
+    aggregate or a sort does its work with the GIL released) has run for
+    sys.getswitchinterval(), and that same signal has the batch key its
+    texts.  Only first steps overlap: the rest of every statement (fetching,
+    canonicalization and the preview) holds the question's lock, and the wait
+    for that lock does not count against timeout_s.  With one CPU, or when
+    every first step is quick, no helper starts and a batch runs its texts in
+    order on the question's thread.  A database that cannot be opened is
+    handed to each execution as its path, which comes back as the open's
+    Error result, and gives no text a key.  It belongs to one question, and
+    no two questions share one.
     """
 
     def __init__(self, db_path: str | Path, connections: ConnectionPool, timeout_s: float = 30.0):
@@ -346,17 +390,18 @@ class QuestionExecutor:
         if todo:
             _Batch(self, todo).run()
 
-    def _statement(self, sql: str, on_slow: Callable[[], None]) -> ExecutionResult:
-        """Run sql on a connection taken from the pool for this statement alone."""
+    def _on_connection(self, use: Callable[[sqlite3.Connection | None], _T]) -> _T:
+        """use(a connection taken from the pool), or use(None) when none opens.
+
+        The connection goes back to the pool after the use, or is closed
+        when the use raises.
+        """
         try:
             conn = self.connections.take(self.db_path)
         except sqlite3.Error:
             conn = None
         try:
-            result = execute_candidate(
-                sql, self.db_path if conn is None else conn, self.timeout_s,
-                turn=self._turn, on_slow=on_slow,
-            )
+            result = use(conn)
         except BaseException:
             if conn is not None:
                 conn.close()
@@ -364,6 +409,19 @@ class QuestionExecutor:
         if conn is not None:
             self.connections.put(self.db_path, conn)
         return result
+
+    def _statement(self, sql: str, on_slow: Callable[[], None]) -> ExecutionResult:
+        """Run sql on a connection taken from the pool for this statement alone."""
+        return self._on_connection(lambda conn: execute_candidate(
+            sql, self.db_path if conn is None else conn, self.timeout_s,
+            turn=self._turn, on_slow=on_slow,
+        ))
+
+    def _program_keys(self, texts: list[str]) -> list[tuple | None]:
+        """Each text's program_key, all on one connection taken from the pool."""
+        return self._on_connection(lambda conn: [
+            None if conn is None else program_key(conn, sql) for sql in texts
+        ])
 
     def _keep(self, sql: str, result: ExecutionResult) -> None:
         self._by_sql[sql] = self._by_fields.setdefault(result, result)
@@ -513,8 +571,10 @@ class PipelineRunner:
         """The candidate stage: link, generate and execute one slate.
 
         execute is the question's executor, so each distinct SQL text runs
-        once.  The slate's texts run as one batch, with reference, when
-        given, after them.
+        once, and in a slow batch each distinct SQLite program runs once:
+        texts that compile alike, a random() call included, share one result.
+        The slate's texts run as one batch, with reference, when given,
+        after them.
         """
         config = self.config
         candidates = generate_candidates(

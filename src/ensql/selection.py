@@ -385,6 +385,33 @@ def execute_candidate(
     return _result(ExecStatus.TIMEOUT, error_text=f"timeout after {timeout_s:g}s")
 
 
+def program_key(conn: sqlite3.Connection, sql: str) -> tuple | None:
+    """The rows of EXPLAIN sql: texts with one key run one program.
+
+    Two texts that differ only in an alias, a qualified name, operand order,
+    keyword case or whitespace compile to the same SQLite program, so they
+    return the same rows.  conn is a connection from open_read_only, so the
+    text compiles under its authorizer; the progress handler a statement
+    left on it is cleared first, so an expired deadline cannot interrupt the
+    listing.  None means the text is its own key: EXPLAIN failed (a syntax
+    error, a refused statement, two statements, empty text), or the listing
+    shows a constant only in part.  A Real row prints 16 significant digits,
+    so 0.1 and 0.10000000000000002 list alike, and a Blob row's p4 prints a
+    blob literal only up to its first zero byte; a Bloom filter's Blob row
+    has no p4 and is kept.
+    """
+    conn.set_progress_handler(None, 0)
+    try:
+        with closing(conn.execute("EXPLAIN " + sql)) as cursor:
+            rows = tuple(cursor.fetchall())
+    except (sqlite3.Error, sqlite3.Warning):
+        return None
+    # a row: addr, opcode, p1, p2, p3, p4, p5, comment
+    if any(row[1] == "Real" or (row[1] == "Blob" and row[5] is not None) for row in rows):
+        return None
+    return rows
+
+
 @dataclass(frozen=True)
 class VoteGroup:
     """Candidates agreeing on one group key, ordered and sorted for ties.

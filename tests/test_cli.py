@@ -115,6 +115,28 @@ class TestArgumentErrors:
         )
 
 
+    # each sweep flag is refused before the dataset or the replay fixture is opened
+    @pytest.mark.parametrize("flag, value, why", [
+        ("--n", "0", "0 is not an integer of at least 1"),
+        ("--max-combos", "0", "0 is not an integer of at least 1"),
+        ("--max-combos", "-1", "-1 is not an integer of at least 1"),
+        ("--max-combos", "many", "invalid count value: 'many'"),
+        ("--subset", "0", "0 is not a fraction in (0, 1]"),
+        ("--subset", "1.5", "1.5 is not a fraction in (0, 1]"),
+        ("--subset", "nan", "nan is not a fraction in (0, 1]"),
+        ("--subset", "half", "half is not a fraction in (0, 1]"),
+    ])
+    def test_a_sweep_size_out_of_range_is_a_usage_error(self, tmp_path, capsys, flag, value,
+                                                        why):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--dataset", str(tmp_path / "none"),
+                  "--replay", str(tmp_path / "none.jsonl"), flag, value])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"ensql sweep: error: argument {flag}: {why}"
+        )
+
+
 class TestRun:
     def test_replay_benchmark(self, cli_env, tmp_path, capsys):
         out = tmp_path / "records.jsonl"
@@ -472,6 +494,13 @@ class TestSweep:
         assert rc == 0
         assert "6 combinations of size 2" in capsys.readouterr().out
         assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
+
+    def test_the_whole_dataset_is_a_subset(self, cli_env, capsys):
+        rc = main(["sweep", "--dataset", cli_env["dataset"], "--limit", "2",
+                   "--replay", cli_env["fixture"], "--formats", "compact_tagged",
+                   "--levels", "none", "--n", "1", "--max-combos", "1", "--subset", "1"])
+        assert rc == 0
+        assert "1 combinations of size 1" in capsys.readouterr().out
 
     @pytest.mark.parametrize("top, shown", [("0", 6), ("2", 2), ("6", 6), ("9", 6)])
     def test_top_prints_that_many_combinations(self, cli_env, capsys, top, shown):

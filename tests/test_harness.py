@@ -10,6 +10,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from decimal import Decimal
 from types import SimpleNamespace
 
@@ -1122,6 +1123,32 @@ def intervals(monkeypatch):
     return calls
 
 
+@st.composite
+def _aggregates(draw) -> str:
+    """A grouped count over a recursive CTE: rewrites of one program, or other constants.
+
+    The rows, the modulus, a real scale and a blob column are constants; the
+    names, the alias, the operand order, the case and the spacing are not.
+    A real or a blob that EXPLAIN lists in part is among the constants.
+    """
+    rows = draw(st.sampled_from([3000, 3001]))
+    modulus = draw(st.sampled_from([7, 11]))
+    scale = draw(st.sampled_from(["1", "0.1", "0.10000000000000002"]))
+    blob = draw(st.sampled_from(["", ", x'00ff'", ", x'00fe'"]))
+    cte, col = draw(st.sampled_from(["r", "q"])), draw(st.sampled_from(["n", "k"]))
+    alias = draw(st.sampled_from(["", "x"]))
+    ref = f"{alias}.{col}" if alias else col
+    bound = f"{rows} > {col}" if draw(st.booleans()) else f"{col} < {rows}"
+    sql = (
+        f"WITH RECURSIVE {cte}({col}) AS (SELECT 1 UNION ALL SELECT {col} + 1 FROM {cte} "
+        f"WHERE {bound}) SELECT {ref} % {modulus}, COUNT(*) * {scale}{blob} "
+        f"FROM {cte}{' AS ' + alias if alias else ''} GROUP BY {ref} % {modulus}"
+    )
+    if draw(st.booleans()):
+        sql = sql.lower()
+    return sql.replace(" ", draw(st.sampled_from([" ", "\n  "])))
+
+
 class _Submissions:
     """A stand-in helper pool that counts the tasks handed to it and runs none."""
 
@@ -1162,12 +1189,18 @@ class TestBatch:
     def test_the_toy_dataset_submits_no_helper(self, toy_dataset, monkeypatch):
         pool = _Submissions()
         monkeypatch.setattr(harness, "_helpers", pool)
+        keyed = []
+        key = harness.program_key
+        monkeypatch.setattr(harness, "program_key", lambda conn, sql: (
+            keyed.append(sql) or key(conn, sql)
+        ))
         records, _ = run_benchmark(
             PipelineConfig.default(), load_dataset(toy_dataset),
             ScriptedBackend(ToyScript()), record_timing=False,
         )
         assert [r.ex for r in records] == [q["ex"] for q in TOY_BENCH]
         assert pool.tasks == []
+        assert keyed == []  # no batch was slow, so none computed a key
 
     def test_one_cpu_creates_no_helper_pool(self, toy_db, monkeypatch, intervals):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -1207,12 +1240,15 @@ class TestBatch:
     ):
         # four questions at once, three helpers each may take, and a switch
         # interval so short that nearly every first step calls for a helper
+        # and for keys; each slate ends with a rewrite of its second text
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         monkeypatch.setattr(harness, "_helpers", SharedPool("ensql-sql"))
         slates = {
-            str(q): [_grouped_count(2_000 + 10 * q + k, 3 + k) for k in range(5)]
+            str(q): [_grouped_count(2_000 + 10 * q + k, 3 + k) for k in range(4)]
             for q in range(8)
         }
+        for slate in slates.values():
+            slate.append(slate[1].lower())
         monkeypatch.setattr(harness, "generate_candidates", lambda specs, m, c, item, *rest: [
             SqlCandidate(spec_index=index, sql=sql)
             for index, sql in enumerate(slates[item.question_id])
@@ -1232,14 +1268,73 @@ class TestBatch:
             sys.setswitchinterval(old)
         assert harness._helpers.size == 3
         texts = [sql for sql, *_ in intervals]
-        assert sorted(texts) == sorted(sql for slate in slates.values() for sql in slate)
+        assert sorted(texts) == sorted(sql for slate in slates.values() for sql in slate[:4])
         assert len({thread for _, thread, *_ in intervals}) > 4  # helpers ran texts too
-        fresh = {sql: recorded(harness.execute_candidate(sql, toy_db)) for sql in texts}
         for record in records:
+            slate = slates[record.question_id]
             assert record.gold_ok and record.candidate_ex == [1, 0, 0, 0, 0]
             assert [recorded(c.execution) for c in record.candidates] == [
-                fresh[sql] for sql in slates[record.question_id]
+                recorded(harness.execute_candidate(sql, toy_db)) for sql in slate
             ]
+            assert record.candidates[4].execution is record.candidates[1].execution
+
+    # _grouped_count(50_000, 7) and rewrites of it that compile to its program,
+    # then one that returns the same rows from another program
+    SAME_PROGRAM = (
+        SLOW[0],
+        "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r WHERE n < 50000) "
+        "SELECT r.n % 7, COUNT(*) FROM r GROUP BY r.n % 7",
+        "WITH RECURSIVE q(k) AS (SELECT 1 UNION ALL SELECT k + 1 FROM q WHERE 50000 > k) "
+        "SELECT x.k % 7 AS g, COUNT(*) AS c FROM q AS x GROUP BY x.k % 7",
+        "with recursive r(n) as (select 1 union all select n + 1 from r where n < 50000)\n"
+        "  select n % 7, count(*)\n  from r group by n % 7",
+    )
+    OTHER_PROGRAM = SLOW[0].replace("COUNT(*)", "COUNT(n)")
+
+    @pytest.mark.parametrize("cpus", [
+        pytest.param(1, id="one_cpu"),
+        pytest.param(2, id="two_cpus", marks=pytest.mark.skipif(
+            harness._spare_cpus() < 1, reason="needs at least two CPUs")),
+    ])
+    def test_program_equal_texts_run_one_statement(self, toy_db, monkeypatch, intervals, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(harness, "_helpers", SharedPool("ensql-sql"))
+        a, qualified, renamed, cased = self.SAME_PROGRAM
+        slate = [a, qualified, self.OTHER_PROGRAM, renamed, cased]
+        record = self._run_slate(toy_db, monkeypatch, slate)
+        ran = [sql for sql, *_ in intervals]
+        assert sorted(ran) == sorted([a, self.OTHER_PROGRAM])  # one statement per program
+        if cpus == 1:
+            assert ran == [a, self.OTHER_PROGRAM]
+        executions = [c.execution for c in record.candidates]
+        assert [recorded(e) for e in executions] == [
+            recorded(harness.execute_candidate(sql, toy_db)) for sql in slate
+        ]
+        # the rewrites take a's result, and the other program's equal result is one object too
+        assert all(e is executions[0] for e in executions)
+
+    @given(slate=st.lists(_aggregates(), min_size=2, max_size=5))
+    def test_every_text_gets_the_result_it_gets_alone(self, toy_db, slate):
+        # a switch interval so short that every first step calls for keys
+        keyed = []
+        with pytest.MonkeyPatch.context() as patch:
+            keys = harness.QuestionExecutor._program_keys
+            patch.setattr(harness.QuestionExecutor, "_program_keys", lambda self, texts: (
+                keyed.append(texts) or keys(self, texts)
+            ))
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with closing(harness.ConnectionPool()) as connections:
+                    execute = harness.QuestionExecutor(toy_db, connections)
+                    execute.run(slate)
+                    executions = [execute(sql) for sql in slate]
+            finally:
+                sys.setswitchinterval(old)
+        assert len(keyed) == (len(set(slate)) > 1)
+        assert [recorded(e) for e in executions] == [
+            recorded(harness.execute_candidate(sql, toy_db)) for sql in slate
+        ]
 
     def test_waiting_for_the_turn_is_not_charged_to_the_budget(self, toy_db):
         # a statement whose first step is done waits while another holds the

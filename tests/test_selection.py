@@ -36,6 +36,7 @@ from ensql.selection import (
     open_read_only,
     pairwise_select,
     parse_judge_reply,
+    program_key,
     select,
 )
 
@@ -687,6 +688,91 @@ class TestReusedConnection:
             recorded(execute_candidate(good, notes_db)) for good in goods
         ]
         assert all(c.execution.ok for c in after.candidates)
+
+
+_KEYED = "SELECT name FROM users WHERE user_id > 2"
+
+
+def _listing(conn, sql):
+    """EXPLAIN's rows for sql, as program_key reads them before its checks."""
+    with closing(conn.execute("EXPLAIN " + sql)) as cursor:
+        return tuple(cursor.fetchall())
+
+
+class TestProgramKey:
+    """Texts that compile to one SQLite program share a key; a partial listing has none."""
+
+    @pytest.mark.parametrize("other", [
+        pytest.param("SELECT u.name FROM users AS u WHERE u.user_id > 2", id="alias"),
+        pytest.param("SELECT users.name FROM users WHERE users.user_id > 2", id="qualified"),
+        pytest.param("SELECT name FROM users WHERE 2 < user_id", id="operand_order"),
+        pytest.param("select name from users where user_id > 2", id="keyword_case"),
+        pytest.param("SELECT name\n  FROM users\n WHERE user_id>2", id="whitespace"),
+    ])
+    def test_a_rewrite_shares_the_key(self, toy_db, other):
+        with closing(open_read_only(toy_db)) as conn:
+            key = program_key(conn, _KEYED)
+            assert key is not None and program_key(conn, other) == key
+        assert recorded(execute_candidate(other, toy_db)) == recorded(
+            execute_candidate(_KEYED, toy_db)
+        )
+
+    @pytest.mark.parametrize("other", [
+        "SELECT name FROM users WHERE user_id > 3",
+        "SELECT name FROM users WHERE user_id > 2 AND name != 'Bob'",
+    ])
+    def test_different_constants_have_different_keys(self, toy_db, other):
+        with closing(open_read_only(toy_db)) as conn:
+            assert None not in (program_key(conn, _KEYED), program_key(conn, other))
+            assert program_key(conn, other) != program_key(conn, _KEYED)
+
+    # EXPLAIN prints a real to 16 digits, and a blob only up to its first zero byte
+    @pytest.mark.parametrize("first, second", [
+        ("SELECT name FROM products WHERE price > 0.1",
+         "SELECT name FROM products WHERE price > 0.10000000000000002"),
+        ("SELECT 0.1", "SELECT 0.10000000000000002"),
+        ("SELECT 1 IN (0.1, 0.2)", "SELECT 1 IN (0.1, 0.20000000000000004)"),
+        ("SELECT x'00ff'", "SELECT x'00fe'"),
+    ])
+    def test_a_constant_the_listing_shows_in_part_gives_no_key(self, toy_db, first, second):
+        with closing(open_read_only(toy_db)) as conn:
+            assert _listing(conn, first) == _listing(conn, second)
+            assert program_key(conn, first) is None and program_key(conn, second) is None
+
+    @pytest.mark.parametrize("sql", [
+        pytest.param("SELEC name FROM users", id="syntax_error"),
+        pytest.param("DELETE FROM users", id="write"),
+        pytest.param("SELECT 1; SELECT 2", id="two_statements"),
+        pytest.param("", id="empty"),
+    ])
+    def test_a_text_explain_refuses_gives_no_key(self, toy_db, sql):
+        with closing(open_read_only(toy_db)) as conn:
+            assert program_key(conn, sql) is None
+            assert program_key(conn, _KEYED) is not None  # the connection still keys
+
+    def test_a_bloom_filter_keeps_the_key(self, tmp_path):
+        path = tmp_path / "joined.sqlite"
+        with closing(sqlite3.connect(path)) as conn:
+            conn.executescript("CREATE TABLE a (x INT, y INT); CREATE TABLE b (x INT, z INT);")
+            conn.executemany("INSERT INTO a VALUES (?, ?)", [(i, i) for i in range(2000)])
+            conn.executemany("INSERT INTO b VALUES (?, ?)", [(i % 50, i) for i in range(20000)])
+            conn.execute("ANALYZE")
+            conn.commit()
+        sql = "SELECT COUNT(*) FROM a JOIN b ON a.x = b.x WHERE a.y < 10"
+        with closing(open_read_only(path)) as conn:
+            blobs = [row for row in _listing(conn, sql) if row[1] == "Blob"]
+            assert blobs and all(row[5] is None for row in blobs)
+            assert program_key(conn, sql) == _listing(conn, sql)
+
+    def test_an_expired_clock_s_progress_handler_does_not_stop_the_key(self, toy_db):
+        endless = ("WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r) "
+                   "SELECT COUNT(*) FROM r")
+        with closing(open_read_only(toy_db)) as conn, closing(open_read_only(toy_db)) as fresh:
+            # the timed-out statement leaves its clock's watchdog on the connection
+            assert execute_candidate(endless, conn, timeout_s=0.05).status is ExecStatus.TIMEOUT
+            key = program_key(conn, _LONG_COUNT)
+            assert key is not None and key == program_key(fresh, _LONG_COUNT)
+            assert execute_candidate(_LONG_COUNT, conn).ok
 
 
 def _candidate(i, sql="SELECT 1", signature="sig", status=ExecStatus.OK,
